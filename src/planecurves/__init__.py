@@ -29,6 +29,7 @@ from .errors import (
     FiberNotIsolated,
     HypothesisFailed,
     IncompatibleFields,
+    InternalError,
     NegativeGenus,
     NonRationalPoint,
     NotSquarefree,

@@ -19,6 +19,7 @@ from .errors import (
     CurveError,
     DepthCapExceeded,
     HypothesisFailed,
+    InternalError,
     NonRationalPoint,
     UnresolvedTree,
     UsageError,
@@ -287,6 +288,7 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    seed_before = _fields.DEFAULT_FACTOR_SEED
     try:
         args = parser.parse_args(argv)
         if args.command is None:
@@ -295,6 +297,9 @@ def main(argv=None) -> int:
         if args.seed is not None:
             _fields.DEFAULT_FACTOR_SEED = args.seed
         return _COMMANDS[args.command](args, field)
+    except InternalError as e:
+        print(f"internal: {e}", file=sys.stderr)
+        return 5
     except NonRationalPoint as e:
         print(
             f"error: non-rational point: {e}\n"
@@ -311,6 +316,8 @@ def main(argv=None) -> int:
     except Exception:
         traceback.print_exc()
         return 5
+    finally:
+        _fields.DEFAULT_FACTOR_SEED = seed_before
 
 
 if __name__ == "__main__":

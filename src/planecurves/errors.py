@@ -69,7 +69,19 @@ class NegativeGenus(CurveError):
 
 
 class FiberNotIsolated(CurveError):
-    """No shear isolates the origin on the x = 0 fiber for the resultant."""
+    """No shear isolates the origin on the x = 0 fiber for the resultant.
+
+    No longer raised: the intersection oracle is Fulton's algorithm, which
+    needs no shear.  Kept exported so existing handlers still import.
+    """
+
+
+class InternalError(CurveError):
+    """An exactness check failed: a bug, never a property of the input.
+
+    Raised explicitly rather than through assert, so the checks also run
+    under python -O.  The command line maps it to exit code 5.
+    """
 
 
 class HypothesisFailed(CurveError):

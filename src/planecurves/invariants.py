@@ -5,8 +5,9 @@ the multiplicities r of all infinitely near points, the conductor degree
 is twice that, and the genus of an irreducible plane curve of degree n
 drops from (n-1)(n-2)/2 by the delta of each singular point.  Local
 intersection multiplicities come out of a joint tree as the sum of
-products of multiplicities, checked against an independent resultant
-computation so that neither route is trusted alone.
+products of multiplicities, checked against Fulton's algorithm, an
+independent computation from the intersection axioms, so that neither
+route is trusted alone.
 """
 
 from __future__ import annotations
@@ -20,20 +21,18 @@ from .blowup import (
 )
 from .errors import (
     CommonComponent,
-    FiberNotIsolated,
     NegativeGenus,
     Reducible,
     UnresolvedTree,
     ZeroPolynomial,
 )
-from .fields import RationalField, UniPoly, join_fields, uni_factor, uni_gcd
+from .fields import RationalField, UniPoly, join_fields, uni_factor
 from .poly import (
     MultiPoly,
     PROJECTIVE,
     _shear_candidates,
     biv_gcd,
     dehomogenize,
-    resultant_biv,
     squarefree_defect,
     translate,
 )
@@ -99,58 +98,57 @@ class IntersectionReport:
         }
 
 
-def _y_fiber(P: MultiPoly) -> UniPoly:
-    # restriction to the line x = 0, as a polynomial in y
-    deg = P.degree_in("y")
-    coeffs = [P.coeff((0, j)) for j in range(deg + 1)]
-    return UniPoly(P.field, coeffs, var="y")
+def _fulton(F: MultiPoly, G: MultiPoly) -> int:
+    """I_0(F, G) for coprime F, G over one field, by Fulton's reduction.
 
-
-def _trailing_order(f: UniPoly) -> int:
-    for k in range(f.degree + 1):
-        if not f.coeff(k).is_zero():
-            return k
-    raise ZeroPolynomial("order of 0")
+    Works on the term dicts: while both curves pass through the origin,
+    either one restriction to y = 0 vanishes, so that curve is y*H and
+    I(y, other) = ord_x of the other's restriction is split off, or the
+    restriction of higher degree s is cut down by (b/a) x^(s-r) times the
+    other one (Fulton, Algebraic Curves, section 3.3).  Only the
+    intersection axioms are used; no shear, determinant or field growth.
+    """
+    f, g = dict(F.terms), dict(G.terms)
+    total = 0
+    while True:
+        if not f or not g:
+            raise CommonComponent("curves share a component")
+        if (0, 0) in f or (0, 0) in g:
+            return total
+        fx = {i: c for (i, j), c in f.items() if j == 0}
+        gx = {i: c for (i, j), c in g.items() if j == 0}
+        if not fx or (gx and max(fx) > max(gx)):
+            f, g, fx, gx = g, f, gx, fx
+        if not gx:
+            if not fx:
+                raise CommonComponent("curves share the component y")
+            # G = y*H: I(F, G) = I(F, y) + I(F, H)
+            total += min(fx)
+            g = {(i, j - 1): c for (i, j), c in g.items()}
+            continue
+        r, s = max(fx), max(gx)
+        q = gx[s] / fx[r]
+        for (i, j), c in f.items():
+            key = (i + s - r, j)
+            v = g[key] - q * c if key in g else -(q * c)
+            if v.is_zero():
+                del g[key]
+            else:
+                g[key] = v
 
 
 def intersection_oracle(F: MultiPoly, G: MultiPoly) -> int:
-    """Local intersection number at the origin via a sheared resultant.
+    """Local intersection number at the origin by Fulton's algorithm.
 
-    After a shear x -> x + lam*y chosen so that both leading y-coefficients
-    are constants and the origin is the only common zero on the line x = 0,
-    the order of Res_y at x = 0 equals the local intersection multiplicity.
-    Each candidate shear is validated before use; over a small finite field
-    the supply can run out, which raises FiberNotIsolated (the tree route
-    does not have this restriction).
+    Shares no code with the blow-up trees, so it is an independent check
+    on their sum.  Works over any field, with no extension and no shear.
     """
     if F.is_zero() or G.is_zero():
         raise ZeroPolynomial("intersection with the zero curve")
     if biv_gcd(F, G).total_degree() >= 1:
         raise CommonComponent("curves share a component")
     field = join_fields(F.field, G.field)
-    F = F.map_field(field)
-    G = G.map_field(field)
-    if not (F.constant_term().is_zero() and G.constant_term().is_zero()):
-        return 0
-    n, m = F.total_degree(), G.total_degree()
-    xv = MultiPoly.var(field, "x")
-    yv = MultiPoly.var(field, "y")
-    for lam in _shear_candidates(field):
-        Fs = F.substitute({"x": xv + yv * lam})
-        Gs = G.substitute({"x": xv + yv * lam})
-        if Fs.coeff((0, n)).is_zero() or Gs.coeff((0, m)).is_zero():
-            continue
-        h = uni_gcd(_y_fiber(Fs), _y_fiber(Gs))
-        if h.degree != _trailing_order(h):
-            # another common zero sits on x = 0; try the next shear
-            continue
-        R = resultant_biv(Fs, Gs, main="y")
-        assert not R.is_zero()
-        return _trailing_order(R)
-    raise FiberNotIsolated(
-        "no shear over this field isolates the origin on x = 0; "
-        "retry over an extension"
-    )
+    return _fulton(F.map_field(field), G.map_field(field))
 
 
 def intersection_multiplicity(
@@ -159,9 +157,9 @@ def intersection_multiplicity(
     """Local intersection number at the origin, computed two ways.
 
     The primary route sums r_C * r_D over the shared infinitely near
-    points of a joint tree; the oracle route is an independent resultant
-    order.  Both land in the report, together with the per-depth
-    contributions.
+    points of a joint tree; the oracle route is Fulton's algorithm, which
+    shares no code with the tree.  Both land in the report, together with
+    the per-depth contributions.
     """
     if F.is_zero() or G.is_zero():
         raise ZeroPolynomial("intersection with the zero curve")
@@ -176,7 +174,7 @@ def intersection_multiplicity(
     jt = joint_tree([F, G], max_depth=max_depth, labels=("C", "D"))
     contributions = [(d, rs[0], rs[1]) for d, rs in jt.contributions()]
     noether_sum = sum(rc * rd for _, rc, rd in contributions)
-    oracle = intersection_oracle(F, G)
+    oracle = _fulton(F, G)
     return IntersectionReport(origin, field, contributions, noether_sum, oracle)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from .errors import InternalError
 from .fields import Field, RationalField, Scalar
 
 
@@ -58,7 +59,8 @@ def _solve_rational(rows, rhs, field, free_values):
             for j in range(col + 1, n + 1):
                 num = M[rank][col] * M[i][j] - M[i][col] * M[rank][j]
                 q, r = divmod(num, prev)
-                assert r == 0, "Bareiss division must be exact"
+                if r != 0:
+                    raise InternalError("Bareiss division must be exact")
                 M[i][j] = q
             M[i][col] = 0
         prev = M[rank][col]

@@ -22,6 +22,7 @@ from .blowup import DEFAULT_MAX_DEPTH, joint_tree
 from .errors import (
     CommonComponent,
     IncompatibleFields,
+    InternalError,
     Reducible,
     ZeroPolynomial,
 )
@@ -225,10 +226,12 @@ def _common_points_core(F: MultiPoly, G: MultiPoly, fld: Field, add):
     Xv, Yv, Zv = (MultiPoly.var(fld, v, PROJECTIVE) for v in PROJECTIVE)
     Fp = F.substitute({"X": Xv + Zv * a, "Y": Yv + Zv * b})
     Gp = G.substitute({"X": Xv + Zv * a, "Y": Yv + Zv * b})
-    assert not Fp.coeff((0, 0, n)).is_zero() and not Gp.coeff((0, 0, m)).is_zero()
+    if Fp.coeff((0, 0, n)).is_zero() or Gp.coeff((0, 0, m)).is_zero():
+        raise InternalError("the shifted curves still pass through [0 : 0 : 1]")
 
     R1 = resultant_biv(_as_tz(Fp), _as_tz(Gp), main="Z")
-    assert not R1.is_zero()
+    if R1.is_zero():
+        raise InternalError("resultant of coprime forms vanished")
     directions = []
     if R1.degree >= 1:
         fld, roots = roots_with_extension(R1.map_field(fld))
@@ -238,7 +241,8 @@ def _common_points_core(F: MultiPoly, G: MultiPoly, fld: Field, add):
 
     for x0, y0 in directions:
         h = uni_gcd(_z_fiber(Fp, x0, y0), _z_fiber(Gp, x0, y0))
-        assert h.degree >= 1
+        if h.degree < 1:
+            raise InternalError("no common point over a root of the resultant")
         fld, roots = roots_with_extension(h.map_field(fld))
         for z0, _ in roots:
             x1, y1 = fld.embed(x0), fld.embed(y0)
@@ -447,7 +451,8 @@ def solve_af_bg(
     A = MultiPoly(fld, PROJECTIVE, dict(zip(mons_A, sol[:nA])))
     B = MultiPoly(fld, PROJECTIVE, dict(zip(mons_B, sol[nA:])))
     residual = H - A * F - B * G
-    assert residual.is_zero()
+    if not residual.is_zero():
+        raise InternalError("H - A*F - B*G is not zero")
     return NoetherCertificate("Solved", A=A, B=B, residual=residual)
 
 
@@ -480,7 +485,7 @@ def bezout_check(
     """Sum local intersection numbers over all common points of F and G.
 
     Each local number is computed through a joint tree and cross-checked
-    against the resultant oracle; the total is compared with
+    against the Fulton oracle; the total is compared with
     deg F * deg G.  Any mismatch survives into the report rather than
     being patched over.
     """

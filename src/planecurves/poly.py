@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import NotSuitable, ZeroPolynomial
+from .errors import InternalError, NotSuitable, ZeroPolynomial
 from .fields import (
     NEG_INF,
     ExtensionField,
@@ -624,7 +624,8 @@ def _primitive(coeffs: list, field, co_var):
     out = []
     for c in coeffs:
         q, r = divmod(c, g)
-        assert r.is_zero()
+        if not r.is_zero():
+            raise InternalError("content division must be exact")
         out.append(q)
     return out, g
 
@@ -713,7 +714,8 @@ def _bareiss_det(M, field, var):
             for j in range(k + 1, n):
                 num = M[k][k] * M[i][j] - M[i][k] * M[k][j]
                 q, r = divmod(num, prev)
-                assert r.is_zero(), "Bareiss division must be exact"
+                if not r.is_zero():
+                    raise InternalError("Bareiss division must be exact")
                 M[i][j] = q
             M[i][k] = zero
         prev = M[k][k]

@@ -4,7 +4,7 @@ for a single pass/fail line per criterion.
  1. tangent-normalization recursion reproduces the worked quartic-with-tail
  2. chart identities on 200+ random suitable polynomials over Q, F_5, F_9
  3. delta of an ordinary r-fold point is r(r-1)/2
- 4. tree sums equal the resultant oracle on 30+ pairs
+ 4. tree sums equal the oracle (Fulton's algorithm) on 30+ pairs
  5. Bezout totals on 20+ projective pairs
  6. genus of the three cubic shapes, char 0 and char 7
  7. condition-passing triples always solve, (X, Y, Z) is doubly rejected

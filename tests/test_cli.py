@@ -1,15 +1,19 @@
 """Command line behaviour: text formats, JSON schemas, exit codes."""
 
+import ast
 import json
+import pathlib
 import subprocess
 import sys
 
 import jsonschema
 import pytest
 
-from planecurves import schemas
+import planecurves
+from planecurves import cli, fields, schemas
 from planecurves.blowup import joint_tree
 from planecurves.cli import main
+from planecurves.errors import InternalError
 
 from .helpers import aff
 
@@ -234,6 +238,29 @@ class TestExitCodes:
         code, _, err = run(capsys, "delta", "y^2-x^7", "--max-depth", "1")
         assert code == 4
 
+    def test_internal_error_is_five(self, capsys, monkeypatch):
+        def broken(args, field):
+            raise InternalError("Bareiss division must be exact")
+
+        monkeypatch.setitem(cli._COMMANDS, "delta", broken)
+        code, _, err = run(capsys, "delta", "y^2-x^3")
+        assert code == 5
+        assert "Bareiss division must be exact" in err
+
+
+class TestNoGlobalState:
+    # --seed belongs to the subcommand: placed before it, it is a usage error
+    @pytest.mark.parametrize(
+        "argv,code",
+        [(["resolve", "y^2-x^3", "--seed", "7"], 0), (["resolve", "y^2", "--seed", "7"], 1)],
+        ids=["success", "error"],
+    )
+    def test_seed_is_restored(self, capsys, monkeypatch, argv, code):
+        monkeypatch.setattr(fields, "DEFAULT_FACTOR_SEED", 0)
+        assert main(argv) == code
+        capsys.readouterr()
+        assert fields.DEFAULT_FACTOR_SEED == 0
+
 
 def test_module_entry_point():
     proc = subprocess.run(
@@ -243,3 +270,15 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "delta = 1, sequence = [2]"
+
+
+def test_no_assert_statements_in_the_package():
+    # exactness checks must survive python -O, so none may be an assert
+    src = pathlib.Path(planecurves.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -5,7 +5,6 @@ import pytest
 from planecurves.blowup import resolve_tree
 from planecurves.errors import (
     CommonComponent,
-    FiberNotIsolated,
     NegativeGenus,
     Reducible,
     UnresolvedTree,
@@ -101,13 +100,25 @@ class TestIntersection:
         F = aff("x*y^2 + y^2 - x^3")
         assert intersection_oracle(F, aff("y")) == 3
 
-    def test_oracle_exhaustion_over_f2(self):
-        # coprime curves sharing (0,1) and (1,1): every shear in F_2 keeps a
-        # second common zero on the fiber line, so no resultant is isolating
+    def test_oracle_and_tree_agree_over_f2(self):
+        # coprime curves that also share (0,1) and (1,1): no shear over F_2
+        # isolates the origin on its fiber, and Fulton's algorithm needs none
         F = aff("y^2+y+xy+x^2", F2)
         G = aff("y^2+y+xy+x^4", F2)
-        with pytest.raises(FiberNotIsolated):
-            intersection_oracle(F, G)
+        assert intersection_oracle(F, G) == 2
+        rep = intersection_multiplicity(F, G)
+        assert (rep.noether_sum, rep.oracle_value) == (2, 2)
+        assert rep.agreement
+
+    def test_oracle_on_a_deep_pair(self):
+        # I(F, G) = I(F, G - F) = I(F, x^30) = 30 * I(y^2 - x^21, x) = 60
+        assert intersection_oracle(aff("y^2-x^21"), aff("y^2-x^21-x^30")) == 60
+
+    def test_oracle_rejects_common_components(self):
+        with pytest.raises(CommonComponent):
+            intersection_oracle(aff("y*(y-x^2)"), aff("y*(y+x)"))
+        with pytest.raises(ZeroPolynomial):
+            intersection_oracle(MultiPoly.zero(QQ), aff("y"))
 
 
 class TestAdjoint:

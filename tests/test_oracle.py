@@ -1,0 +1,139 @@
+"""Fulton's oracle on its own: independent of the blow-up code, and in
+agreement with the joint-tree sum and the resultant order on random pairs."""
+
+import sys
+
+import pytest
+from hypothesis import given, reject, seed, settings
+from hypothesis import strategies as st
+
+from planecurves import blowup
+from planecurves.blowup import joint_tree
+from planecurves.errors import CommonComponent, NonRationalPoint
+from planecurves.fields import UniPoly, uni_gcd
+from planecurves.invariants import intersection_multiplicity, intersection_oracle
+from planecurves.poly import AFFINE, MultiPoly, parse_poly, resultant_biv
+
+from .helpers import F5, F9, QQ, corpus, field_by_name
+
+DATA = corpus()
+BLOWUP_ENTRY_POINTS = ("joint_tree", "resolve_tree", "tracked_resolution", "_chart_transform")
+
+
+@pytest.fixture
+def no_blowups(monkeypatch):
+    """Make every blow-up entry point raise, wherever planecurves holds it."""
+    originals = {name: getattr(blowup, name) for name in BLOWUP_ENTRY_POINTS}
+
+    def forbidden(name):
+        def raiser(*args, **kwargs):
+            raise RuntimeError(f"blowup.{name} was called")
+
+        return raiser
+
+    patched = set()
+    for modname, mod in list(sys.modules.items()):
+        if mod is None or modname.split(".")[0] != "planecurves":
+            continue
+        for key, val in list(vars(mod).items()):
+            for name, fn in originals.items():
+                if val is fn:
+                    monkeypatch.setattr(mod, key, forbidden(name))
+                    patched.add((modname, key))
+    return patched
+
+
+class TestIndependence:
+    def test_the_patches_bite(self, no_blowups):
+        assert ("planecurves.blowup", "_chart_transform") in no_blowups
+        assert ("planecurves.invariants", "joint_tree") in no_blowups
+        with pytest.raises(RuntimeError, match="joint_tree"):
+            intersection_multiplicity(parse_poly("y^2-x^3", QQ), parse_poly("y", QQ))
+
+    @pytest.mark.parametrize(
+        "entry",
+        DATA["intersection_pairs"],
+        ids=lambda e: f"{e['F']}~{e['G']}~{e['field']}",
+    )
+    def test_corpus_pairs_without_blowups(self, no_blowups, entry):
+        fld = field_by_name(entry["field"])
+        F = parse_poly(entry["F"], fld, space="affine")
+        G = parse_poly(entry["G"], fld, space="affine")
+        assert intersection_oracle(F, G) == entry["I"]
+
+
+# ---- differential: Fulton = tree sum = resultant order ----
+
+_F9 = F9()
+FIELDS = {
+    "Q": (QQ, [QQ.scalar(c) for c in (-3, -2, -1, 1, 2, 3)]),
+    "F_5": (F5, [F5.scalar(c) for c in range(1, 5)]),
+    "F_9": (_F9, [c for c in _F9.elements() if not c.is_zero()]),
+}
+MAX_DEGREE = 4
+
+
+@st.composite
+def curves_through_origin(draw, field, coeffs):
+    exps = [(i, j) for i in range(MAX_DEGREE + 1) for j in range(MAX_DEGREE + 1 - i) if i + j]
+    chosen = draw(st.lists(st.sampled_from(exps), min_size=2, max_size=5, unique=True))
+    terms = {e: draw(st.sampled_from(coeffs)) for e in chosen}
+    if draw(st.booleans()):
+        # a constant leading y-coefficient, so the plain resultant often applies
+        top = max(j for _, j in terms) + 1
+        terms[(0, top)] = draw(st.sampled_from(coeffs))
+    return MultiPoly(field, AFFINE, terms)
+
+
+def _tree_sum(F, G):
+    return sum(rs[0] * rs[1] for _, rs in joint_tree([F, G]).contributions())
+
+
+def _resultant_order(F, G):
+    """ord_x Res_y(F, G) when it equals I_0(F, G), else None.
+
+    It does when both leading y-coefficients are nonzero constants (no
+    common point escapes to infinity) and the y-fibers at x = 0 meet only
+    at y = 0 (no other common point counts towards the order at x = 0).
+    """
+    for P in (F, G):
+        top = P.degree_in("y")
+        if any(j == top and i > 0 for i, j in P.terms):
+            return None
+    fibers = [
+        UniPoly(P.field, [P.coeff((0, j)) for j in range(P.degree_in("y") + 1)], var="y")
+        for P in (F, G)
+    ]
+    h = uni_gcd(*fibers)
+    if any(not h.coeff(k).is_zero() for k in range(h.degree)):
+        return None
+    R = resultant_biv(F, G, main="y")
+    return next(k for k in range(R.degree + 1) if not R.coeff(k).is_zero())
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_fulton_equals_tree_sum_and_resultant_order(name):
+    field, coeffs = FIELDS[name]
+    seen = {"tree": 0, "resultant": 0}
+
+    @seed(2002)
+    @settings(max_examples=50, deadline=None, database=None)
+    @given(curves_through_origin(field, coeffs), curves_through_origin(field, coeffs))
+    def check(F, G):
+        try:
+            oracle = intersection_oracle(F, G)
+        except CommonComponent:
+            reject()
+        try:
+            assert oracle == _tree_sum(F, G)
+            seen["tree"] += 1
+        except NonRationalPoint:
+            pass  # the tree needs an irrational point; Fulton does not
+        order = _resultant_order(F, G)
+        if order is not None:
+            assert oracle == order
+            seen["resultant"] += 1
+
+    check()
+    assert seen["tree"] >= 40, seen
+    assert seen["resultant"] >= 5, seen
