@@ -2,10 +2,20 @@
 
 The single chart y = x*t suffices once coordinates are suitable: every
 point of the proper transform over the origin has a finite t-coordinate.
-A tree node records the recentered, re-suitabilized local equation, so the
-blow-up step is always the same substitution.  Trees come in two flavors:
-one curve resolved until every branch is smooth, or several curves carried
-through shared charts until their transforms separate.
+A tree node records the recentered, re-suitabilized local equations of
+every tracked curve, so the blow-up step is always the same substitution.
+
+One grower builds every tree; the kinds differ only in which points are
+blown up and which exceptional points become children:
+
+- lead: blown up while curve 0 is singular, every root of its fiber is a
+  child (resolve_tree for one curve, tracked_resolution with companions
+  carried along for the adjoint condition);
+- shared: blown up while both drivers pass, children are the roots of the
+  gcd of their fibers (joint_tree, for intersection numbers);
+- witness: as shared, plus the points where a single driver passes, down
+  to one level past the shared tree (joint_tree(witness=True), for the
+  AF+BG condition).
 
 Over finite fields, tangent directions that do not exist over the current
 field trigger an extension of the coefficient tower; over Q a non-rational
@@ -15,6 +25,7 @@ direction raises NonRationalPoint instead (retry over a finite field).
 from __future__ import annotations
 
 from collections import deque
+from functools import reduce
 from itertools import count
 
 from .errors import (
@@ -34,7 +45,6 @@ from .poly import (
     MultiPoly,
     biv_gcd,
     is_suitable,
-    make_suitable,
     make_suitable_many,
     squarefree_defect,
     translate,
@@ -122,6 +132,14 @@ class InfNearNode:
         }
 
 
+def _bfs(root):
+    queue = deque([root])
+    while queue:
+        node = queue.popleft()
+        yield node
+        queue.extend(node.children)
+
+
 class InfNearTree:
     __slots__ = ("root", "termination")
 
@@ -130,11 +148,7 @@ class InfNearTree:
         self.termination = termination  # "Resolved" | "DepthCapped"
 
     def nodes(self):
-        queue = deque([self.root])
-        while queue:
-            node = queue.popleft()
-            yield node
-            queue.extend(node.children)
+        return _bfs(self.root)
 
     def multiplicity_sequence(self):
         return [(n.depth, n.r) for n in self.nodes() if n.r >= 2]
@@ -143,19 +157,8 @@ class InfNearTree:
         return {"termination": self.termination, "root": self.root.to_json()}
 
 
-def _split_fiber(fiber: UniPoly):
-    """All roots of the fiber, extending finite fields; list of (alpha, mult)."""
-    _, roots = roots_with_extension(fiber)
-    return roots
-
-
-def resolve_tree(F: MultiPoly, max_depth: int = DEFAULT_MAX_DEPTH) -> InfNearTree:
-    """Infinitely near tree of F at the origin.
-
-    Nodes with r >= 2 are blown up; every exceptional point becomes a child
-    (smooth ones as r = 1 leaves).  Requires squarefree input, otherwise the
-    process cannot terminate.
-    """
+def _check_resolvable(F: MultiPoly):
+    """A resolution needs a nonzero squarefree curve through the origin."""
     if F.is_zero():
         raise ZeroPolynomial("cannot resolve the zero polynomial")
     if F.mult_at_origin() < 1:
@@ -164,27 +167,27 @@ def resolve_tree(F: MultiPoly, max_depth: int = DEFAULT_MAX_DEPTH) -> InfNearTre
     if defect is not None:
         raise NotSquarefree(f"repeated factor detected: {defect}")
 
-    ids = count()
-    capped = [False]
 
-    def build(eq: MultiPoly, depth: int, shift) -> InfNearNode:
-        suitable_eq, shear = make_suitable(eq)
-        change = CoordChange.identity() if shift is None else CoordChange.translation(0, shift)
-        change = change.then(shear)
-        r = suitable_eq.mult_at_origin()
-        node = InfNearNode(next(ids), depth, suitable_eq.field, suitable_eq, r, shift, change)
-        if r >= 2:
-            if depth >= max_depth:
-                capped[0] = True
-                return node
-            Fp = _chart_transform(suitable_eq, r)
-            for alpha, _m in _split_fiber(fiber_poly(Fp)):
-                child_eq = translate(Fp.rename(AFFINE).map_field(alpha.field), 0, alpha)
-                node.children.append(build(child_eq, depth + 1, alpha))
-        return node
+def resolve_tree(F: MultiPoly, max_depth: int = DEFAULT_MAX_DEPTH) -> InfNearTree:
+    """Infinitely near tree of F at the origin.
 
-    root = build(F, 0, None)
-    return InfNearTree(root, "DepthCapped" if capped[0] else "Resolved")
+    Nodes with r >= 2 are blown up; every exceptional point becomes a child
+    (smooth ones as r = 1 leaves).  Requires squarefree input, otherwise the
+    process cannot terminate.  A node still singular at max_depth is left a
+    leaf and the tree is marked DepthCapped.
+    """
+    _check_resolvable(F)
+    capped = []
+    root = _grow([F], "lead", max_depth, capped=capped)
+    return InfNearTree(_inf_near(root), "DepthCapped" if capped else "Resolved")
+
+
+def _inf_near(node) -> InfNearNode:
+    out = InfNearNode(
+        node.id, node.depth, node.field, node.eqs[0], node.rs[0], node.shift, node.coord_change
+    )
+    out.children = [_inf_near(c) for c in node.children]
+    return out
 
 
 def to_dot(tree) -> str:
@@ -246,11 +249,7 @@ class JointTree:
         self.labels = tuple(labels)
 
     def nodes(self):
-        queue = deque([self.root])
-        while queue:
-            node = queue.popleft()
-            yield node
-            queue.extend(node.children)
+        return _bfs(self.root)
 
     def contributions(self):
         return [(n.depth, n.rs) for n in self.nodes()]
@@ -310,7 +309,6 @@ def joint_tree(
     """
     if not 2 <= len(curves) <= 3:
         raise ValueError("joint_tree tracks two or three curves")
-    labels = tuple(labels) if labels is not None else JOINT_LABELS[: len(curves)]
     for c in curves[:2]:
         if c.is_zero():
             raise ZeroPolynomial("tracked curve is the zero polynomial")
@@ -319,68 +317,106 @@ def joint_tree(
     g = biv_gcd(curves[0], curves[1])
     if g.total_degree() >= 1:
         raise CommonComponent(f"curves share the factor {g}")
-
-    shared = _grow_joint(list(curves), max_depth, witness=False, depth_limit=None)
-    if not witness:
-        return JointTree(shared, labels)
-    limit = max(n.depth for n in _bfs(shared)) + 1
-    root = _grow_joint(list(curves), max_depth, witness=True, depth_limit=limit)
-    return JointTree(root, labels)
+    return _joint_tree(curves, max_depth, labels, witness)
 
 
-def _bfs(root):
-    queue = deque([root])
-    while queue:
-        node = queue.popleft()
-        yield node
-        queue.extend(node.children)
+def _joint_tree(curves, max_depth, labels, witness=False) -> JointTree:
+    """joint_tree without its guards, for drivers known to be coprime.
+
+    Forms that are coprime stay coprime after dehomogenizing, translating
+    and extending the field, so callers that have tested the global pair
+    (or have just run the guard themselves) grow the tree without
+    repeating the gcd.
+    """
+    labels = tuple(labels) if labels is not None else JOINT_LABELS[: len(curves)]
+    tree = JointTree(_grow(curves, "shared", max_depth), labels)
+    if witness:
+        limit = tree.max_depth() + 1
+        tree = JointTree(_grow(curves, "witness", max_depth, depth_limit=limit), labels)
+    return tree
 
 
-def _grow_joint(curves, max_depth, witness, depth_limit):
+def tracked_resolution(curves, max_depth: int = DEFAULT_MAX_DEPTH, labels=None) -> JointTree:
+    """Resolution tree of the first curve with companions carried along.
+
+    Expansion is driven by the first curve alone (blown up while singular,
+    every exceptional point becomes a child); the other curves only report
+    their multiplicities r_Q along the same shared charts.  This is the
+    structure the adjoint condition r_Q(G) >= r_Q(C) - 1 is read from.
+    """
+    labels = tuple(labels) if labels is not None else JOINT_LABELS[: len(curves)]
+    _check_resolvable(curves[0])
+    return JointTree(_grow(curves, "lead", max_depth), labels)
+
+
+def _grow(curves, kind, max_depth, capped=None, depth_limit=None) -> JointNode:
+    """The one tree grower: a JointNode tree of `curves` at the origin.
+
+    kind is "lead" (blow up while curve 0 is singular, every root of its
+    fiber is a child), "shared" (blow up while curves 0 and 1 both pass,
+    children are the common roots of their fibers) or "witness" (shared,
+    plus the points where one driver passes, down to depth_limit).  Every
+    other curve is carried through the same charts.  A lead node still
+    singular at max_depth is appended to `capped` and left a leaf, or
+    raises DepthCapExceeded when capped is None; the other kinds raise
+    when a kept child would lie deeper than max_depth.
+    """
     ids = count()
+    lead = kind == "lead"
+    witness = kind == "witness"
+    n_drivers = 1 if lead else 2
     rational = isinstance(curves[0].field, RationalField)
 
     def build(eqs, depth, shift):
         suited, change, field = make_suitable_many(eqs)
         if shift is not None:
             change = CoordChange.translation(0, shift).then(change)
-        rs = tuple(0 if not e.constant_term().is_zero() else e.mult_at_origin() for e in suited)
+        rs = tuple(e.mult_at_origin() if e.constant_term().is_zero() else 0 for e in suited)
         node = JointNode(next(ids), depth, field, tuple(suited), rs, shift, change)
 
-        drivers = rs[:2]
-        both = all(r >= 1 for r in drivers)
-        single_singular = witness and not both and any(r >= 2 for r in drivers)
-        if not (both or single_singular):
+        drivers = rs[:n_drivers]
+        if lead:
+            expand = rs[0] >= 2
+        else:
+            expand = all(r >= 1 for r in drivers) or (witness and any(r >= 2 for r in drivers))
+        if not expand or (depth_limit is not None and depth >= depth_limit):
             return node
-        if depth_limit is not None and depth >= depth_limit:
+        if lead and depth >= max_depth:
+            if capped is None:
+                raise DepthCapExceeded(
+                    f"resolution exceeded max depth {max_depth}; lead curve still singular"
+                )
+            capped.append(node)
             return node
 
         transforms = [_chart_transform(e, r) for e, r in zip(suited, rs)]
-        candidates = _child_points(transforms[:2], drivers, witness, rational)
-        for alpha in candidates:
+        for alpha in _child_points(transforms[:n_drivers], drivers, witness, rational):
             child_eqs = [
                 translate(t.rename(AFFINE).map_field(alpha.field), 0, alpha)
                 for t in transforms
             ]
-            passing = [e.constant_term().is_zero() for e in child_eqs[:2]]
-            keep = all(passing) if not witness else any(passing)
-            if not keep:
+            passing = [e.constant_term().is_zero() for e in child_eqs[:n_drivers]]
+            if not (any(passing) if witness else all(passing)):
                 continue
-            if depth + 1 > max_depth:
+            if depth >= max_depth:
                 raise DepthCapExceeded(
                     f"joint tree exceeded max depth {max_depth}; transforms still meet"
                 )
             node.children.append(build(child_eqs, depth + 1, alpha))
         return node
 
-    return build(curves, 0, None)
+    return build(list(curves), 0, None)
 
 
 def _child_points(driver_transforms, driver_rs, witness, rational):
-    """Candidate exceptional t-values for the next level, deterministic order."""
+    """Candidate exceptional t-values for the next level, deterministic order.
+
+    Without witness these are the roots of the gcd of the driver fibers,
+    so a single (lead) driver gets every root of its own fiber.
+    """
     fibers = [fiber_poly(t) for t in driver_transforms]
     if not witness:
-        shared = uni_gcd(fibers[0], fibers[1])
+        shared = reduce(uni_gcd, fibers)
         if shared.degree < 1:
             return []
         _, roots = roots_with_extension(shared)
@@ -407,49 +443,6 @@ def _child_points(driver_transforms, driver_rs, witness, rational):
         return []
     _, roots = roots_with_extension(product)
     return [alpha for alpha, _m in roots]
-
-
-def tracked_resolution(curves, max_depth: int = DEFAULT_MAX_DEPTH, labels=None) -> JointTree:
-    """Resolution tree of the first curve with companions carried along.
-
-    Expansion is driven by the first curve alone (blown up while singular,
-    every exceptional point becomes a child); the other curves only report
-    their multiplicities r_Q along the same shared charts.  This is the
-    structure the adjoint condition r_Q(G) >= r_Q(C) - 1 is read from.
-    """
-    labels = tuple(labels) if labels is not None else JOINT_LABELS[: len(curves)]
-    lead = curves[0]
-    if lead.is_zero():
-        raise ZeroPolynomial("cannot resolve the zero polynomial")
-    if lead.mult_at_origin() < 1:
-        raise ValueError("curve does not pass through the origin")
-    defect = squarefree_defect(lead)
-    if defect is not None:
-        raise NotSquarefree(f"repeated factor detected: {defect}")
-
-    ids = count()
-
-    def build(eqs, depth, shift):
-        suited, change, field = make_suitable_many(eqs)
-        if shift is not None:
-            change = CoordChange.translation(0, shift).then(change)
-        rs = tuple(e.mult_at_origin() if e.constant_term().is_zero() else 0 for e in suited)
-        node = JointNode(next(ids), depth, field, tuple(suited), rs, shift, change)
-        if rs[0] >= 2:
-            if depth >= max_depth:
-                raise DepthCapExceeded(
-                    f"resolution exceeded max depth {max_depth}; lead curve still singular"
-                )
-            transforms = [_chart_transform(e, r) for e, r in zip(suited, rs)]
-            for alpha, _m in _split_fiber(fiber_poly(transforms[0])):
-                child_eqs = [
-                    translate(t.rename(AFFINE).map_field(alpha.field), 0, alpha)
-                    for t in transforms
-                ]
-                node.children.append(build(child_eqs, depth + 1, alpha))
-        return node
-
-    return JointTree(build(list(curves), 0, None), labels)
 
 
 # ---------------------------------------------------------------------------

@@ -26,11 +26,10 @@ from .errors import (
 )
 from .fields import PrimeField, RationalField
 from .invariants import (
+    _genus_and_deltas,
     adjoint_check,
     delta_invariant,
-    genus,
     intersection_multiplicity,
-    _localize,
 )
 from .noether import bezout_check, check_condition, find_singular_points, solve_af_bg
 from .poly import parse_poly
@@ -146,16 +145,8 @@ def _cmd_delta(args, field):
 def _cmd_genus(args, field):
     F = parse_poly(args.F, field, space="homogeneous")
     points = find_singular_points(F)
-    g = genus(
-        F, points, assume_irreducible=args.assume_irreducible, max_depth=args.max_depth
-    )
+    g, deltas = _genus_and_deltas(F, points, args.assume_irreducible, args.max_depth)
     if args.as_json:
-        deltas = [
-            delta_invariant(
-                resolve_tree(_localize(F, p.coords)[0], max_depth=args.max_depth)
-            ).delta
-            for p in points
-        ]
         _emit(
             {
                 "genus": g,

@@ -400,8 +400,6 @@ class Scalar:
 
 def scalar_to_str(s: Scalar) -> str:
     """Canonical text form: '3', '-5/6', '2' mod p, '2*z1+1' in extensions."""
-    if isinstance(s.field, ExtensionField):
-        return str(s.value)
     return str(s.value)
 
 
@@ -680,7 +678,13 @@ def _divisors(n: int) -> list:
     return sorted(out)
 
 
-def _squarefree_decomposition_char0(f: UniPoly):
+def _squarefree_decomposition(f: UniPoly):
+    """[(squarefree factor, multiplicity)] of a monic f, by Yun's loop.
+
+    In characteristic 0 the loop consumes f.  Over a finite field of
+    characteristic p what it leaves is a p-th power (all of f when f' = 0);
+    its p-th root is decomposed in turn, multiplicities times p.
+    """
     result = []
     g = uni_gcd(f, f.derivative())
     w = f // g
@@ -692,7 +696,11 @@ def _squarefree_decomposition_char0(f: UniPoly):
             result.append((z, i))
         w, g = y, g // y
         i += 1
+    if f.field.is_finite and g.degree >= 1:
+        p = f.field.characteristic()
+        result.extend((h, p * m) for h, m in _squarefree_decomposition(_pth_root(g)))
     return result
+
 
 def _rational_roots_split(g: UniPoly):
     """Split the rational roots off a squarefree monic g over Q.
@@ -743,27 +751,6 @@ def _pth_root(f: UniPoly) -> UniPoly:
             out.append(f.field.zero())
         out[out_k] = c ** inv_frob
     return UniPoly(f.field, out, f.var)
-
-
-def _squarefree_decomposition_finite(f: UniPoly):
-    p = f.field.characteristic()
-    fp = f.derivative()
-    if fp.is_zero():
-        return [(h, p * m) for h, m in _squarefree_decomposition_finite(_pth_root(f))]
-    result = []
-    g = uni_gcd(f, fp)
-    w = f // g
-    i = 1
-    while w.degree >= 1:
-        y = uni_gcd(w, g)
-        z = w // y
-        if z.degree >= 1:
-            result.append((z, i))
-        w, g = y, g // y
-        i += 1
-    if g.degree >= 1:
-        result.extend((h, p * m) for h, m in _squarefree_decomposition_finite(_pth_root(g)))
-    return result
 
 
 def _distinct_degree(f: UniPoly):
@@ -834,7 +821,7 @@ def uni_factor(f: UniPoly, seed=None):
     f = f.monic()
     out = []
     if isinstance(f.field, RationalField):
-        for g, m in _squarefree_decomposition_char0(f):
+        for g, m in _squarefree_decomposition(f):
             roots, residual = _rational_roots_split(g)
             for r in roots:
                 out.append((UniPoly(f.field, (-r, f.field.one()), f.var), m))
@@ -842,7 +829,7 @@ def uni_factor(f: UniPoly, seed=None):
                 out.append((residual, m))
     else:
         rng = Random(DEFAULT_FACTOR_SEED if seed is None else seed)
-        for g, m in _squarefree_decomposition_finite(f):
+        for g, m in _squarefree_decomposition(f):
             for h, d in _distinct_degree(g):
                 for irr in _equal_degree(h, d, rng):
                     out.append((irr.monic(), m))

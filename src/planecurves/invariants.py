@@ -15,7 +15,7 @@ from __future__ import annotations
 from .blowup import (
     DEFAULT_MAX_DEPTH,
     InfNearTree,
-    joint_tree,
+    _joint_tree,
     resolve_tree,
     tracked_resolution,
 )
@@ -165,13 +165,18 @@ def intersection_multiplicity(
         raise ZeroPolynomial("intersection with the zero curve")
     if biv_gcd(F, G).total_degree() >= 1:
         raise CommonComponent("curves share a component")
+    return _intersection_multiplicity(F, G, max_depth)
+
+
+def _intersection_multiplicity(F: MultiPoly, G: MultiPoly, max_depth: int) -> IntersectionReport:
+    """intersection_multiplicity for nonzero F, G already known to be coprime."""
     field = join_fields(F.field, G.field)
     F = F.map_field(field)
     G = G.map_field(field)
     origin = (field.zero(), field.zero())
     if not (F.constant_term().is_zero() and G.constant_term().is_zero()):
         return IntersectionReport(origin, field, [], 0, 0)
-    jt = joint_tree([F, G], max_depth=max_depth, labels=("C", "D"))
+    jt = _joint_tree([F, G], max_depth=max_depth, labels=("C", "D"))
     contributions = [(d, rs[0], rs[1]) for d, rs in jt.contributions()]
     noether_sum = sum(rc * rd for _, rc, rd in contributions)
     oracle = _fulton(F, G)
@@ -314,6 +319,11 @@ def genus(
     result means the list was incomplete or the curve reducible, and raises
     NegativeGenus rather than returning nonsense.
     """
+    return _genus_and_deltas(F, singular_points, assume_irreducible, max_depth)[0]
+
+
+def _genus_and_deltas(F: MultiPoly, singular_points, assume_irreducible: bool, max_depth: int):
+    """genus() together with the delta of each singular point, in order."""
     if F.is_zero():
         raise ZeroPolynomial("genus of the zero curve")
     if F.variables != PROJECTIVE or not F.is_homogeneous():
@@ -323,18 +333,18 @@ def genus(
         raise ValueError("genus needs degree at least 1")
     if not assume_irreducible:
         _certify_irreducible(F)
-    total = 0
+    deltas = []
     for p in singular_points:
         coords = tuple(getattr(p, "coords", p))
         local, _ = _localize(F, coords)
         if not local.constant_term().is_zero():
             raise ValueError(f"point {[str(c) for c in coords]} is not on the curve")
         report = delta_invariant(resolve_tree(local, max_depth=max_depth), point=coords)
-        total += report.delta
-    g = (n - 1) * (n - 2) // 2 - total
+        deltas.append(report.delta)
+    g = (n - 1) * (n - 2) // 2 - sum(deltas)
     if g < 0:
         raise NegativeGenus(
             f"genus came out {g}; the singular-point list is incomplete "
             "or the curve is reducible"
         )
-    return g
+    return g, deltas

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from itertools import count
 
-from .blowup import DEFAULT_MAX_DEPTH, joint_tree
+from .blowup import DEFAULT_MAX_DEPTH, _joint_tree
 from .errors import (
     CommonComponent,
     IncompatibleFields,
@@ -37,7 +37,7 @@ from .fields import (
     roots_with_extension,
     uni_gcd,
 )
-from .invariants import _localize, intersection_multiplicity
+from .invariants import _intersection_multiplicity, _localize
 from .linalg import solve_linear
 from .poly import MultiPoly, PROJECTIVE, biv_gcd, dehomogenize, resultant_biv
 
@@ -344,14 +344,15 @@ def check_condition(
             raise ValueError("check_condition expects homogeneous polynomials in X, Y, Z")
     fld = join_fields(join_fields(F.field, G.field), H.field)
     F, G, H = F.map_field(fld), G.map_field(fld), H.map_field(fld)
-    _assert_coprime_forms(F, G)
     report_points = []
     all_ok = True
+    # find_common_points tests F and G for a common component, so the
+    # local trees skip the gcd
     for p in find_common_points(F, G):
         fL, chart = _localize(F, p.coords)
         gL, _ = _localize(G, p.coords)
         hL, _ = _localize(H, p.coords)
-        jt = joint_tree(
+        jt = _joint_tree(
             [fL, gL, hL], max_depth=max_depth, labels=("F", "G", "H"), witness=True
         )
         entries = []
@@ -373,19 +374,17 @@ class NoetherCertificate:
 
     status is "Solved" with A, B and a recomputed residual (always zero for
     a solved instance), or "NoSolution" when the exact linear system is
-    inconsistent.  point and depth are reserved for condition failures
-    attached by callers that run the checker first.
+    inconsistent.  The JSON keeps the schema's "point" and "depth" keys,
+    always null.
     """
 
-    __slots__ = ("status", "A", "B", "residual", "point", "depth")
+    __slots__ = ("status", "A", "B", "residual")
 
-    def __init__(self, status, A=None, B=None, residual=None, point=None, depth=None):
+    def __init__(self, status, A=None, B=None, residual=None):
         self.status = status
         self.A = A
         self.B = B
         self.residual = residual
-        self.point = point
-        self.depth = depth
 
     def to_json(self):
         return {
@@ -393,8 +392,8 @@ class NoetherCertificate:
             "A": None if self.A is None else str(self.A),
             "B": None if self.B is None else str(self.B),
             "residual": None if self.residual is None else str(self.residual),
-            "point": None if self.point is None else self.point.to_json(),
-            "depth": self.depth,
+            "point": None,
+            "depth": None,
         }
 
 
@@ -493,13 +492,14 @@ def bezout_check(
         raise ZeroPolynomial("Bezout with the zero curve")
     fld = join_fields(F.field, G.field)
     F, G = F.map_field(fld), G.map_field(fld)
-    _assert_coprime_forms(F, G)
     entries = []
     total = 0
+    # find_common_points tests F and G for a common component, so the
+    # local numbers skip the gcd
     for p in find_common_points(F, G):
         fL, chart = _localize(F, p.coords)
         gL, _ = _localize(G, p.coords)
-        rep = intersection_multiplicity(fL, gL, max_depth=max_depth)
+        rep = _intersection_multiplicity(fL, gL, max_depth)
         entries.append((p, chart, rep))
         total += rep.noether_sum
     return BezoutReport(total, F.total_degree() * G.total_degree(), entries)

@@ -21,6 +21,7 @@ from .fields import (
     RationalField,
     Scalar,
     UniPoly,
+    _needs_parens,
     extend_field,
     find_irreducible,
     join_fields,
@@ -313,10 +314,6 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({self}, {self.field.describe()}, vars={self.variables})"
-
-
-def _needs_parens(text: str) -> bool:
-    return "+" in text[1:] or "-" in text[1:] or "*" in text
 
 
 # ---------------------------------------------------------------------------

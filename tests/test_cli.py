@@ -10,7 +10,7 @@ import jsonschema
 import pytest
 
 import planecurves
-from planecurves import cli, fields, schemas
+from planecurves import cli, fields, poly, schemas
 from planecurves.blowup import joint_tree
 from planecurves.cli import main
 from planecurves.errors import InternalError
@@ -246,6 +246,45 @@ class TestExitCodes:
         code, _, err = run(capsys, "delta", "y^2-x^3")
         assert code == 5
         assert "Bareiss division must be exact" in err
+
+
+class TestOneCoprimalityTest:
+    """biv_gcd runs once per command: callers that have proved coprimality
+    grow their trees without testing it again."""
+
+    @pytest.fixture
+    def gcd_calls(self, monkeypatch):
+        calls = []
+        original = poly.biv_gcd
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for modname, mod in list(sys.modules.items()):
+            if mod is None or modname.split(".")[0] != "planecurves":
+                continue
+            for key, val in list(vars(mod).items()):
+                if val is original:
+                    monkeypatch.setattr(mod, key, counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "argv,points",
+        [
+            (["intersect", "y^2-x^3", "y^2+x^3"], None),
+            (["bezout", "YZ-X^2", "XZ-Y^2", "--field", "p:7"], 4),
+            (["bezout", "X^2+Y^2-2Z^2", "X^2-Y^2"], 4),
+            (["noether-check", "YZ-X^2", "YZ+X^2", "Y*Z"], 2),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+    )
+    def test_once_per_command(self, capsys, gcd_calls, argv, points):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        if points is not None:
+            assert out.count("point [") == points
+        assert len(gcd_calls) == 1
 
 
 class TestNoGlobalState:
