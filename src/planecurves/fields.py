@@ -11,6 +11,11 @@ then distinct-degree splitting, then equal-degree splitting with a seeded
 deterministic random stream.  Over Q only rational roots are split off;
 a residual factor of degree >= 2 is returned whole and callers that need
 an actual point raise NonRationalPoint.
+
+Roots over a finite field come from one factorization over the input
+field.  Adjoining an irreducible factor g of degree d over F_q gives its d
+roots for free as the Frobenius images z^(q^i) of the new generator z, so
+only the other nonlinear factors are split again over the extension.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from random import Random
 from .errors import (
     DivisionByZero,
     IncompatibleFields,
+    InternalError,
     NonRationalPoint,
     ReducibleMinPoly,
     UnsupportedExtension,
@@ -524,7 +530,10 @@ class UniPoly:
         a, b = p
         if b.is_zero():
             raise DivisionByZero("polynomial division by zero")
-        inv_lead = b.lc().inverse()
+        # a monic divisor needs no inverse; over an extension field each
+        # inverse is a full extended Euclid
+        monic = b.lc() == a.field.one()
+        inv_lead = None if monic else b.lc().inverse()
         rem = list(a.coeffs)
         db = len(b.coeffs) - 1
         if len(rem) - 1 < db:
@@ -534,7 +543,7 @@ class UniPoly:
             c = rem[top]
             if c.is_zero():
                 continue
-            q = c * inv_lead
+            q = c if monic else c * inv_lead
             quo[top - db] = q
             for j in range(db + 1):
                 rem[top - db + j] = rem[top - db + j] - q * b.coeffs[j]
@@ -805,6 +814,10 @@ def _equal_degree(f: UniPoly, d: int, rng: Random):
             return _equal_degree(g, d, rng) + _equal_degree(f // g, d, rng)
 
 
+def _factor_key(fm):
+    return (fm[0].degree, str(fm[0]))
+
+
 def uni_factor(f: UniPoly, seed=None):
     """Factor f into (unit, [(monic factor, multiplicity), ...]).
 
@@ -818,6 +831,8 @@ def uni_factor(f: UniPoly, seed=None):
     unit = f.lc()
     if f.degree < 1:
         return unit, []
+    if f.degree == 1:
+        return unit, [(f.monic(), 1)]
     f = f.monic()
     out = []
     if isinstance(f.field, RationalField):
@@ -833,7 +848,7 @@ def uni_factor(f: UniPoly, seed=None):
             for h, d in _distinct_degree(g):
                 for irr in _equal_degree(h, d, rng):
                     out.append((irr.monic(), m))
-    out.sort(key=lambda fm: (fm[0].degree, str(fm[0])))
+    out.sort(key=_factor_key)
     return unit, out
 
 
@@ -908,21 +923,46 @@ def find_irreducible(field: Field, degree: int) -> UniPoly:
 def roots_with_extension(f: UniPoly, seed=None):
     """All roots of f with multiplicity, over f's field or a finite extension.
 
-    Returns (field, [(root, multiplicity), ...]).  Over Q an irreducible
-    residual of degree >= 2 raises NonRationalPoint; over a finite field the
-    tower is extended until f splits into linear factors.
+    Returns (field, [(root, multiplicity), ...]) with the roots in text order.
+    f is factored once, over its own field.  Over Q a factor of degree >= 2
+    raises NonRationalPoint.  Over a finite field F_q the first nonlinear
+    factor g, in uni_factor's order, is adjoined as K = F_q[z]/(g), and its
+    roots in K are the Frobenius images z^(q^i), i < deg g, so g is never
+    factored again.  The other nonlinear factors are split over K one by one,
+    and the loop repeats until every factor is linear.  Monic factorization
+    is unique, so each level sees the same factors as factoring all of f
+    over it, and the tower and the roots are the same.
     """
     if f.is_zero():
         raise ZeroPolynomial("roots of 0")
     field = f.field
+    _, factors = uni_factor(f, seed=seed)
     while True:
-        _, factors = uni_factor(f, seed=seed)
-        nonlinear = [g for g, _ in factors if g.degree >= 2]
-        if not nonlinear:
-            roots = [(-g.coeff(0), m) for g, m in factors]
-            roots.sort(key=lambda rm: str(rm[0]))
-            return field, roots
+        k = next((i for i, (g, _) in enumerate(factors) if g.degree >= 2), None)
+        if k is None:
+            break
+        g, m = factors[k]
         if isinstance(field, RationalField):
-            raise NonRationalPoint(str(nonlinear[0]))
-        field = extend_field(field, nonlinear[0])
-        f = f.map_field(field)
+            raise NonRationalPoint(str(g))
+        q = field.order()
+        field = extend_field(field, g)
+        z = field.generator()
+        images = [z]
+        while len(images) < g.degree:
+            images.append(images[-1] ** q)
+        if images[-1] ** q != z:
+            raise InternalError(f"Frobenius orbit of {field.gen_name} does not close at {g.degree}")
+        split = [(UniPoly(field, (-r, field.one()), g.var), m) for r in images]
+        for i, (h, mh) in enumerate(factors):
+            if i == k:
+                continue
+            if h.degree >= 2:
+                _, parts = uni_factor(h.map_field(field), seed=seed)
+                split.extend((part, mh * mp) for part, mp in parts)
+            else:
+                split.append((h.map_field(field), mh))
+        split.sort(key=_factor_key)
+        factors = split
+    roots = [(-g.coeff(0), m) for g, m in factors]
+    roots.sort(key=lambda rm: str(rm[0]))
+    return field, roots

@@ -115,9 +115,8 @@ def _pair_candidates(field: Field):
         return gen()
 
     def gen_finite():
-        elems = list(field.elements())
-        for a in elems:
-            for b in elems:
+        for a in field.elements():
+            for b in field.elements():
                 yield a, b
     return gen_finite()
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import sys
 
 from planecurves.fields import PrimeField, RationalField, extend_field, find_irreducible
 from planecurves.poly import homogenize, parse_poly
@@ -42,3 +43,13 @@ def corpus():
     path = os.path.join(os.path.dirname(__file__), "fixtures", "golden_corpus.json")
     with open(path) as fh:
         return json.load(fh)
+
+
+def patch_everywhere(monkeypatch, original, replacement):
+    """Replace `original` under every name that a planecurves module binds it to."""
+    for modname, mod in list(sys.modules.items()):
+        if mod is None or modname.split(".")[0] != "planecurves":
+            continue
+        for key, val in list(vars(mod).items()):
+            if val is original:
+                monkeypatch.setattr(mod, key, replacement)

@@ -15,7 +15,7 @@ from planecurves.blowup import joint_tree
 from planecurves.cli import main
 from planecurves.errors import InternalError
 
-from .helpers import aff
+from .helpers import aff, patch_everywhere
 
 
 def run(capsys, *argv):
@@ -261,12 +261,7 @@ class TestOneCoprimalityTest:
             calls.append(args)
             return original(*args, **kwargs)
 
-        for modname, mod in list(sys.modules.items()):
-            if mod is None or modname.split(".")[0] != "planecurves":
-                continue
-            for key, val in list(vars(mod).items()):
-                if val is original:
-                    monkeypatch.setattr(mod, key, counted)
+        patch_everywhere(monkeypatch, original, counted)
         return calls
 
     @pytest.mark.parametrize(

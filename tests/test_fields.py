@@ -1,7 +1,13 @@
 """Field towers, scalars, and univariate factorization."""
 
-import pytest
+import functools
+import itertools
 
+import pytest
+from hypothesis import Phase, given, seed, settings
+from hypothesis import strategies as st
+
+import planecurves.fields as fields
 from planecurves.errors import (
     DivisionByZero,
     IncompatibleFields,
@@ -10,6 +16,7 @@ from planecurves.errors import (
     UnsupportedExtension,
 )
 from planecurves.fields import (
+    ExtensionField,
     PrimeField,
     RationalField,
     Scalar,
@@ -23,7 +30,7 @@ from planecurves.fields import (
     uni_gcd,
 )
 
-from .helpers import F2, F3, F5, F7, F9, QQ
+from .helpers import F2, F3, F5, F7, F9, QQ, patch_everywhere
 
 
 def T(field, *coeffs):
@@ -198,3 +205,106 @@ def test_find_irreducible_smallest_scan():
     assert f.degree == 2
     assert f.lc() == F3.one()
     assert is_irreducible(f)
+
+
+def refactor_roots(f):
+    """The root loop that factors all of f again over every new level."""
+    field = f.field
+    while True:
+        _, factors = uni_factor(f)
+        nonlinear = [g for g, _ in factors if g.degree >= 2]
+        if not nonlinear:
+            roots = [(-g.coeff(0), m) for g, m in factors]
+            roots.sort(key=lambda rm: str(rm[0]))
+            return field, roots
+        if isinstance(field, RationalField):
+            raise NonRationalPoint(str(nonlinear[0]))
+        field = extend_field(field, nonlinear[0])
+        f = f.map_field(field)
+
+
+# field, degrees of the drawn irreducibles.  A quartic over F2 or F3 splits
+# into two quadratics over a quadratic extension, which puts the order of
+# the remaining nonlinear factors to the test.  The degrees keep every tower
+# at degree 6 or less over its base: the reference factors all of f again
+# over each level, which takes seconds on a cubic and then a quartic level.
+DIFF_FIELDS = {
+    "F2": (F2, (1, 2, 4)),
+    "F3": (F3, (1, 2, 4)),
+    "F5": (F5, (1, 2, 3)),
+    "F7": (F7, (1, 2, 3)),
+    "F9": (F9(), (1, 2)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def monic_irreducibles(name):
+    """The field and every monic irreducible over it of the listed degrees."""
+    field, degrees = DIFF_FIELDS[name]
+    elems = list(field.elements())
+    found = []
+    for d in degrees:
+        for combo in itertools.product(elems, repeat=d):
+            g = UniPoly(field, list(combo) + [field.one()])
+            if is_irreducible(g):
+                found.append(g)
+    return field, found
+
+
+class TestFrobeniusRoots:
+    @pytest.mark.parametrize("name", sorted(DIFF_FIELDS))
+    # no shrinking: every example runs the slow reference again
+    @seed(2002)
+    @settings(max_examples=12, deadline=None, database=None, phases=[Phase.generate])
+    @given(data=st.data())
+    def test_same_tower_and_roots_as_refactoring(self, name, data):
+        field, irreducibles = monic_irreducibles(name)
+        picks = data.draw(
+            st.lists(st.tuples(st.sampled_from(irreducibles), st.integers(1, 3)),
+                     min_size=1, max_size=3)
+        )
+        unit = data.draw(st.sampled_from([e for e in field.elements() if not e.is_zero()]))
+        f = UniPoly.constant(unit)
+        for g, m in picks:
+            f = f * g ** m
+        ext, roots = roots_with_extension(f)
+        ref_ext, ref_roots = refactor_roots(f)
+        assert ext.describe() == ref_ext.describe()
+        assert [(str(r), m) for r, m in roots] == [(str(r), m) for r, m in ref_roots]
+        lifted = f.map_field(ext)
+        for r, _ in roots:
+            assert lifted.eval(r).is_zero()
+        assert sum(m for _, m in roots) == f.degree
+
+    def test_adjoined_factor_is_not_factored_again(self, monkeypatch):
+        F101 = PrimeField(101)
+        g = T(F101, 5, 1, 0, 0, 0, 0, 0, 0, 1)  # t^8+t+5
+        assert is_irreducible(g)
+        calls = []
+        original = fields.uni_factor
+
+        def counted(f, *args, **kwargs):
+            calls.append(f)
+            return original(f, *args, **kwargs)
+
+        patch_everywhere(monkeypatch, original, counted)
+        ext, roots = roots_with_extension(g)
+        assert len(calls) == 1
+        assert calls[0].field == F101 and calls[0] == g
+        assert isinstance(ext, ExtensionField) and ext.base == F101 and ext.degree == 8
+        z = ext.generator()
+        images = {str(z ** (101 ** i)) for i in range(8)}
+        assert len(images) == 8
+        assert {str(r) for r, _ in roots} == images
+        assert all(m == 1 for _, m in roots)
+        lifted = g.map_field(ext)
+        for r, _ in roots:
+            assert lifted.eval(r).is_zero()
+
+    @pytest.mark.parametrize("field", [QQ, F7, F9()], ids=["Q", "F7", "F9"])
+    def test_linear_factor_is_its_own_monic(self, field):
+        f = T(field, 3, 2)
+        unit, factors = uni_factor(f)
+        assert unit == field.scalar(2)
+        assert factors == [(f.monic(), 1)]
+        assert factors[0][0].coeff(0) == field.scalar(3) / field.scalar(2)

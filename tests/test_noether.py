@@ -2,6 +2,7 @@
 
 import pytest
 
+from planecurves.cli import main
 from planecurves.errors import (
     CommonComponent,
     NonRationalPoint,
@@ -220,3 +221,12 @@ class TestBezout:
     def test_common_component_rejected(self):
         with pytest.raises(CommonComponent):
             bezout_check(hom("X*Y"), hom("Y*Z"))
+
+    # the common points need a degree-8 extension of F_101, and a two-level
+    # tower over F_5
+    @pytest.mark.parametrize("field", ["p:101", "p:5"])
+    def test_cubic_pair_over_an_extension_tower(self, capsys, field):
+        code = main(["bezout", "Y^2*Z-X^3-X*Z^2", "X^3+Y^3+Z^3", "--field", field])
+        out, _ = capsys.readouterr()
+        assert code == 0
+        assert "total = 9, expected = 9" in out
