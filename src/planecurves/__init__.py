@@ -26,7 +26,6 @@ from .errors import (
     CurveError,
     DepthCapExceeded,
     DivisionByZero,
-    FiberNotIsolated,
     HypothesisFailed,
     IncompatibleFields,
     InternalError,
@@ -78,7 +77,6 @@ from .noether import (
     solve_af_bg,
 )
 from .poly import (
-    CoordChange,
     MultiPoly,
     biv_gcd,
     dehomogenize,
@@ -86,9 +84,9 @@ from .poly import (
     is_suitable,
     make_suitable,
     make_suitable_many,
-    mult_at_origin,
     parse_poly,
     resultant_biv,
+    shear,
     squarefree_defect,
     translate,
 )

@@ -37,11 +37,10 @@ from .errors import (
     NotSuitable,
     ZeroPolynomial,
 )
-from .fields import RationalField, Scalar, UniPoly, roots_with_extension, uni_factor, uni_gcd
+from .fields import RationalField, UniPoly, roots_with_extension, uni_factor, uni_gcd
 from .poly import (
     AFFINE,
     CHART,
-    CoordChange,
     MultiPoly,
     biv_gcd,
     is_suitable,
@@ -106,17 +105,32 @@ def exceptional_points(Fprime: MultiPoly):
 # ---------------------------------------------------------------------------
 
 
-class InfNearNode:
-    __slots__ = ("id", "depth", "field", "local_eq", "r", "shift", "coord_change", "children")
+def _coord_change_json(shift, lam):
+    """A node's coordinate change as JSON: translate by (0, shift), then shear by lam."""
+    steps = [] if shift is None else [{"kind": "translate", "a": "0", "b": str(shift)}]
+    if not lam.is_zero():
+        steps.append({"kind": "shear", "lambda": str(lam)})
+    return steps
 
-    def __init__(self, id, depth, field, local_eq, r, shift, coord_change):
+
+class InfNearNode:
+    """One infinitely near point of a single curve.
+
+    local_eq is the curve in suitable coordinates at this point: the input
+    (at the root) or the parent's chart transform translated by (0, shift),
+    then sheared by x -> x + shear*y (shear is zero when none was needed).
+    """
+
+    __slots__ = ("id", "depth", "field", "local_eq", "r", "shift", "shear", "children")
+
+    def __init__(self, id, depth, field, local_eq, r, shift, shear):
         self.id = id
         self.depth = depth
         self.field = field
         self.local_eq = local_eq
         self.r = r
         self.shift = shift  # recentering root on the parent's exceptional line; None at the root
-        self.coord_change = coord_change
+        self.shear = shear
         self.children = []
 
     def to_json(self):
@@ -127,7 +141,7 @@ class InfNearNode:
             "local_eq": str(self.local_eq),
             "r": self.r,
             "shift": None if self.shift is None else str(self.shift),
-            "coord_change": self.coord_change.to_json(),
+            "coord_change": _coord_change_json(self.shift, self.shear),
             "children": [c.to_json() for c in self.children],
         }
 
@@ -184,7 +198,7 @@ def resolve_tree(F: MultiPoly, max_depth: int = DEFAULT_MAX_DEPTH) -> InfNearTre
 
 def _inf_near(node) -> InfNearNode:
     out = InfNearNode(
-        node.id, node.depth, node.field, node.eqs[0], node.rs[0], node.shift, node.coord_change
+        node.id, node.depth, node.field, node.eqs[0], node.rs[0], node.shift, node.shear
     )
     out.children = [_inf_near(c) for c in node.children]
     return out
@@ -214,16 +228,23 @@ def to_dot(tree) -> str:
 
 
 class JointNode:
-    __slots__ = ("id", "depth", "field", "eqs", "rs", "shift", "coord_change", "children")
+    """One infinitely near point shared by several tracked curves.
 
-    def __init__(self, id, depth, field, eqs, rs, shift, coord_change):
+    Every curve reaches it through the same coordinates: the parent's chart
+    transforms translated by (0, shift), then one common shear
+    x -> x + shear*y (zero when no shear was needed).
+    """
+
+    __slots__ = ("id", "depth", "field", "eqs", "rs", "shift", "shear", "children")
+
+    def __init__(self, id, depth, field, eqs, rs, shift, shear):
         self.id = id
         self.depth = depth
         self.field = field
         self.eqs = eqs  # tuple of transforms, one per tracked curve, shared chart
         self.rs = rs  # multiplicity of each transform at this point (0 = absent)
         self.shift = shift
-        self.coord_change = coord_change
+        self.shear = shear
         self.children = []
 
     def to_json(self, labels):
@@ -236,7 +257,7 @@ class JointNode:
                 for lab, eq, r in zip(labels, self.eqs, self.rs)
             },
             "shift": None if self.shift is None else str(self.shift),
-            "coord_change": self.coord_change.to_json(),
+            "coord_change": _coord_change_json(self.shift, self.shear),
             "children": [c.to_json(labels) for c in self.children],
         }
 
@@ -329,6 +350,10 @@ def _joint_tree(curves, max_depth, labels, witness=False) -> JointTree:
     repeating the gcd.
     """
     labels = tuple(labels) if labels is not None else JOINT_LABELS[: len(curves)]
+    # Over Q the shared pass is also the guard: only its gcd fibers go
+    # through roots_with_extension, which raises NonRationalPoint on a
+    # non-rational point the drivers share; the witness pass reads rational
+    # roots alone and would silently drop such a conjugate pair.
     tree = JointTree(_grow(curves, "shared", max_depth), labels)
     if witness:
         limit = tree.max_depth() + 1
@@ -368,11 +393,9 @@ def _grow(curves, kind, max_depth, capped=None, depth_limit=None) -> JointNode:
     rational = isinstance(curves[0].field, RationalField)
 
     def build(eqs, depth, shift):
-        suited, change, field = make_suitable_many(eqs)
-        if shift is not None:
-            change = CoordChange.translation(0, shift).then(change)
+        suited, lam, field = make_suitable_many(eqs)
         rs = tuple(e.mult_at_origin() if e.constant_term().is_zero() else 0 for e in suited)
-        node = JointNode(next(ids), depth, field, tuple(suited), rs, shift, change)
+        node = JointNode(next(ids), depth, field, tuple(suited), rs, shift, lam)
 
         drivers = rs[:n_drivers]
         if lead:

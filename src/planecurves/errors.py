@@ -68,14 +68,6 @@ class NegativeGenus(CurveError):
     """The genus formula went negative: the input data is inconsistent."""
 
 
-class FiberNotIsolated(CurveError):
-    """No shear isolates the origin on the x = 0 fiber for the resultant.
-
-    No longer raised: the intersection oracle is Fulton's algorithm, which
-    needs no shear.  Kept exported so existing handlers still import.
-    """
-
-
 class InternalError(CurveError):
     """An exactness check failed: a bug, never a property of the input.
 

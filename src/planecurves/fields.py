@@ -597,14 +597,6 @@ class UniPoly:
             acc = acc * a + c
         return acc
 
-    def shift(self, a) -> "UniPoly":
-        """Return self(t + a)."""
-        lin = UniPoly(self.field, (a, self.field.one()), self.var)
-        acc = UniPoly.zero(self.field, self.var)
-        for c in reversed(self.coeffs):
-            acc = acc * lin + c
-        return acc
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
             other = UniPoly(self.field, (self.field.scalar(other),), self.var)

@@ -39,7 +39,7 @@ from .fields import (
 )
 from .invariants import _intersection_multiplicity, _localize
 from .linalg import solve_linear
-from .poly import MultiPoly, PROJECTIVE, biv_gcd, dehomogenize, resultant_biv
+from .poly import MultiPoly, PROJECTIVE, _shear_candidates, biv_gcd, dehomogenize, resultant_biv
 
 
 class ProjPoint:
@@ -103,13 +103,11 @@ def _assert_coprime_forms(F: MultiPoly, G: MultiPoly):
 def _pair_candidates(field: Field):
     if isinstance(field, RationalField):
         def gen():
-            cands = [field.zero()]
-            k = 1
+            # pairs by antidiagonals of the integer order 0, 1, -1, 2, -2, ...
+            ints = _shear_candidates(field)
+            cands = []
             for s in count(0):
-                while len(cands) <= s:
-                    cands.append(field.scalar(k))
-                    cands.append(field.scalar(-k))
-                    k += 1
+                cands.append(next(ints))
                 for i in range(s + 1):
                     yield cands[i], cands[s - i]
         return gen()

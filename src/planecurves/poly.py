@@ -1,9 +1,13 @@
-"""Sparse multivariate polynomials and coordinate changes.
+"""Sparse multivariate polynomials and the two coordinate changes.
 
 Polynomials are exponent-tuple -> Scalar maps over an explicit field, in
 affine variables (x, y) or homogeneous ones (X, Y, Z).  Blow-up charts
 additionally use (x, t).  Everything here is exact; there is no floating
 point anywhere in the package.
+
+The only coordinate changes an infinitely near point needs are a
+translation to the origin and one shear x -> x + lam*y making the tangent
+cone suitable; both are a single `substitute`.
 
 The text format round-trips: str() output reparses to an identical
 polynomial (same field, same terms).
@@ -43,16 +47,11 @@ class MultiPoly:
         variables = tuple(variables)
         clean = {}
         for exps, c in terms.items():
-            if not isinstance(c, Scalar):
-                c = field.scalar(c)
-            elif c.field != field:
-                c = field.embed(c) if field.tower_contains(c.field) else field.scalar(c)
             if len(exps) != len(variables):
                 raise ValueError("exponent arity does not match variables")
+            c = field.scalar(c)
             if not c.is_zero():
-                key = tuple(int(e) for e in exps)
-                clean[key] = clean[key] + c if key in clean else c
-        clean = {k: v for k, v in clean.items() if not v.is_zero()}
+                clean[exps] = c
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "terms", clean)
@@ -262,7 +261,8 @@ class MultiPoly:
             images[v] = img
         base = self.map_field(field)
         images = {v: p.map_field(field) for v, p in images.items()}
-        powers = {v: {0: MultiPoly.constant(field, field.one(), variables)} for v in images}
+        one = MultiPoly.constant(field, field.one(), variables)
+        powers = {v: {0: one} for v in images}
 
         def power(v, k):
             cache = powers[v]
@@ -270,14 +270,16 @@ class MultiPoly:
                 cache[k] = power(v, k - 1) * images[v]
             return cache[k]
 
-        acc = MultiPoly.zero(field, variables)
+        out = {}
         for e, c in base.terms.items():
-            term = MultiPoly.constant(field, c, variables)
+            term = one
             for v, k in zip(self.variables, e):
                 if k:
                     term = term * power(v, k)
-            acc = acc + term
-        return acc
+            for ek, ck in term.terms.items():
+                ck = c * ck
+                out[ek] = out[ek] + ck if ek in out else ck
+        return MultiPoly(field, variables, out)
 
     def rename(self, variables) -> "MultiPoly":
         variables = tuple(variables)
@@ -321,23 +323,25 @@ class MultiPoly:
 # ---------------------------------------------------------------------------
 
 
-def mult_at_origin(F: MultiPoly) -> int:
-    return F.mult_at_origin()
-
-
-def lowest_form(F: MultiPoly) -> MultiPoly:
-    return F.lowest_form()
-
-
 def translate(F: MultiPoly, a, b) -> MultiPoly:
     """F(x + a, y + b): move the point (a, b) to the origin."""
     x, y = F.variables
     fa = a if isinstance(a, Scalar) else F.field.scalar(a)
     fb = b if isinstance(b, Scalar) else F.field.scalar(b)
     field = join_fields(join_fields(F.field, fa.field), fb.field)
+    if fa.is_zero() and fb.is_zero():
+        return F.map_field(field)
     xv = MultiPoly.var(field, x, F.variables)
     yv = MultiPoly.var(field, y, F.variables)
     return F.substitute({x: xv + fa, y: yv + fb})
+
+
+def shear(F: MultiPoly, lam) -> MultiPoly:
+    """F(x + lam*y, y): the linear change that makes F suitable."""
+    x, y = F.variables
+    xv = MultiPoly.var(F.field, x, F.variables)
+    yv = MultiPoly.var(F.field, y, F.variables)
+    return F.substitute({x: xv + yv * lam})
 
 
 def homogenize(F: MultiPoly) -> MultiPoly:
@@ -370,107 +374,6 @@ def dehomogenize(F: MultiPoly, chart: str = "Z") -> MultiPoly:
     return MultiPoly(F.field, AFFINE, out)
 
 
-# ---------------------------------------------------------------------------
-# coordinate changes
-# ---------------------------------------------------------------------------
-
-
-class CoordChange:
-    """A composition of invertible primitive substitutions.
-
-    Steps act left to right on polynomials.  Supported primitives:
-    ("translate", a, b), ("shear", lam) for x -> x + lam*y, ("swap",),
-    and ("chart", shift) which is bookkeeping for a blow-down and acts as
-    the identity on polynomials.
-    """
-
-    __slots__ = ("steps",)
-
-    def __init__(self, steps=()):
-        object.__setattr__(self, "steps", tuple(steps))
-
-    def __setattr__(self, *a):
-        raise AttributeError("CoordChange is immutable")
-
-    @classmethod
-    def identity(cls):
-        return cls()
-
-    @classmethod
-    def shear(cls, lam):
-        return cls((("shear", lam),))
-
-    @classmethod
-    def translation(cls, a, b):
-        return cls((("translate", a, b),))
-
-    @classmethod
-    def swap(cls):
-        return cls((("swap",),))
-
-    @classmethod
-    def chart_note(cls, shift):
-        return cls((("chart", shift),))
-
-    def is_identity(self):
-        return all(s[0] == "chart" for s in self.steps)
-
-    def then(self, other: "CoordChange") -> "CoordChange":
-        return CoordChange(self.steps + other.steps)
-
-    def apply(self, F: MultiPoly) -> MultiPoly:
-        for step in self.steps:
-            F = _apply_step(step, F)
-        return F
-
-    def inverse(self) -> "CoordChange":
-        inv = []
-        for step in reversed(self.steps):
-            kind = step[0]
-            if kind == "translate":
-                inv.append(("translate", -step[1], -step[2]))
-            elif kind == "shear":
-                inv.append(("shear", -step[1]))
-            elif kind == "swap":
-                inv.append(("swap",))
-            else:
-                inv.append(step)
-        return CoordChange(inv)
-
-    def to_json(self):
-        out = []
-        for step in self.steps:
-            if step[0] == "translate":
-                out.append({"kind": "translate", "a": str(step[1]), "b": str(step[2])})
-            elif step[0] == "shear":
-                out.append({"kind": "shear", "lambda": str(step[1])})
-            elif step[0] == "swap":
-                out.append({"kind": "swap"})
-            else:
-                out.append({"kind": "chart", "shift": str(step[1])})
-        return out
-
-    def __repr__(self):
-        return f"CoordChange({self.to_json()})"
-
-
-def _apply_step(step, F: MultiPoly) -> MultiPoly:
-    kind = step[0]
-    x, y = F.variables
-    if kind == "translate":
-        return translate(F, step[1], step[2])
-    if kind == "shear":
-        lam = step[1]
-        xv = MultiPoly.var(F.field, x, F.variables)
-        yv = MultiPoly.var(F.field, y, F.variables)
-        return F.substitute({x: xv + yv * lam})
-    if kind == "swap":
-        return F.substitute(
-            {x: MultiPoly.var(F.field, y, F.variables), y: MultiPoly.var(F.field, x, F.variables)}
-        )
-    return F  # chart note: identity on polynomials
-
-
 def is_suitable(F: MultiPoly) -> bool:
     """True when the lowest form does not vanish at (x, y) = (0, 1)."""
     L = F.lowest_form()
@@ -494,9 +397,9 @@ def _shear_candidates(field: Field):
 def make_suitable_many(polys):
     """One shear making every polynomial in the list suitable at once.
 
-    Returns (sheared polys, CoordChange, field).  Over a finite field the
-    tower is extended when no element of the current field works; over Q a
-    working integer always exists.
+    Returns (sheared polys, lam, field), lam zero when no shear was needed.
+    Over a finite field the tower is extended when no element of the
+    current field works; over Q a working integer always exists.
     """
     field = polys[0].field
     for p in polys[1:]:
@@ -514,10 +417,9 @@ def make_suitable_many(polys):
         for lam in _shear_candidates(field):
             count += 1
             if all(not L.evaluate({x: lam, y: field.one()}).is_zero() for L in forms):
-                if lam.is_zero():
-                    return polys, CoordChange.identity(), field
-                change = CoordChange.shear(lam)
-                return [change.apply(p) for p in polys], change, field
+                if not lam.is_zero():
+                    polys = [shear(p, lam) for p in polys]
+                return polys, lam, field
             if not field.is_finite and count > limit:
                 raise NotSuitable("no rational shear found; impossible")
         # finite field exhausted: grow the tower and rescan
@@ -528,15 +430,15 @@ def make_suitable_many(polys):
 def make_suitable(F: MultiPoly):
     """Shear x -> x + lam*y until the chart at [1:0] captures all tangents.
 
-    Returns (G, change) with G = change.apply(F); the change is the identity
-    when F is already suitable.
+    Returns (G, lam) with G = shear(F, lam); lam is zero when F is already
+    suitable.
     """
     if F.is_zero():
         raise ZeroPolynomial("cannot make the zero polynomial suitable")
     if is_suitable(F):
-        return F, CoordChange.identity()
-    sheared, change, _ = make_suitable_many([F])
-    return sheared[0], change
+        return F, F.field.zero()
+    sheared, lam, _ = make_suitable_many([F])
+    return sheared[0], lam
 
 
 # ---------------------------------------------------------------------------

@@ -224,6 +224,21 @@ class TestExitCodes:
         assert code == 3
         assert "retry over a finite field with --field p:N" in err
 
+    # F and G share a pair of conjugate points at depth 2 over Q(sqrt(-1)):
+    # the shared pass of the witness tree is what refuses them over Q
+    SHARED_CONJUGATES = ("noether-check", "Y^2*Z+X^2*Z+X^3", "Y^2*Z+X^2*Z+X^3+X^2*Y", "X*Y")
+
+    def test_shared_non_rational_point_in_witness_tree_is_three(self, capsys):
+        code, out, err = run(capsys, *self.SHARED_CONJUGATES)
+        assert code == 3
+        assert out == ""
+        assert err.splitlines()[0] == "error: non-rational point: t^2+t+1/2"
+
+    def test_shared_conjugates_over_a_finite_field_fail_the_condition(self, capsys):
+        code, out, _ = run(capsys, *self.SHARED_CONJUGATES, "--field", "p:7")
+        assert code == 2
+        assert out.strip().endswith("condition fails")
+
     def test_depth_cap_on_resolve_is_four_with_output(self, capsys):
         code, out, _ = run(capsys, "resolve", "y^2-x^7", "--max-depth", "1")
         assert code == 4

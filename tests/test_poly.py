@@ -7,7 +7,6 @@ from planecurves.fields import UniPoly, join_fields
 from planecurves.poly import (
     AFFINE,
     PROJECTIVE,
-    CoordChange,
     MultiPoly,
     biv_gcd,
     dehomogenize,
@@ -17,11 +16,12 @@ from planecurves.poly import (
     make_suitable_many,
     parse_poly,
     resultant_biv,
+    shear,
     squarefree_defect,
     translate,
 )
 
-from .helpers import F2, F3, F5, QQ, aff, corpus, hom
+from .helpers import F2, F3, F5, F9, QQ, aff, corpus, hom
 
 
 class TestParsing:
@@ -120,8 +120,16 @@ class TestCoordinateMoves:
 
     def test_coord_change_inverse_round_trip(self):
         F = aff("y^2 - x^3 + x*y")
-        change = CoordChange.shear(QQ.scalar(2)).then(CoordChange.translation(1, -1))
-        assert change.inverse().apply(change.apply(F)) == F
+        moved = translate(shear(F, QQ.scalar(2)), 1, -1)
+        assert moved != F
+        assert shear(translate(moved, -1, 1), QQ.scalar(-2)) == F
+
+    def test_translate_by_zero_only_changes_the_field(self):
+        F = aff("y^2 - x^3", F3)
+        K = F9()
+        moved = translate(F, 0, K.zero())
+        assert moved.field == K
+        assert moved == F
 
 
 class TestSuitability:
@@ -130,9 +138,14 @@ class TestSuitability:
         assert not is_suitable(aff("x^2 - y^3"))
 
     def test_make_suitable_fixes_it(self):
-        G, change = make_suitable(aff("x^2 - y^3"))
+        G, lam = make_suitable(aff("x^2 - y^3"))
         assert is_suitable(G)
-        assert change.apply(aff("x^2 - y^3")) == G
+        assert not lam.is_zero()
+        assert shear(aff("x^2 - y^3"), lam) == G
+
+    def test_suitable_input_needs_no_shear(self):
+        F = aff("y^2 - x^3")
+        assert make_suitable(F) == (F, QQ.zero())
 
     def test_shared_shear_over_f2_extends_the_field(self):
         # forms x, y, x+y kill every lambda in F_2, so the tower must grow
