@@ -9,6 +9,7 @@ failed, 3 non-rational point over Q, 4 depth cap, 5 internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -40,6 +41,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache  # parse_args leaves the parser as it was, and errors raise
 def _build_parser() -> _Parser:
     p = _Parser(prog="planecurves", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", metavar="command")

@@ -1,9 +1,14 @@
 """Exact scalar arithmetic over Q, prime fields, and finite extension towers.
 
-Scalars are immutable and carry their field.  Mixed-field operations embed
-along the unique tower inclusion when one exists and raise otherwise, so a
-wrong-field bug surfaces at the first arithmetic step instead of as a wrong
-answer later.
+Each field owns the raw values of its elements and the arithmetic on them:
+a Fraction over Q, an int in [0, p) over F_p, and on an extension level a
+tuple of base raw values, low degree first and trimmed, nesting like the
+tower.  Raw zeros are falsy, all other raw values truthy.  Scalar (a field
+and a raw value) and UniPoly are the API boundary: same-field arithmetic
+calls the field's raw operation, and the univariate kernels loop on raw
+values and wrap their result once.  Mixed-field operations embed along the
+unique tower inclusion when one exists and raise otherwise, so a wrong-field
+bug surfaces at the first arithmetic step instead of as a wrong answer later.
 
 The univariate layer (UniPoly) provides division, gcd, and factorization.
 Over a finite field factorization is complete: squarefree decomposition,
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from random import Random
 
@@ -55,47 +61,122 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _trim(cs) -> tuple:
+    n = len(cs)
+    while n and not cs[n - 1]:
+        n -= 1
+    return tuple(cs[:n])
+
+
+def _padd(F, a, b, op="add") -> tuple:
+    """a + b on raw coefficient sequences (a - b with op="sub")."""
+    f = getattr(F, op)
+    out = list(a) + [F.raw_zero] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] = f(out[i], c)
+    return _trim(out)
+
+
+def _psub(F, a, b) -> tuple:
+    return _padd(F, a, b, "sub")
+
+
+def _pmul(F, a, b) -> tuple:
+    if not a or not b:
+        return ()
+    add, mul = F.add, F.mul
+    out = [F.raw_zero] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if not ca:
+            continue
+        for j, cb in enumerate(b, i):
+            out[j] = add(out[j], mul(ca, cb))
+    # a field has no zero divisors, so the leading term survives
+    return tuple(out)
+
+
+def _pdivmod(F, a, b):
+    """(quotient, remainder) of a by b."""
+    if not b:
+        raise DivisionByZero("polynomial division by zero")
+    db = len(b) - 1
+    if len(a) - 1 < db:
+        return (), tuple(a)
+    # a monic divisor needs no inverse
+    inv_lead = None if b[-1] == F.raw_one else F.inv(b[-1])
+    mul, sub = F.mul, F.sub
+    rem = list(a)
+    quo = [F.raw_zero] * (len(rem) - db)
+    for top in range(len(rem) - 1, db - 1, -1):
+        c = rem[top]
+        if not c:
+            continue
+        q = c if inv_lead is None else mul(c, inv_lead)
+        quo[top - db] = q
+        for j in range(db):
+            rem[top - db + j] = sub(rem[top - db + j], mul(q, b[j]))
+    return tuple(quo), _trim(rem[:db])
+
+
+def _pmonic(F, a) -> tuple:
+    if a[-1] == F.raw_one:
+        return tuple(a)
+    inv, mul = F.inv(a[-1]), F.mul
+    return tuple([mul(inv, c) for c in a])
+
+
+def _poly_str(F, values, var: str) -> str:
+    """Text of sum values[k]*var^k, highest degree first; the form of
+    UniPoly text and of extension-field elements alike."""
+    parts = []
+    for k in range(len(values) - 1, -1, -1):
+        c = values[k]
+        if not c:
+            continue
+        cs = F.element_str(c)
+        if k == 0:
+            parts.append(cs)
+            continue
+        head = "" if cs == "1" else f"({cs})*" if _needs_parens(cs) else f"{cs}*"
+        parts.append(head + (var if k == 1 else f"{var}^{k}"))
+    return "+".join(parts).replace("+-", "-") if parts else "0"
+
+
+def _needs_parens(text: str) -> bool:
+    return "+" in text[1:] or "-" in text[1:] or "*" in text
+
+
 class Field:
-    """Common interface of the three field kinds."""
+    """Common interface of the three field kinds.
+
+    Each kind defines characteristic(), order() (None for an infinite
+    field), describe(), to_json() and, when finite, elements() in canonical
+    order and random_scalar(rng).  On raw values it has add, sub, neg, mul,
+    inv, element_str and hash_value, the constants raw_zero and raw_one,
+    and raw(n) for an int or a Fraction n.
+    """
 
     kind = "abstract"
 
     def scalar(self, value) -> "Scalar":
-        raise NotImplementedError
+        """Coerce an int, a Fraction, or a scalar of a field in the tower."""
+        if not isinstance(value, Scalar):
+            return Scalar(self, self.raw(value))
+        if value.field is self or value.field == self:
+            return value
+        if self.tower_contains(value.field):
+            return self.embed(value)
+        raise IncompatibleFields("cannot coerce into " + self.describe())
 
     def zero(self) -> "Scalar":
-        return self.scalar(0)
+        return Scalar(self, self.raw_zero)
 
     def one(self) -> "Scalar":
-        return self.scalar(1)
-
-    def characteristic(self) -> int:
-        raise NotImplementedError
-
-    def order(self):
-        """Number of elements, or None for an infinite field."""
-        raise NotImplementedError
+        return Scalar(self, self.raw_one)
 
     @property
     def is_finite(self) -> bool:
         return self.order() is not None
-
-    def describe(self) -> str:
-        raise NotImplementedError
-
-    def to_json(self):
-        raise NotImplementedError
-
-    def elements(self):
-        """Iterate all elements in a canonical order (finite fields only)."""
-        raise NotImplementedError
-
-    def random_scalar(self, rng: Random) -> "Scalar":
-        raise NotImplementedError
-
-    def _normalize(self, value):
-        """Bring a raw representation back to canonical form."""
-        return value
 
     def tower_contains(self, other: "Field") -> bool:
         """True when `other` appears in this field's extension tower."""
@@ -110,12 +191,12 @@ class Field:
 
     def embed(self, s: "Scalar") -> "Scalar":
         """Lift a scalar from a subfield of the tower into this field."""
-        if s.field == self:
+        if s.field is self or s.field == self:
             return s
         if not isinstance(self, ExtensionField):
             raise IncompatibleFields(f"{s.field.describe()} !< {self.describe()}")
-        inner = self.base.embed(s)
-        return Scalar(self, UniPoly(self.base, (inner,), self.gen_name))
+        inner = self.base.embed(s).value
+        return Scalar(self, (inner,) if inner else ())
 
     def __repr__(self):
         return self.describe()
@@ -123,13 +204,16 @@ class Field:
 
 class RationalField(Field):
     kind = "rationals"
-
-    def scalar(self, value):
-        if isinstance(value, Scalar):
-            if value.field == self:
-                return value
-            raise IncompatibleFields("cannot coerce into Q")
-        return Scalar(self, Fraction(value))
+    raw_zero = Fraction(0)
+    raw_one = Fraction(1)
+    add = operator.add
+    sub = operator.sub
+    neg = operator.neg
+    mul = operator.mul
+    inv = Fraction(1).__truediv__
+    element_str = str
+    hash_value = hash
+    raw = Fraction
 
     def characteristic(self):
         return 0
@@ -155,27 +239,38 @@ QQ = RationalField()
 
 class PrimeField(Field):
     kind = "prime"
+    raw_zero = 0
+    raw_one = 1
+    element_str = str
+    hash_value = hash
 
     def __init__(self, p: int):
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
 
-    def scalar(self, value):
-        if isinstance(value, Scalar):
-            if value.field == self:
-                return value
-            raise IncompatibleFields("cannot coerce into " + self.describe())
-        if isinstance(value, Fraction):
-            num = value.numerator % self.p
-            den = value.denominator % self.p
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def sub(self, a, b):
+        return (a - b) % self.p
+
+    def neg(self, a):
+        return -a % self.p
+
+    def mul(self, a, b):
+        return a * b % self.p
+
+    def inv(self, a):
+        return pow(a, -1, self.p)
+
+    def raw(self, n):
+        if isinstance(n, Fraction):
+            den = n.denominator % self.p
             if den == 0:
                 raise DivisionByZero(f"denominator divisible by {self.p}")
-            return Scalar(self, num * pow(den, -1, self.p) % self.p)
-        return Scalar(self, value % self.p)
-
-    def _normalize(self, value):
-        return value % self.p
+            return n.numerator * pow(den, -1, self.p) % self.p
+        return n % self.p
 
     def characteristic(self):
         return self.p
@@ -203,36 +298,63 @@ class PrimeField(Field):
 
 
 class ExtensionField(Field):
-    """base[z]/(minpoly), with the generator named z1, z2, ... by tower level."""
+    """base[z]/(minpoly), with the generator named z1, z2, ... by tower level.
+
+    Raw values are reduced modulo the minpoly's raw coefficients, `modulus`.
+    """
 
     kind = "extension"
+    raw_zero = ()
 
     def __init__(self, base: Field, minpoly: "UniPoly", gen_name: str):
         self.base = base
         self.gen_name = gen_name
         self.minpoly = UniPoly(base, minpoly.coeffs, gen_name)
+        self.modulus = self.minpoly._values()
+        self.degree = len(self.modulus) - 1
+        self.raw_one = (base.raw_one,)
         self._describe = f"{base.describe()}[{gen_name}]/({self.minpoly})"
 
-    @property
-    def degree(self) -> int:
-        return self.minpoly.degree
+    def add(self, a, b):
+        return _padd(self.base, a, b)
 
-    def scalar(self, value):
-        if isinstance(value, Scalar):
-            if value.field == self:
-                return value
-            if self.tower_contains(value.field):
-                return self.embed(value)
-            raise IncompatibleFields("cannot coerce into " + self.describe())
-        return self.embed(self.base.scalar(value))
+    def sub(self, a, b):
+        return _psub(self.base, a, b)
+
+    def neg(self, a):
+        return _psub(self.base, (), a)
+
+    def mul(self, a, b):
+        return _pdivmod(self.base, _pmul(self.base, a, b), self.modulus)[1]
+
+    def inv(self, a):
+        """Extended Euclid against the minpoly; a is nonzero and reduced."""
+        B = self.base
+        r0, r1 = self.modulus, a
+        s0, s1 = (), (B.raw_one,)
+        while r1:
+            q, r = _pdivmod(B, r0, r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, _psub(B, s0, _pmul(B, q, s1))
+        # r0 is a nonzero constant: the minpoly is irreducible
+        c, mul = B.inv(r0[0]), B.mul
+        return tuple([mul(c, v) for v in s0])
+
+    def element_str(self, a):
+        return _poly_str(self.base, a, self.gen_name)
+
+    def hash_value(self, a):
+        # an element hashes like its image in the lowest level that holds it
+        if len(a) <= 1:
+            return self.base.hash_value(a[0]) if a else hash(0)
+        return hash(tuple([self.base.hash_value(c) for c in a]))
+
+    def raw(self, n):
+        v = self.base.raw(n)
+        return (v,) if v else ()
 
     def generator(self) -> "Scalar":
-        return Scalar(self, UniPoly(self.base, (self.base.zero(), self.base.one()), self.gen_name))
-
-    def _normalize(self, value):
-        if value.degree >= self.degree:
-            return value % self.minpoly
-        return value
+        return Scalar(self, (self.base.raw_zero, self.base.raw_one))
 
     def characteristic(self):
         return self.base.characteristic()
@@ -252,20 +374,19 @@ class ExtensionField(Field):
         }
 
     def elements(self):
-        base_elems = list(self.base.elements())
-        for combo in itertools.product(base_elems, repeat=self.degree):
-            yield Scalar(self, UniPoly(self.base, combo, self.gen_name))
+        base_values = [e.value for e in self.base.elements()]
+        for combo in itertools.product(base_values, repeat=self.degree):
+            yield Scalar(self, _trim(combo))
 
     def random_scalar(self, rng):
-        coeffs = tuple(self.base.random_scalar(rng) for _ in range(self.degree))
-        return Scalar(self, UniPoly(self.base, coeffs, self.gen_name))
+        return Scalar(self, _trim([self.base.random_scalar(rng).value for _ in range(self.degree)]))
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, ExtensionField)
             and other.gen_name == self.gen_name
             and other.base == self.base
-            and other.minpoly.coeffs == self.minpoly.coeffs
+            and other.modulus == self.modulus
         )
 
     def __hash__(self):
@@ -281,7 +402,7 @@ def join_fields(a: Field, b: Field) -> Field:
 
 
 class Scalar:
-    """Immutable field element; arithmetic embeds along towers as needed."""
+    """Immutable field element: a field and one of its raw values."""
 
     __slots__ = ("field", "value")
 
@@ -293,12 +414,10 @@ class Scalar:
         raise AttributeError("Scalar is immutable")
 
     def is_zero(self) -> bool:
-        if isinstance(self.field, ExtensionField):
-            return self.value.is_zero()
-        return self.value == 0
+        return not self.value
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.value)
 
     def _pair(self, other):
         if isinstance(other, (int, Fraction)):
@@ -310,48 +429,45 @@ class Scalar:
         target = join_fields(self.field, other.field)
         return target.embed(self), target.embed(other)
 
-    def __add__(self, other):
+    def _mixed(self, other, op: str):
         p = self._pair(other)
         if p is None:
             return NotImplemented
         a, b = p
-        return Scalar(a.field, a.field._normalize(a.value + b.value))
+        return Scalar(a.field, getattr(a.field, op)(a.value, b.value))
+
+    def __add__(self, other):
+        f = self.field
+        if type(other) is Scalar and other.field is f:
+            return Scalar(f, f.add(self.value, other.value))
+        return self._mixed(other, "add")
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(self.field, self.field._normalize(-self.value))
+        return Scalar(self.field, self.field.neg(self.value))
 
     def __sub__(self, other):
-        p = self._pair(other)
-        if p is None:
-            return NotImplemented
-        a, b = p
-        return Scalar(a.field, a.field._normalize(a.value - b.value))
+        f = self.field
+        if type(other) is Scalar and other.field is f:
+            return Scalar(f, f.sub(self.value, other.value))
+        return self._mixed(other, "sub")
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        p = self._pair(other)
-        if p is None:
-            return NotImplemented
-        a, b = p
-        return Scalar(a.field, a.field._normalize(a.value * b.value))
+        f = self.field
+        if type(other) is Scalar and other.field is f:
+            return Scalar(f, f.mul(self.value, other.value))
+        return self._mixed(other, "mul")
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
-        if self.is_zero():
+        if not self.value:
             raise DivisionByZero("inverse of zero in " + self.field.describe())
-        f = self.field
-        if isinstance(f, RationalField):
-            return Scalar(f, 1 / self.value)
-        if isinstance(f, PrimeField):
-            return Scalar(f, pow(self.value, -1, f.p))
-        g, s, _ = uni_egcd(self.value, f.minpoly)
-        # g is the monic gcd; for an invertible element it is 1.
-        return Scalar(f, s % f.minpoly)
+        return Scalar(self.field, self.field.inv(self.value))
 
     def __truediv__(self, other):
         p = self._pair(other)
@@ -366,36 +482,28 @@ class Scalar:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.field.one()
-        base = self
+        f = self.field
+        mul = f.mul
+        result, base = f.raw_one, self.value
         while e:
             if e & 1:
-                result = result * base
-            base = base * base
+                result = mul(result, base)
             e >>= 1
-        return result
+            if e:
+                base = mul(base, base)
+        return Scalar(f, result)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            try:
-                other = self.field.scalar(other)
-            except IncompatibleFields:
-                return NotImplemented
-        if not isinstance(other, Scalar):
-            return NotImplemented
+        if type(other) is Scalar and other.field is self.field:
+            return self.value == other.value
         try:
-            a, b = self._pair(other)
+            p = self._pair(other)
         except IncompatibleFields:
-            return False
-        return a.value == b.value
+            return False if isinstance(other, Scalar) else NotImplemented
+        return NotImplemented if p is None else p[0].value == p[1].value
 
     def __hash__(self):
-        if isinstance(self.field, ExtensionField) and self.value.degree <= 0:
-            # constants hash like their base-field image so towers agree
-            return hash(self.value.coeffs[0]) if self.value.coeffs else hash(0)
-        if isinstance(self.field, PrimeField) or isinstance(self.field, RationalField):
-            return hash(self.value)
-        return hash(self.value.coeffs)
+        return self.field.hash_value(self.value)
 
     def __str__(self):
         return scalar_to_str(self)
@@ -406,32 +514,44 @@ class Scalar:
 
 def scalar_to_str(s: Scalar) -> str:
     """Canonical text form: '3', '-5/6', '2' mod p, '2*z1+1' in extensions."""
-    return str(s.value)
-
-
-def _needs_parens(text: str) -> bool:
-    return "+" in text[1:] or "-" in text[1:] or "*" in text
+    return s.field.element_str(s.value)
 
 
 class UniPoly:
     """Dense univariate polynomial over an explicit field.
 
     Coefficients are stored low degree first with trailing zeros trimmed;
-    the zero polynomial has an empty tuple and degree -inf.
+    the zero polynomial has an empty tuple and degree -inf.  Products,
+    sums, division, pow_mod and gcd run on the coefficients' raw values.
     """
 
     __slots__ = ("field", "var", "coeffs")
 
     def __init__(self, field: Field, coeffs, var: str = "t"):
-        cs = [c if isinstance(c, Scalar) else field.scalar(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
+        cs = [field.scalar(c) for c in coeffs]
+        while cs and not cs[-1].value:
             cs.pop()
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "var", var)
         object.__setattr__(self, "coeffs", tuple(cs))
 
+    @classmethod
+    def _from_values(cls, field: Field, values, var: str) -> "UniPoly":
+        """Wrap trimmed raw values of `field`, skipping coercion."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "var", var)
+        # tuples are built from lists here and in the kernels: tuple() of a
+        # generator resizes its result, which fills the tuple free lists
+        object.__setattr__(self, "coeffs", tuple([Scalar(field, v) for v in values]))
+        return self
+
     def __setattr__(self, *a):
         raise AttributeError("UniPoly is immutable")
+
+    def _values(self) -> tuple:
+        """The coefficients' raw values, low degree first."""
+        return tuple([c.value for c in self.coeffs])
 
     @classmethod
     def zero(cls, field, var="t"):
@@ -466,6 +586,8 @@ class UniPoly:
         return self.field.zero()
 
     def _pair(self, other):
+        if type(other) is UniPoly and other.field is self.field:
+            return self, other
         if isinstance(other, Scalar):
             other = UniPoly(other.field, (other,), self.var)
         elif isinstance(other, (int, Fraction)):
@@ -477,49 +599,35 @@ class UniPoly:
         target = join_fields(self.field, other.field)
         return self.map_field(target), other.map_field(target)
 
+    def _kernel(self, other, op):
+        """op(field, raw self, raw other) over the joined field, wrapped."""
+        p = self._pair(other)
+        if p is None:
+            return NotImplemented
+        a, b = p
+        return UniPoly._from_values(a.field, op(a.field, a._values(), b._values()), a.var)
+
     def map_field(self, target: Field) -> "UniPoly":
         if target == self.field:
             return self
         return UniPoly(target, tuple(target.embed(c) for c in self.coeffs), self.var)
 
     def __add__(self, other):
-        p = self._pair(other)
-        if p is None:
-            return NotImplemented
-        a, b = p
-        n = max(len(a.coeffs), len(b.coeffs))
-        return UniPoly(a.field, [a.coeff(i) + b.coeff(i) for i in range(n)], a.var)
+        return self._kernel(other, _padd)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return UniPoly(self.field, [-c for c in self.coeffs], self.var)
+        return UniPoly._from_values(self.field, _psub(self.field, (), self._values()), self.var)
 
     def __sub__(self, other):
-        p = self._pair(other)
-        if p is None:
-            return NotImplemented
-        a, b = p
-        n = max(len(a.coeffs), len(b.coeffs))
-        return UniPoly(a.field, [a.coeff(i) - b.coeff(i) for i in range(n)], a.var)
+        return self._kernel(other, _psub)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        p = self._pair(other)
-        if p is None:
-            return NotImplemented
-        a, b = p
-        if a.is_zero() or b.is_zero():
-            return UniPoly.zero(a.field, a.var)
-        out = [a.field.zero()] * (len(a.coeffs) + len(b.coeffs) - 1)
-        for i, ca in enumerate(a.coeffs):
-            if ca.is_zero():
-                continue
-            for j, cb in enumerate(b.coeffs):
-                out[i + j] = out[i + j] + ca * cb
-        return UniPoly(a.field, out, a.var)
+        return self._kernel(other, _pmul)
 
     __rmul__ = __mul__
 
@@ -528,26 +636,8 @@ class UniPoly:
         if p is None:
             return NotImplemented
         a, b = p
-        if b.is_zero():
-            raise DivisionByZero("polynomial division by zero")
-        # a monic divisor needs no inverse; over an extension field each
-        # inverse is a full extended Euclid
-        monic = b.lc() == a.field.one()
-        inv_lead = None if monic else b.lc().inverse()
-        rem = list(a.coeffs)
-        db = len(b.coeffs) - 1
-        if len(rem) - 1 < db:
-            return UniPoly.zero(a.field, a.var), a
-        quo = [a.field.zero()] * (len(rem) - db)
-        for top in range(len(rem) - 1, db - 1, -1):
-            c = rem[top]
-            if c.is_zero():
-                continue
-            q = c if monic else c * inv_lead
-            quo[top - db] = q
-            for j in range(db + 1):
-                rem[top - db + j] = rem[top - db + j] - q * b.coeffs[j]
-        return UniPoly(a.field, quo, a.var), UniPoly(a.field, rem, a.var)
+        q, r = _pdivmod(a.field, a._values(), b._values())
+        return UniPoly._from_values(a.field, q, a.var), UniPoly._from_values(a.field, r, a.var)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -566,22 +656,22 @@ class UniPoly:
         return result
 
     def pow_mod(self, e: int, modulus: "UniPoly") -> "UniPoly":
-        result = UniPoly(self.field, (self.field.one(),), self.var) % modulus
-        base = self % modulus
+        a, m = self._pair(modulus)
+        F, m = a.field, m._values()
+        result = _pdivmod(F, (F.raw_one,), m)[1]
+        base = _pdivmod(F, a._values(), m)[1]
         while e:
             if e & 1:
-                result = (result * base) % modulus
-            base = (base * base) % modulus
+                result = _pdivmod(F, _pmul(F, result, base), m)[1]
             e >>= 1
-        return result
+            if e:
+                base = _pdivmod(F, _pmul(F, base, base), m)[1]
+        return UniPoly._from_values(F, result, a.var)
 
     def monic(self) -> "UniPoly":
         if self.is_zero():
             raise ZeroPolynomial("monic of 0")
-        if self.lc() == self.field.one():
-            return self
-        inv = self.lc().inverse()
-        return UniPoly(self.field, [c * inv for c in self.coeffs], self.var)
+        return UniPoly._from_values(self.field, _pmonic(self.field, self._values()), self.var)
 
     def derivative(self) -> "UniPoly":
         return UniPoly(
@@ -612,26 +702,7 @@ class UniPoly:
         return hash((self.var, self.coeffs))
 
     def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c.is_zero():
-                continue
-            cs = scalar_to_str(c)
-            if k == 0:
-                parts.append(cs)
-                continue
-            if cs == "1":
-                head = ""
-            elif _needs_parens(cs):
-                head = f"({cs})*"
-            else:
-                head = f"{cs}*"
-            tail = self.var if k == 1 else f"{self.var}^{k}"
-            parts.append(head + tail)
-        return "+".join(parts).replace("+-", "-")
+        return _poly_str(self.field, self._values(), self.var)
 
     def __repr__(self):
         return f"UniPoly({self}, {self.field.describe()})"
@@ -642,29 +713,10 @@ def uni_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     if not isinstance(b, UniPoly):
         b = UniPoly(a.field, (a.field.scalar(b),), a.var)
     a, b = a._pair(b)
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
-
-
-def uni_egcd(a: UniPoly, b: UniPoly):
-    """Extended Euclid: returns (g, s, t) with s*a + t*b = g, g monic."""
-    field, var = a.field, a.var
-    one = UniPoly(field, (field.one(),), var)
-    zero = UniPoly.zero(field, var)
-    r0, r1 = a, b
-    s0, s1 = one, zero
-    t0, t1 = zero, one
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        return r0, s0, t0
-    inv = r0.lc().inverse()
-    scale = UniPoly(field, (inv,), var)
-    return r0.monic(), s0 * scale, t0 * scale
+    F, u, v = a.field, a._values(), b._values()
+    while v:
+        u, v = v, _pdivmod(F, u, v)[1]
+    return UniPoly._from_values(F, _pmonic(F, u) if u else u, a.var)
 
 
 def _divisors(n: int) -> list:
@@ -739,19 +791,10 @@ def _rational_roots_split(g: UniPoly):
 
 def _pth_root(f: UniPoly) -> UniPoly:
     p = f.field.characteristic()
-    q = f.field.order()
-    inv_frob = q // p
-    out = []
-    for k, c in enumerate(f.coeffs):
-        if k % p:
-            if not c.is_zero():
-                raise ValueError("not a p-th power")
-            continue
-        out_k = k // p
-        while len(out) <= out_k:
-            out.append(f.field.zero())
-        out[out_k] = c ** inv_frob
-    return UniPoly(f.field, out, f.var)
+    inv_frob = f.field.order() // p
+    if any(c for k, c in enumerate(f.coeffs) if k % p):
+        raise ValueError("not a p-th power")
+    return UniPoly(f.field, [c ** inv_frob for c in f.coeffs[::p]], f.var)
 
 
 def _distinct_degree(f: UniPoly):
@@ -865,18 +908,7 @@ def is_irreducible(f: UniPoly) -> bool:
             w = w.pow_mod(q, f)
         return w
 
-    prime_divs = []
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            prime_divs.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        prime_divs.append(m)
-    for ell in prime_divs:
+    for ell in (d for d in range(2, n + 1) if n % d == 0 and _is_prime(d)):
         g = uni_gcd(x_power_q_tower(n // ell) - x, f)
         if g.degree >= 1:
             return False

@@ -262,12 +262,14 @@ class MultiPoly:
         base = self.map_field(field)
         images = {v: p.map_field(field) for v, p in images.items()}
         one = MultiPoly.constant(field, field.one(), variables)
-        powers = {v: {0: one} for v in images}
+        powers = {v: [one] for v in images}
 
         def power(v, k):
+            # a loop, not recursion: a closure that calls itself is a reference
+            # cycle, which keeps every cached power alive until the next gc pass
             cache = powers[v]
-            if k not in cache:
-                cache[k] = power(v, k - 1) * images[v]
+            while len(cache) <= k:
+                cache.append(cache[-1] * images[v])
             return cache[k]
 
         out = {}

@@ -311,6 +311,24 @@ class TestNoGlobalState:
         assert fields.DEFAULT_FACTOR_SEED == 0
 
 
+def test_parser_built_once_leaks_nothing_between_calls(capsys):
+    # the parser is cached per process: every call must still print what the
+    # same argv prints as the first call of a fresh process
+    calls = [
+        ["resolve", "y^2-x^3", "--json"],
+        ["resolve", "y^2-x^3", "--json", "--max-depth"],
+        ["noether-check", "X", "Y", "X*Y", "--field", "p:7"],
+        ["resolve", "y^2-x^3"],
+    ]
+    assert cli._build_parser() is cli._build_parser()
+    for argv in calls:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "planecurves", *argv], capture_output=True, text=True
+        )
+        assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert run(capsys, *calls[1])[0] == 1
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "planecurves", "delta", "y^2-x^3"],

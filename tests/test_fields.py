@@ -308,3 +308,80 @@ class TestFrobeniusRoots:
         assert unit == field.scalar(2)
         assert factors == [(f.monic(), 1)]
         assert factors[0][0].coeff(0) == field.scalar(3) / field.scalar(2)
+
+
+@functools.lru_cache(maxsize=None)
+def tower(name):
+    """The tower's fields, prime field first: F_4, F_9, or F_7 < F_49 < F_(7^6)."""
+    if name == "F4":
+        return (F2, extend_field(F2, find_irreducible(F2, 2)))
+    if name == "F9":
+        return (F3, F9())
+    F49 = extend_field(F7, T(F7, 1, 0, 1))
+    z1 = F49.generator()
+    return (F7, F49, extend_field(F49, T(F49, z1, 0, 3 * z1, 1)))
+
+
+def elements_of(K):
+    """Elements of K drawn coefficient by coefficient down to the prime field."""
+    if isinstance(K, PrimeField):
+        return st.integers(0, K.p - 1).map(K.scalar)
+    z = K.generator()
+    return st.lists(elements_of(K.base), min_size=K.degree, max_size=K.degree).map(
+        lambda cs: sum((K.embed(c) * z ** i for i, c in enumerate(cs)), K.zero())
+    )
+
+
+TOWERS = ["F4", "F9", "F7^6"]
+
+
+class TestTowerArithmetic:
+    @pytest.mark.parametrize("name", TOWERS)
+    @seed(6)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(data=st.data())
+    def test_field_axioms(self, name, data):
+        K = tower(name)[-1]
+        a, b, c = (data.draw(elements_of(K)) for _ in range(3))
+        assert (a * b) * c == a * (b * c)
+        assert (a + b) + c == a + (b + c)
+        assert a * (b + c) == a * b + a * c
+        assert (a - b) + b == a
+        if not a.is_zero():
+            assert a * a.inverse() == K.one()
+        assert a ** K.order() == a
+
+    @pytest.mark.parametrize("name", TOWERS)
+    @seed(6)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(data=st.data())
+    def test_embedding_is_a_ring_homomorphism(self, name, data):
+        levels = tower(name)
+        i = data.draw(st.integers(0, len(levels) - 2))
+        j = data.draw(st.integers(i + 1, len(levels) - 1))
+        S, K = levels[i], levels[j]
+        a, b = data.draw(elements_of(S)), data.draw(elements_of(S))
+        assert K.embed(a + b) == K.embed(a) + K.embed(b)
+        assert K.embed(a - b) == K.embed(a) - K.embed(b)
+        assert K.embed(a * b) == K.embed(a) * K.embed(b)
+        assert a == K.embed(a) and K.embed(a) == a
+        assert hash(a) == hash(K.embed(a))
+        # mixed-field arithmetic embeds first
+        assert a * K.one() == K.embed(a)
+
+    def test_two_level_element_text(self):
+        F49, L = tower("F7^6")[1:]
+        assert L.describe() == "F7[z1]/(z1^2+1)[z2]/(z2^3+(3*z1)*z2^2+z1)"
+        a, b = L.embed(F49.generator()), L.generator()
+        assert str((a + 1) * b * b + 2 * a) == "(z1+1)*z2^2+2*z1"
+        assert str((3 * a + 5) * b + 6) == "(3*z1+5)*z2+6"
+        assert str(-b * b - a * b) == "6*z2^2+(6*z1)*z2"
+        assert str(b ** 3) == "(4*z1)*z2^2+6*z1"
+        K = F9()
+        M = extend_field(K, find_irreducible(K, 2))
+        assert M.describe() == "F3[z1]/(z1^2+1)[z2]/(z2^2+z1*z2+z1)"
+        z1, z2 = M.embed(K.generator()), M.generator()
+        assert str((z1 + 1) * z2 + 2 * z1) == "(z1+1)*z2+2*z1"
+        assert str(z2 * z2) == "(2*z1)*z2+2*z1"
+        assert str(-(z1 + 1) * z2) == "(2*z1+2)*z2"
+        assert str(M.zero()) == "0" and str(M.embed(F3.scalar(2))) == "2"

@@ -1,5 +1,7 @@
 """Sparse polynomials: parsing, coordinate moves, gcd, resultants."""
 
+import gc
+
 import pytest
 
 from planecurves.errors import NotSuitable, ZeroPolynomial
@@ -123,6 +125,18 @@ class TestCoordinateMoves:
         moved = translate(shear(F, QQ.scalar(2)), 1, -1)
         assert moved != F
         assert shear(translate(moved, -1, 1), QQ.scalar(-2)) == F
+
+    def test_substitute_leaves_no_reference_cycles(self):
+        # cyclic garbage waits for the collector, so it raises peak memory
+        F = aff("y^3 - x^5 + x^2*y")
+        gc.collect()
+        gc.disable()
+        try:
+            moved = translate(F, 2, -1)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert translate(moved, -2, 1) == F
 
     def test_translate_by_zero_only_changes_the_field(self):
         F = aff("y^2 - x^3", F3)

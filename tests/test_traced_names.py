@@ -1,8 +1,9 @@
 """The benchmark traces planecurves functions by name: every name must resolve.
 
-perfbench/run.py is read with ast, never imported, so this test needs
-nothing the benchmark needs.  A renamed or deleted function would otherwise
-surface only as a KeyError in `perfbench/run.py --trace 1`.
+perfbench/run.py and perfbench/tracer.py are read with ast, never imported,
+so this test needs nothing the benchmark needs.  A renamed or deleted
+function, method or Scalar operator would otherwise surface only as a
+KeyError in `perfbench/run.py --trace 1`.
 """
 
 import ast
@@ -11,19 +12,21 @@ import pathlib
 
 import pytest
 
-RUN_PY = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+from planecurves.fields import Scalar
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _layer_names():
-    for node in ast.parse(RUN_PY.read_text()).body:
+def _constant(filename, name):
+    for node in ast.parse((PERFBENCH / filename).read_text()).body:
         if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "LAYER_NAMES" for t in node.targets
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
         ):
             return ast.literal_eval(node.value)
-    raise AssertionError("perfbench/run.py defines no LAYER_NAMES")
+    raise AssertionError(f"perfbench/{filename} defines no {name}")
 
 
-@pytest.mark.parametrize("name", _layer_names())
+@pytest.mark.parametrize("name", _constant("run.py", "LAYER_NAMES"))
 def test_traced_name_resolves(name):
     module_name, *path = name.split(".")
     module = importlib.import_module(f"planecurves.{module_name}")
@@ -34,3 +37,16 @@ def test_traced_name_resolves(name):
     if not path[-1].startswith("_"):
         # the tracer wraps only functions defined in the module itself
         assert fn.__module__ == module.__name__
+
+
+# the tracer patches these with vars(owner)[name], so each must be defined on
+# the class itself: an alias such as __radd__ = __add__ counts, inheritance not
+@pytest.mark.parametrize("op", _constant("tracer.py", "SCALAR_OPS"))
+def test_scalar_op_is_defined_on_scalar(op):
+    assert callable(vars(Scalar).get(op))
+
+
+@pytest.mark.parametrize("module_name,cls_name,method", _constant("tracer.py", "METHODS"))
+def test_traced_method_is_defined_on_its_class(module_name, cls_name, method):
+    cls = getattr(importlib.import_module(f"planecurves.{module_name}"), cls_name)
+    assert callable(vars(cls).get(method))
