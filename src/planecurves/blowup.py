@@ -386,34 +386,49 @@ def _grow(curves, kind, max_depth, capped=None, depth_limit=None) -> JointNode:
     raises DepthCapExceeded when capped is None; the other kinds raise
     when a kept child would lie deeper than max_depth.
     """
-    ids = count()
-    lead = kind == "lead"
-    witness = kind == "witness"
-    n_drivers = 1 if lead else 2
-    rational = isinstance(curves[0].field, RationalField)
+    return _Grower(kind, max_depth, capped, depth_limit, curves[0].field).build(
+        list(curves), 0, None
+    )
 
-    def build(eqs, depth, shift):
+
+class _Grower:
+    """One _grow call's settings; build recurses as a method, because a
+    nested function that calls itself is a reference cycle per call."""
+
+    def __init__(self, kind, max_depth, capped, depth_limit, field):
+        self.ids = count()
+        self.lead = kind == "lead"
+        self.witness = kind == "witness"
+        self.n_drivers = 1 if self.lead else 2
+        self.rational = isinstance(field, RationalField)
+        self.max_depth = max_depth
+        self.capped = capped
+        self.depth_limit = depth_limit
+
+    def build(self, eqs, depth, shift):
+        lead, witness = self.lead, self.witness
+        n_drivers, max_depth = self.n_drivers, self.max_depth
         suited, lam, field = make_suitable_many(eqs)
         rs = tuple(e.mult_at_origin() if e.constant_term().is_zero() else 0 for e in suited)
-        node = JointNode(next(ids), depth, field, tuple(suited), rs, shift, lam)
+        node = JointNode(next(self.ids), depth, field, tuple(suited), rs, shift, lam)
 
         drivers = rs[:n_drivers]
         if lead:
             expand = rs[0] >= 2
         else:
             expand = all(r >= 1 for r in drivers) or (witness and any(r >= 2 for r in drivers))
-        if not expand or (depth_limit is not None and depth >= depth_limit):
+        if not expand or (self.depth_limit is not None and depth >= self.depth_limit):
             return node
         if lead and depth >= max_depth:
-            if capped is None:
+            if self.capped is None:
                 raise DepthCapExceeded(
                     f"resolution exceeded max depth {max_depth}; lead curve still singular"
                 )
-            capped.append(node)
+            self.capped.append(node)
             return node
 
         transforms = [_chart_transform(e, r) for e, r in zip(suited, rs)]
-        for alpha in _child_points(transforms[:n_drivers], drivers, witness, rational):
+        for alpha in _child_points(transforms[:n_drivers], drivers, witness, self.rational):
             child_eqs = [
                 translate(t.rename(AFFINE).map_field(alpha.field), 0, alpha)
                 for t in transforms
@@ -425,10 +440,8 @@ def _grow(curves, kind, max_depth, capped=None, depth_limit=None) -> JointNode:
                 raise DepthCapExceeded(
                     f"joint tree exceeded max depth {max_depth}; transforms still meet"
                 )
-            node.children.append(build(child_eqs, depth + 1, alpha))
+            node.children.append(self.build(child_eqs, depth + 1, alpha))
         return node
-
-    return build(list(curves), 0, None)
 
 
 def _child_points(driver_transforms, driver_rs, witness, rational):

@@ -94,14 +94,14 @@ def _emit(obj):
 
 def _render_resolve(tree):
     lines = [f"termination: {tree.termination}"]
-
-    def walk(node, indent):
+    # preorder by an explicit stack: a nested function that calls itself
+    # would leave a reference cycle behind on every call
+    stack = [(tree.root, 0)]
+    while stack:
+        node, indent = stack.pop()
         at = "" if node.shift is None else f"  (t = {node.shift})"
         lines.append("  " * indent + f"r={node.r}  {node.local_eq}{at}")
-        for c in node.children:
-            walk(c, indent + 1)
-
-    walk(tree.root, 0)
+        stack.extend((c, indent + 1) for c in reversed(node.children))
     seq = [r for _, r in tree.multiplicity_sequence()]
     lines.append("multiplicity sequence: [" + ",".join(str(r) for r in seq) + "]")
     return "\n".join(lines)

@@ -651,8 +651,9 @@ class UniPoly:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def pow_mod(self, e: int, modulus: "UniPoly") -> "UniPoly":

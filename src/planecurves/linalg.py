@@ -1,19 +1,64 @@
-"""Exact dense linear solving for the coefficient-matching systems.
+"""Exact dense linear algebra: one fraction-free elimination for every domain.
 
-Over Q, rows are cleared to integers and eliminated fraction-free
-(Bareiss), so intermediate entries stay integral and division is exact.
-Over finite fields plain Gauss-Jordan with scalar inverses is already
-exact.  Both paths produce the same canonical particular solution: free
-variables are zero unless the caller pins them.
+`echelon` is Bareiss elimination on raw values (Bareiss, Math. Comp. 22,
+1968).  Over Z and F[x] each updated entry is divided exactly by the
+previous pivot, so entries stay minors of the input and never grow into
+fractions; over a field no division is needed.  `solve_linear` runs it on
+rows cleared to integers over Q and on the field's raw values over F_q,
+and `poly.resultant_biv` on raw coefficient tuples of F[x].  Solutions are
+canonical: free variables are zero unless the caller pins them.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
+import operator
+from math import lcm
 
 from .errors import InternalError
 from .fields import Field, RationalField, Scalar
+
+
+def echelon(M, ncols, mul, sub, div=None):
+    """Row echelon form of the list of rows M, in place; (pivots, sign).
+
+    Scans the first ncols columns; rows may be longer (an augmented right
+    hand side).  Each pivot p is the first nonzero entry at or below the
+    current rank, and every entry a right of the pivot column in a lower
+    row becomes p*a - c*b, with c that row's entry in the pivot column and
+    b the pivot row's.  div(n, d) -> (q, r), given over Z or F[x], divides
+    each updated entry by the previous pivot, which must leave no
+    remainder.  Entries at or left of a pivot in lower rows are stale.
+    Returns the (row, col) pivots and the sign of the row permutation.
+    """
+    m = len(M)
+    pivots, sign, prev = [], 1, None
+    for col in range(ncols):
+        rank = len(pivots)
+        pivot = next((i for i in range(rank, m) if M[i][col]), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            M[rank], M[pivot] = M[pivot], M[rank]
+            sign = -sign
+        top = M[rank]
+        p = top[col]
+        for row in M[rank + 1:]:
+            c = row[col]
+            # over a field a row with c = 0 needs no update; fraction-free,
+            # it must still be scaled by p / prev unless it is zero
+            if not c and (div is None or not any(row[col + 1:])):
+                continue
+            for j in range(col + 1, len(row)):
+                v = sub(mul(p, row[j]), mul(c, top[j]))
+                if prev is not None:
+                    v, r = div(v, prev)
+                    if r:
+                        raise InternalError("Bareiss division must be exact")
+                row[j] = v
+        if div is not None:
+            prev = p
+        pivots.append((rank, col))
+    return pivots, sign
 
 
 def solve_linear(rows, rhs, field: Field, free_values=None):
@@ -29,103 +74,35 @@ def solve_linear(rows, rhs, field: Field, free_values=None):
             raise ValueError("ragged matrix")
     if len(rhs) != m:
         raise ValueError("rhs length mismatch")
-    free_values = dict(free_values or {})
-    if isinstance(field, RationalField):
-        return _solve_rational(rows, rhs, field, free_values)
-    return _solve_finite(rows, rhs, field, free_values)
-
-
-def _solve_rational(rows, rhs, field, free_values):
-    m, n = len(rows), len(rows[0]) if rows else 0
-    M = []
-    for row, b in zip(rows, rhs):
-        fracs = [_as_fraction(c) for c in row] + [_as_fraction(b)]
-        scale = 1
-        for f in fracs:
-            scale = scale * f.denominator // gcd(scale, f.denominator)
-        M.append([int(f * scale) for f in fracs])
-
-    pivots = []  # (row, col)
-    rank = 0
-    prev = 1
-    for col in range(n):
-        pivot = next((i for i in range(rank, m) if M[i][col] != 0), None)
-        if pivot is None:
-            continue
-        M[rank], M[pivot] = M[pivot], M[rank]
-        for i in range(rank + 1, m):
-            if all(v == 0 for v in M[i]):
-                continue
-            for j in range(col + 1, n + 1):
-                num = M[rank][col] * M[i][j] - M[i][col] * M[rank][j]
-                q, r = divmod(num, prev)
-                if r != 0:
-                    raise InternalError("Bareiss division must be exact")
-                M[i][j] = q
-            M[i][col] = 0
-        prev = M[rank][col]
-        pivots.append((rank, col))
-        rank += 1
-
-    for i in range(rank, m):
-        if M[i][n] != 0:
-            return None
-
-    x = [None] * n
-    pivot_cols = {col for _, col in pivots}
-    for j in range(n):
-        if j not in pivot_cols:
-            v = free_values.get(j)
-            x[j] = _as_fraction(v) if v is not None else Fraction(0)
-    for i, col in reversed(pivots):
-        acc = Fraction(M[i][n])
-        for j in range(col + 1, n):
-            if M[i][j]:
-                acc -= Fraction(M[i][j]) * x[j]
-        x[col] = acc / Fraction(M[i][col])
-    return [field.scalar(v) for v in x]
-
-
-def _as_fraction(c):
-    if isinstance(c, Scalar):
-        return Fraction(c.value)
-    return Fraction(c)
-
-
-def _solve_finite(rows, rhs, field, free_values):
-    m, n = len(rows), len(rows[0]) if rows else 0
-    M = [[field.scalar(c) if not isinstance(c, Scalar) else c for c in row] + [b]
+    M = [[field.scalar(c).value for c in row] + [field.scalar(b).value]
          for row, b in zip(rows, rhs)]
-    pivots = []
-    rank = 0
-    for col in range(n):
-        pivot = next((i for i in range(rank, m) if not M[i][col].is_zero()), None)
-        if pivot is None:
-            continue
-        M[rank], M[pivot] = M[pivot], M[rank]
-        inv = M[rank][col].inverse()
-        M[rank] = [v * inv for v in M[rank]]
-        for i in range(m):
-            if i != rank and not M[i][col].is_zero():
-                f = M[i][col]
-                M[i] = [a - f * b for a, b in zip(M[i], M[rank])]
-        pivots.append((rank, col))
-        rank += 1
+    if isinstance(field, RationalField):
+        M = [_clear_denominators(row) for row in M]
+        pivots, _ = echelon(M, n, operator.mul, operator.sub, divmod)
+    else:
+        pivots, _ = echelon(M, n, field.mul, field.sub)
+    if any(M[i][n] for i in range(len(pivots), m)):
+        return None
 
-    zero = field.zero()
-    for i in range(rank, m):
-        if not M[i][n].is_zero():
-            return None
-
-    x = [zero] * n
+    free_values = free_values or {}
     pivot_cols = {col for _, col in pivots}
+    x = [field.raw_zero] * n
     for j in range(n):
-        if j not in pivot_cols and j in free_values:
-            x[j] = free_values[j]
+        if j not in pivot_cols and free_values.get(j) is not None:
+            x[j] = field.scalar(free_values[j]).value
+    # over Q the entries are ints, and field.inv turns each quotient into a
+    # Fraction
+    sub, mul, inv = field.sub, field.mul, field.inv
     for i, col in reversed(pivots):
-        acc = M[i][n]
+        row = M[i]
+        acc = row[n]
         for j in range(col + 1, n):
-            if not M[i][j].is_zero():
-                acc = acc - M[i][j] * x[j]
-        x[col] = acc
-    return x
+            if row[j]:
+                acc = sub(acc, mul(row[j], x[j]))
+        x[col] = mul(acc, inv(row[col]))
+    return [Scalar(field, v) for v in x]
+
+
+def _clear_denominators(row):
+    scale = lcm(*[f.denominator for f in row])
+    return [f.numerator * (scale // f.denominator) for f in row]

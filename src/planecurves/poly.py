@@ -16,6 +16,7 @@ polynomial (same field, same terms).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
 from .errors import InternalError, NotSuitable, ZeroPolynomial
 from .fields import (
@@ -26,12 +27,16 @@ from .fields import (
     Scalar,
     UniPoly,
     _needs_parens,
+    _pdivmod,
+    _pmul,
+    _psub,
     extend_field,
     find_irreducible,
     join_fields,
     scalar_to_str,
     uni_gcd,
 )
+from .linalg import echelon
 
 AFFINE = ("x", "y")
 CHART = ("x", "t")
@@ -175,8 +180,9 @@ class MultiPoly:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def __eq__(self, other):
@@ -544,11 +550,9 @@ def biv_gcd(F: MultiPoly, G: MultiPoly) -> MultiPoly:
     B = biv_coeffs(G, y)
     if len(A) < len(B):
         A, B = B, A
-    contA = _content(A, field, x)
-    contB = _content(B, field, x)
+    A, contA = _primitive(A, field, x)
+    B, contB = _primitive(B, field, x)
     cont = uni_gcd(contA, contB)
-    A, _ = _primitive(A, field, x)
-    B, _ = _primitive(B, field, x)
     while True:
         if len(B) == 1:
             # B is a unit times content already removed: gcd in y is trivial
@@ -595,35 +599,6 @@ def squarefree_defect(F: MultiPoly) -> MultiPoly | None:
     return None
 
 
-def _bareiss_det(M, field, var):
-    """Fraction-free determinant of a matrix of UniPoly entries."""
-    n = len(M)
-    if n == 0:
-        return UniPoly(field, (field.one(),), var)
-    M = [row[:] for row in M]
-    sign = 1
-    prev = UniPoly(field, (field.one(),), var)
-    zero = UniPoly.zero(field, var)
-    for k in range(n - 1):
-        if M[k][k].is_zero():
-            pivot = next((i for i in range(k + 1, n) if not M[i][k].is_zero()), None)
-            if pivot is None:
-                return zero
-            M[k], M[pivot] = M[pivot], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = M[k][k] * M[i][j] - M[i][k] * M[k][j]
-                q, r = divmod(num, prev)
-                if not r.is_zero():
-                    raise InternalError("Bareiss division must be exact")
-                M[i][j] = q
-            M[i][k] = zero
-        prev = M[k][k]
-    det = M[n - 1][n - 1]
-    return -det if sign < 0 else det
-
-
 def resultant_biv(F: MultiPoly, G: MultiPoly, main: str) -> UniPoly:
     """Resultant eliminating `main`; the result lives in the other variable."""
     F, G = F._pair(G)
@@ -640,20 +615,17 @@ def resultant_biv(F: MultiPoly, G: MultiPoly, main: str) -> UniPoly:
         return A[0] ** n
     if n == 0:
         return B[0] ** m
+    # the Sylvester matrix on raw coefficient tuples; () is the zero of F[x]
     size = m + n
-    zero = UniPoly.zero(field, co)
-    rows = []
-    for i in range(n):
-        row = [zero] * size
-        for j, c in enumerate(reversed(A)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(m):
-        row = [zero] * size
-        for j, c in enumerate(reversed(B)):
-            row[i + j] = c
-        rows.append(row)
-    return _bareiss_det(rows, field, co)
+    a = [c._values() for c in reversed(A)]
+    b = [c._values() for c in reversed(B)]
+    rows = [[()] * i + a + [()] * (n - 1 - i) for i in range(n)]
+    rows += [[()] * i + b + [()] * (m - 1 - i) for i in range(m)]
+    pivots, sign = echelon(
+        rows, size, partial(_pmul, field), partial(_psub, field), partial(_pdivmod, field)
+    )
+    det = rows[-1][-1] if len(pivots) == size else ()
+    return UniPoly._from_values(field, _psub(field, (), det) if sign < 0 else det, co)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command line behaviour: text formats, JSON schemas, exit codes."""
 
 import ast
+import gc
 import json
 import pathlib
 import subprocess
@@ -349,3 +350,25 @@ def test_no_assert_statements_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["resolve", "y^2-x^5"],
+        ["intersect", "y^2-x^3", "y^2+x^3"],
+        ["noether-check", "X", "Y", "X*Y"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_commands_leave_no_reference_cycles(capsys, argv):
+    # cyclic garbage waits for the collector, so it raises peak memory
+    run(capsys, *argv)  # the first call also builds the process-wide parser
+    gc.collect()
+    gc.disable()
+    try:
+        code, _, _ = run(capsys, *argv)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert code == 0

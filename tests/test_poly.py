@@ -1,8 +1,11 @@
 """Sparse polynomials: parsing, coordinate moves, gcd, resultants."""
 
 import gc
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from planecurves.errors import NotSuitable, ZeroPolynomial
 from planecurves.fields import UniPoly, join_fields
@@ -10,6 +13,7 @@ from planecurves.poly import (
     AFFINE,
     PROJECTIVE,
     MultiPoly,
+    biv_coeffs,
     biv_gcd,
     dehomogenize,
     homogenize,
@@ -93,6 +97,25 @@ class TestArithmetic:
         a = aff("x + 1", F3)
         b = aff("x + 2", F3)
         assert (a + b) == aff("2*x", F3)
+
+    @pytest.mark.parametrize("e, products", [(0, 0), (1, 1), (4, 3), (5, 4)])
+    @pytest.mark.parametrize("cls", [MultiPoly, UniPoly])
+    def test_power_skips_the_final_squaring(self, monkeypatch, cls, e, products):
+        if cls is MultiPoly:
+            base, want = aff("x + y + 1"), aff("1")
+        else:
+            base, want = UniPoly(QQ, (1, 1), "x"), UniPoly(QQ, (1,), "x")
+        for _ in range(e):
+            want = want * base
+        mul, count = cls.__mul__, []
+
+        def counting(a, b):
+            count.append(1)
+            return mul(a, b)
+
+        monkeypatch.setattr(cls, "__mul__", counting)
+        assert base ** e == want
+        assert len(count) == products
 
     def test_mult_at_origin_and_lowest_form(self):
         F = aff("y^2 - x^3 + x^2*y^2")
@@ -201,6 +224,75 @@ class TestGcdResultant:
         # Res_x(y^2 - x^3, x) = y^2 up to sign
         assert R.degree == 2
         assert R.coeff(0).is_zero() and R.coeff(1).is_zero()
+
+
+def sylvester_bareiss(F, G, main):
+    """Reference resultant: Bareiss on the Sylvester matrix of UniPoly entries."""
+    A, B = biv_coeffs(F, main), biv_coeffs(G, main)
+    m, n = len(A) - 1, len(B) - 1
+    field, var = A[0].field, A[0].var
+    zero = UniPoly.zero(field, var)
+    M = [[zero] * i + A[::-1] + [zero] * (n - 1 - i) for i in range(n)]
+    M += [[zero] * i + B[::-1] + [zero] * (m - 1 - i) for i in range(m)]
+    size, sign, prev = m + n, 1, UniPoly(field, (field.one(),), var)
+    for k in range(size - 1):
+        if M[k][k].is_zero():
+            pivot = next((i for i in range(k + 1, size) if not M[i][k].is_zero()), None)
+            if pivot is None:
+                return zero
+            M[k], M[pivot] = M[pivot], M[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                q, r = divmod(M[k][k] * M[i][j] - M[i][k] * M[k][j], prev)
+                assert r.is_zero()
+                M[i][j] = q
+        prev = M[k][k]
+    return M[-1][-1] if sign > 0 else -M[-1][-1]
+
+
+RESULTANT_FIELDS = {
+    "Q": (QQ, [QQ.scalar(c) for c in (-3, -1, 1, 2, Fraction(1, 2))]),
+    "F5": (F5, [F5.scalar(c) for c in range(1, 5)]),
+    "F9": (F9(), None),
+}
+
+
+@st.composite
+def biv_polys(draw, field, coeffs, main, deg=3):
+    """A polynomial in (x, y) of degree 1 to deg in `main`, at most deg in the other."""
+    mi = AFFINE.index(main)
+    exps = [(i, j) for i in range(deg + 1) for j in range(deg + 1)]
+    chosen = draw(st.lists(st.sampled_from(exps), min_size=1, max_size=5, unique=True))
+    top = [0, 0]
+    top[mi] = draw(st.integers(1, deg))
+    chosen.append(tuple(top))
+    return MultiPoly(field, AFFINE, {e: draw(st.sampled_from(coeffs)) for e in chosen})
+
+
+@pytest.mark.parametrize("name", sorted(RESULTANT_FIELDS))
+def test_resultant_agrees_with_bareiss_on_unipoly_entries(name):
+    field, coeffs = RESULTANT_FIELDS[name]
+    coeffs = coeffs or [c for c in field.elements() if not c.is_zero()]
+    seen = {"zero": 0, "nonzero": 0}
+
+    @seed(1968)
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(data=st.data())
+    def check(data):
+        main = data.draw(st.sampled_from(AFFINE))
+        F = data.draw(biv_polys(field, coeffs, main))
+        G = data.draw(biv_polys(field, coeffs, main))
+        if data.draw(st.booleans()):
+            h = data.draw(biv_polys(field, coeffs, main, deg=1))
+            F, G = F * h, G * h
+        R = resultant_biv(F, G, main)
+        want = sylvester_bareiss(F, G, main)
+        assert R == want and str(R) == str(want)
+        seen["zero" if R.is_zero() else "nonzero"] += 1
+
+    check()
+    assert all(seen.values()), seen
 
 
 class TestSquarefree:
