@@ -4,13 +4,16 @@ Each field owns the raw values of its elements and the arithmetic on them:
 a Fraction over Q, an int in [0, p) over F_p, and on an extension level a
 tuple of base raw values, low degree first and trimmed, nesting like the
 tower.  Raw zeros are falsy, all other raw values truthy.  Scalar (a field
-and a raw value) and UniPoly are the API boundary: same-field arithmetic
-calls the field's raw operation, and the univariate kernels loop on raw
-values and wrap their result once.  Mixed-field operations embed along the
+and a raw value) and UniPoly (a field and the trimmed tuple of its
+coefficients' raw values) are the API boundary: same-field arithmetic calls
+the field's raw operation, and the univariate kernels loop on raw value
+tuples and wrap their result once.  Mixed-field operations embed along the
 unique tower inclusion when one exists and raise otherwise, so a wrong-field
 bug surfaces at the first arithmetic step instead of as a wrong answer later.
 
 The univariate layer (UniPoly) provides division, gcd, and factorization.
+One Euclid loop on raw tuples, _pgcd, makes each remainder monic before it
+divides; it serves uni_gcd and the contents of poly.biv_gcd alike.
 Over a finite field factorization is complete: squarefree decomposition,
 then distinct-degree splitting, then equal-degree splitting with a seeded
 deterministic random stream.  Over Q only rational roots are split off;
@@ -310,7 +313,7 @@ class ExtensionField(Field):
         self.base = base
         self.gen_name = gen_name
         self.minpoly = UniPoly(base, minpoly.coeffs, gen_name)
-        self.modulus = self.minpoly._values()
+        self.modulus = self.minpoly.values
         self.degree = len(self.modulus) - 1
         self.raw_one = (base.raw_one,)
         self._describe = f"{base.describe()}[{gen_name}]/({self.minpoly})"
@@ -520,38 +523,39 @@ def scalar_to_str(s: Scalar) -> str:
 class UniPoly:
     """Dense univariate polynomial over an explicit field.
 
-    Coefficients are stored low degree first with trailing zeros trimmed;
-    the zero polynomial has an empty tuple and degree -inf.  Products,
-    sums, division, pow_mod and gcd run on the coefficients' raw values.
+    `values` is the tuple of the coefficients' raw values in `field`, low
+    degree first with trailing zeros trimmed; the zero polynomial has an
+    empty tuple and degree -inf.  Every kernel (products, sums, division, pow_mod, gcd) runs
+    on these tuples, and `coeffs`, `coeff`, `lc` and `eval` wrap Scalars on
+    demand.
     """
 
-    __slots__ = ("field", "var", "coeffs")
+    __slots__ = ("field", "var", "values")
 
     def __init__(self, field: Field, coeffs, var: str = "t"):
-        cs = [field.scalar(c) for c in coeffs]
-        while cs and not cs[-1].value:
-            cs.pop()
+        scalar = field.scalar
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "var", var)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "values", _trim([scalar(c).value for c in coeffs]))
 
     @classmethod
     def _from_values(cls, field: Field, values, var: str) -> "UniPoly":
-        """Wrap trimmed raw values of `field`, skipping coercion."""
+        """Wrap a trimmed tuple of raw values of `field`, skipping coercion."""
         self = object.__new__(cls)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "var", var)
-        # tuples are built from lists here and in the kernels: tuple() of a
-        # generator resizes its result, which fills the tuple free lists
-        object.__setattr__(self, "coeffs", tuple([Scalar(field, v) for v in values]))
+        object.__setattr__(self, "values", values)
         return self
 
     def __setattr__(self, *a):
         raise AttributeError("UniPoly is immutable")
 
-    def _values(self) -> tuple:
-        """The coefficients' raw values, low degree first."""
-        return tuple([c.value for c in self.coeffs])
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as Scalars, low degree first."""
+        # tuples are built from lists here and in the kernels: tuple() of a
+        # generator resizes its result, which fills the tuple free lists
+        return tuple([Scalar(self.field, v) for v in self.values])
 
     @classmethod
     def zero(cls, field, var="t"):
@@ -567,22 +571,22 @@ class UniPoly:
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.values) - 1 if self.values else NEG_INF
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.values
 
     def is_one(self):
-        return len(self.coeffs) == 1 and self.coeffs[0] == self.field.one()
+        return self.values == (self.field.raw_one,)
 
     def lc(self) -> Scalar:
-        if not self.coeffs:
+        if not self.values:
             raise ZeroPolynomial("leading coefficient of 0")
-        return self.coeffs[-1]
+        return Scalar(self.field, self.values[-1])
 
     def coeff(self, k: int) -> Scalar:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.values):
+            return Scalar(self.field, self.values[k])
         return self.field.zero()
 
     def _pair(self, other):
@@ -605,7 +609,7 @@ class UniPoly:
         if p is None:
             return NotImplemented
         a, b = p
-        return UniPoly._from_values(a.field, op(a.field, a._values(), b._values()), a.var)
+        return UniPoly._from_values(a.field, op(a.field, a.values, b.values), a.var)
 
     def map_field(self, target: Field) -> "UniPoly":
         if target == self.field:
@@ -618,7 +622,7 @@ class UniPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return UniPoly._from_values(self.field, _psub(self.field, (), self._values()), self.var)
+        return UniPoly._from_values(self.field, _psub(self.field, (), self.values), self.var)
 
     def __sub__(self, other):
         return self._kernel(other, _psub)
@@ -636,7 +640,7 @@ class UniPoly:
         if p is None:
             return NotImplemented
         a, b = p
-        q, r = _pdivmod(a.field, a._values(), b._values())
+        q, r = _pdivmod(a.field, a.values, b.values)
         return UniPoly._from_values(a.field, q, a.var), UniPoly._from_values(a.field, r, a.var)
 
     def __floordiv__(self, other):
@@ -658,9 +662,9 @@ class UniPoly:
 
     def pow_mod(self, e: int, modulus: "UniPoly") -> "UniPoly":
         a, m = self._pair(modulus)
-        F, m = a.field, m._values()
+        F, m = a.field, m.values
         result = _pdivmod(F, (F.raw_one,), m)[1]
-        base = _pdivmod(F, a._values(), m)[1]
+        base = _pdivmod(F, a.values, m)[1]
         while e:
             if e & 1:
                 result = _pdivmod(F, _pmul(F, result, base), m)[1]
@@ -672,21 +676,19 @@ class UniPoly:
     def monic(self) -> "UniPoly":
         if self.is_zero():
             raise ZeroPolynomial("monic of 0")
-        return UniPoly._from_values(self.field, _pmonic(self.field, self._values()), self.var)
+        return UniPoly._from_values(self.field, _pmonic(self.field, self.values), self.var)
 
     def derivative(self) -> "UniPoly":
-        return UniPoly(
-            self.field,
-            [self.field.scalar(k) * c for k, c in enumerate(self.coeffs)][1:],
-            self.var,
-        )
+        F = self.field
+        d = [F.mul(F.raw(k), v) for k, v in enumerate(self.values)][1:]
+        return UniPoly._from_values(F, _trim(d), self.var)
 
     def eval(self, a) -> Scalar:
-        a = self.field.scalar(a) if not isinstance(a, Scalar) else a
-        acc = self.field.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * a + c
-        return acc
+        F = join_fields(self.field, a.field) if isinstance(a, Scalar) else self.field
+        a, acc = F.scalar(a).value, F.raw_zero
+        for v in reversed(self.map_field(F).values):
+            acc = F.add(F.mul(acc, a), v)
+        return Scalar(F, acc)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -697,16 +699,29 @@ class UniPoly:
             a, b = self._pair(other)
         except IncompatibleFields:
             return False
-        return a.coeffs == b.coeffs
+        return a.values == b.values
 
     def __hash__(self):
-        return hash((self.var, self.coeffs))
+        # hash_value keeps the hash of equal polynomials over a tower alike
+        return hash((self.var, tuple([self.field.hash_value(v) for v in self.values])))
 
     def __str__(self):
-        return _poly_str(self.field, self._values(), self.var)
+        return _poly_str(self.field, self.values, self.var)
 
     def __repr__(self):
         return f"UniPoly({self}, {self.field.describe()})"
+
+
+def _pgcd(F, u, v) -> tuple:
+    """Monic gcd of raw coefficient sequences; () for gcd(0, 0).
+
+    Each remainder is made monic before it divides: the gcd is the same, and
+    over Q the coefficients stay small instead of growing at every step.
+    """
+    while v:
+        v = _pmonic(F, v)
+        u, v = v, _pdivmod(F, u, v)[1]
+    return _pmonic(F, u) if u else ()
 
 
 def uni_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
@@ -714,10 +729,7 @@ def uni_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     if not isinstance(b, UniPoly):
         b = UniPoly(a.field, (a.field.scalar(b),), a.var)
     a, b = a._pair(b)
-    F, u, v = a.field, a._values(), b._values()
-    while v:
-        u, v = v, _pdivmod(F, u, v)[1]
-    return UniPoly._from_values(F, _pmonic(F, u) if u else u, a.var)
+    return UniPoly._from_values(a.field, _pgcd(a.field, a.values, b.values), a.var)
 
 
 def _divisors(n: int) -> list:
@@ -770,9 +782,9 @@ def _rational_roots_split(g: UniPoly):
     if g.degree < 1:
         return roots, g
     denom_lcm = 1
-    for c in g.coeffs:
-        denom_lcm = denom_lcm * c.value.denominator // math.gcd(denom_lcm, c.value.denominator)
-    ints = [int(c.value * denom_lcm) for c in g.coeffs]
+    for c in g.values:
+        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
+    ints = [int(c * denom_lcm) for c in g.values]
     a0, an = ints[0], ints[-1]
     candidates = []
     for p in _divisors(a0):
@@ -793,7 +805,7 @@ def _rational_roots_split(g: UniPoly):
 def _pth_root(f: UniPoly) -> UniPoly:
     p = f.field.characteristic()
     inv_frob = f.field.order() // p
-    if any(c for k, c in enumerate(f.coeffs) if k % p):
+    if any(c for k, c in enumerate(f.values) if k % p):
         raise ValueError("not a p-th power")
     return UniPoly(f.field, [c ** inv_frob for c in f.coeffs[::p]], f.var)
 

@@ -119,15 +119,6 @@ def _pair_candidates(field: Field):
     return gen_finite()
 
 
-def _as_tz(P: MultiPoly) -> MultiPoly:
-    # specialize X = 1, keep (Y, Z) as the bivariate pair (t, Z)
-    terms = {}
-    for (i, j, k), c in P.terms.items():
-        key = (j, k)
-        terms[key] = terms[key] + c if key in terms else c
-    return MultiPoly(P.field, ("t", "Z"), terms)
-
-
 def _z_fiber(P: MultiPoly, x0: Scalar, y0: Scalar) -> UniPoly:
     # P(x0, y0, Z) as a univariate polynomial in Z
     field = join_fields(P.field, join_fields(x0.field, y0.field))
@@ -226,7 +217,9 @@ def _common_points_core(F: MultiPoly, G: MultiPoly, fld: Field, add):
     if Fp.coeff((0, 0, n)).is_zero() or Gp.coeff((0, 0, m)).is_zero():
         raise InternalError("the shifted curves still pass through [0 : 0 : 1]")
 
-    R1 = resultant_biv(_as_tz(Fp), _as_tz(Gp), main="Z")
+    # X = 1 leaves (Y, Z) as the bivariate pair (t, Z)
+    Ft, Gt = (dehomogenize(P, "X").rename(("t", "Z")) for P in (Fp, Gp))
+    R1 = resultant_biv(Ft, Gt, main="Z")
     if R1.is_zero():
         raise InternalError("resultant of coprime forms vanished")
     directions = []

@@ -28,13 +28,13 @@ from .fields import (
     UniPoly,
     _needs_parens,
     _pdivmod,
+    _pgcd,
     _pmul,
     _psub,
     extend_field,
     find_irreducible,
     join_fields,
     scalar_to_str,
-    uni_gcd,
 )
 from .linalg import echelon
 
@@ -450,7 +450,7 @@ def make_suitable(F: MultiPoly):
 
 
 # ---------------------------------------------------------------------------
-# bivariate gcd and resultants (UniPoly-coefficient representation)
+# bivariate gcd and resultants (rows of raw F[x] tuples)
 # ---------------------------------------------------------------------------
 
 
@@ -463,109 +463,85 @@ def biv_coeffs(F: MultiPoly, main: str) -> list:
     co = F.variables[ci]
     dm = F.degree_in(main)
     n = 0 if dm == NEG_INF else int(dm)
-    rows = [dict() for _ in range(n + 1)]
+    zero = F.field.raw_zero
+    rows = [[] for _ in range(n + 1)]
     for e, c in F.terms.items():
-        rows[e[mi]][e[ci]] = c
-    out = []
-    for row in rows:
-        if row:
-            deg = max(row)
-            coeffs = [row.get(k, F.field.zero()) for k in range(deg + 1)]
-        else:
-            coeffs = []
-        out.append(UniPoly(F.field, coeffs, co))
-    return out
+        row, k = rows[e[mi]], e[ci]
+        if len(row) <= k:
+            row.extend([zero] * (k + 1 - len(row)))
+        row[k] = c.value
+    # terms hold no zeros, so each row ends in a nonzero value
+    return [UniPoly._from_values(F.field, tuple(row), co) for row in rows]
 
 
-def from_biv_coeffs(field, coeffs, main: str, variables) -> MultiPoly:
-    mi = list(variables).index(main)
-    terms = {}
-    for k, u in enumerate(coeffs):
-        for j, c in enumerate(u.coeffs):
-            if c.is_zero():
-                continue
-            e = [0, 0]
-            e[mi] = k
-            e[1 - mi] = j
-            terms[tuple(e)] = c
-    return MultiPoly(field, variables, terms)
-
-
-def _uni_list_trim(cs):
-    while cs and cs[-1].is_zero():
-        cs.pop()
-    return cs
-
-
-def _pseudo_rem(A: list, B: list, field, var) -> list:
-    """Pseudo-remainder of UniPoly-coefficient lists (main-variable dense)."""
-    A = list(A)
+def _pseudo_rem(field, A: list, B: list) -> list:
+    """Pseudo-remainder of A by B, each a list of raw F[x] tuples indexed by y-degree."""
     db = len(B) - 1
     lb = B[-1]
-    while len(A) - 1 >= db and A:
+    while len(A) > db:
         la = A[-1]
         shift = len(A) - 1 - db
-        A = [c * lb for c in A]
-        for j in range(db + 1):
-            A[shift + j] = A[shift + j] - la * B[j]
-        A.pop()
-        _uni_list_trim(A)
-        if not A:
-            break
+        # lb * A - la * y^shift * B, whose top coefficient cancels
+        A = [_pmul(field, c, lb) for c in A[:-1]]
+        for j in range(db):
+            A[shift + j] = _psub(field, A[shift + j], _pmul(field, la, B[j]))
+        while A and not A[-1]:
+            A.pop()
     return A
 
 
-def _content(coeffs: list, field, co_var) -> UniPoly:
-    g = UniPoly.zero(field, co_var)
-    for c in coeffs:
-        g = uni_gcd(g, c)
-        if g.degree == 0:
-            break
-    return g
-
-
-def _primitive(coeffs: list, field, co_var):
-    g = _content(coeffs, field, co_var)
-    if g.is_zero() or g.is_one():
-        return list(coeffs), g
+def _primitive(field, rows: list):
+    """(rows divided by their content, the content): the content is their monic gcd."""
+    g = ()
+    for c in rows:
+        g = _pgcd(field, g, c)
+        if len(g) == 1:
+            return rows, g
     out = []
-    for c in coeffs:
-        q, r = divmod(c, g)
-        if not r.is_zero():
+    for c in rows:
+        q, r = _pdivmod(field, c, g)
+        if r:
             raise InternalError("content division must be exact")
         out.append(q)
     return out, g
 
 
 def biv_gcd(F: MultiPoly, G: MultiPoly) -> MultiPoly:
-    """Gcd of two bivariate polynomials, primitive with monic leading part."""
+    """Gcd of two bivariate polynomials, primitive with monic leading part.
+
+    A primitive pseudo-remainder sequence in y over F[x]; every remainder
+    is divided by its content, and the gcd of the inputs' contents is
+    multiplied back at the end.
+    """
     if F.is_zero():
         return _normalize_biv(G)
     if G.is_zero():
         return _normalize_biv(F)
     F, G = F._pair(G)
     field = F.field
-    x, y = F.variables
-    A = biv_coeffs(F, y)
-    B = biv_coeffs(G, y)
+    y = F.variables[1]
+    A = [c.values for c in biv_coeffs(F, y)]
+    B = [c.values for c in biv_coeffs(G, y)]
     if len(A) < len(B):
         A, B = B, A
-    A, contA = _primitive(A, field, x)
-    B, contB = _primitive(B, field, x)
-    cont = uni_gcd(contA, contB)
-    while True:
-        if len(B) == 1:
-            # B is a unit times content already removed: gcd in y is trivial
-            prim = [UniPoly(field, (field.one(),), x)]
-            break
-        R = _pseudo_rem(A, B, field, x)
+    A, contA = _primitive(field, A)
+    B, contB = _primitive(field, B)
+    cont = _pgcd(field, contA, contB)
+    # B is always primitive, so when the sequence ends it is the gcd's primitive part
+    while len(B) > 1:
+        R = _pseudo_rem(field, A, B)
         if not R:
-            prim, _ = _primitive(B, field, x)
             break
-        R, _ = _primitive(R, field, x)
-        A, B = B, R
-    g_coeffs = [c * cont for c in prim]
-    return _normalize_biv(from_biv_coeffs(field, g_coeffs, y, F.variables))
+        A, B = B, _primitive(field, R)[0]
+    if len(B) == 1:
+        # B is a unit times content already removed: gcd in y is trivial
+        B = [(field.raw_one,)]
+    terms = {}
+    for k, c in enumerate(B):
+        for j, v in enumerate(_pmul(field, c, cont)):
+            if v:
+                terms[(j, k)] = Scalar(field, v)
+    return _normalize_biv(MultiPoly(field, F.variables, terms))
 
 
 def _normalize_biv(F: MultiPoly) -> MultiPoly:
@@ -617,8 +593,8 @@ def resultant_biv(F: MultiPoly, G: MultiPoly, main: str) -> UniPoly:
         return B[0] ** m
     # the Sylvester matrix on raw coefficient tuples; () is the zero of F[x]
     size = m + n
-    a = [c._values() for c in reversed(A)]
-    b = [c._values() for c in reversed(B)]
+    a = [c.values for c in reversed(A)]
+    b = [c.values for c in reversed(B)]
     rows = [[()] * i + a + [()] * (n - 1 - i) for i in range(n)]
     rows += [[()] * i + b + [()] * (m - 1 - i) for i in range(m)]
     pivots, sign = echelon(

@@ -372,3 +372,30 @@ def test_commands_leave_no_reference_cycles(capsys, argv):
     finally:
         gc.enable()
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bezout", "Y*Z-X^2", "10*X^2+9*X*Y+2*X*Z+3*Y^2+8*Y*Z+4*Z^2", "--field", "p:11"],
+        [
+            "bezout",
+            "Y*Z-X^2",
+            "7*X^2*Y+10*X^2*Z+6*X*Y^2+6*X*Y*Z+11*X*Z^2+5*Y^3+7*Y^2*Z+9*Y*Z^2+3*Z^3",
+            "--field",
+            "p:13",
+            "--json",
+        ],
+        ["genus", "Y^2*Z+X^2*Z-X^3", "--field", "p:7"],
+        ["genus", "X^3+Y^3+Z^3", "--field", "p:7", "--json"],
+    ],
+    ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
+)
+def test_seed_changes_no_result(capsys, argv):
+    # each call splits factors of equal degree with random draws, which the
+    # seed changes; the factors come back sorted, so the points and the tower
+    # they live in stay the same
+    want = run(capsys, *argv)
+    assert want[0] == 0
+    for s in ("1", "7", "12345"):
+        assert run(capsys, *argv, "--seed", s) == want

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import Phase, given, seed, settings
@@ -385,3 +386,119 @@ class TestTowerArithmetic:
         assert str(z2 * z2) == "(2*z1)*z2+2*z1"
         assert str(-(z1 + 1) * z2) == "(2*z1+2)*z2"
         assert str(M.zero()) == "0" and str(M.embed(F3.scalar(2))) == "2"
+
+
+class TestUniPolyStorage:
+    def test_subfield_scalars_are_embedded(self):
+        K = F9()
+        z = K.generator()
+        f = UniPoly(K, [F3.scalar(2), z, 1])
+        assert f.values == ((2,), (0, 1), (1,))
+        assert all(c.field is K for c in f.coeffs)
+        assert f.coeffs[0] == F3.scalar(2)
+
+    def test_trailing_zeros_are_trimmed(self):
+        assert T(QQ, 1, 2, 0, 0).values == (Fraction(1), Fraction(2))
+        assert T(F5, 3, 5, 10).values == (3,)
+        assert T(F5, 0, 5).values == () and T(F5, 0, 5).is_zero()
+        assert T(F5, 0, 5).degree == float("-inf")
+
+    @pytest.mark.parametrize("field", [QQ, F7, F9()], ids=["Q", "F7", "F9"])
+    def test_coeffs_agree_with_coeff(self, field):
+        f = T(field, 3, 0, field.scalar(2) / 5, 1)
+        assert len(f.coeffs) == 4
+        for k, c in enumerate(f.coeffs):
+            assert c == f.coeff(k) and c.field is field
+        assert f.coeff(4).is_zero() and f.coeff(-1).is_zero()
+        assert f.lc() == f.coeffs[-1]
+
+    @pytest.mark.parametrize("field", [QQ, F5, F9()], ids=["Q", "F5", "F9"])
+    def test_only_one_is_one(self, field):
+        assert UniPoly(field, [1]).is_one()
+        assert not UniPoly(field, [2]).is_one()
+        assert not UniPoly(field, [1, 1]).is_one()
+        assert not UniPoly(field, []).is_one()
+
+    @pytest.mark.parametrize("field", [QQ, F7, F9()], ids=["Q", "F7", "F9"])
+    def test_kernel_and_constructor_results_hash_alike(self, field):
+        f = T(field, 1, 1) * T(field, -1, 1)
+        g = T(field, -1, 0, 1)
+        assert f == g and hash(f) == hash(g)
+        assert len({f, g, uni_gcd(f * T(field, 2, 1), g)}) == 1
+
+    def test_equal_over_a_tower_hash_alike(self):
+        f = T(F3, 1, 2, 1)
+        lifted = f.map_field(F9())
+        assert lifted.field != F3 and lifted == f and hash(lifted) == hash(f)
+
+
+def euclid_gcd(a, b):
+    """Reference gcd: Euclid on plain remainders, made monic at the end."""
+    while not b.is_zero():
+        a, b = b, a % b
+    return a if a.is_zero() else a.monic()
+
+
+GCD_FIELDS = {
+    "Q": (QQ, [QQ.scalar(c) for c in (-3, -1, 0, 1, 2, Fraction(1, 2), Fraction(-5, 7))]),
+    "F7": (F7, list(F7.elements())),
+    "F9": (F9(), list(F9().elements())),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GCD_FIELDS))
+def test_uni_gcd_agrees_with_plain_euclid(name):
+    field, elems = GCD_FIELDS[name]
+    polys = st.lists(st.sampled_from(elems), max_size=5).map(lambda cs: UniPoly(field, cs))
+    seen = {"zero input": 0, "common factor": 0}
+
+    @seed(1937)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(a=polys, b=polys, h=polys)
+    def check(a, b, h):
+        if not h.is_zero():
+            a, b = a * h, b * h
+        g = uni_gcd(a, b)
+        want = euclid_gcd(a, b)
+        assert g == want and str(g) == str(want)
+        if not g.is_zero():
+            assert g.lc() == field.one()
+            assert (a % g).is_zero() and (b % g).is_zero()
+        seen["zero input"] += a.is_zero() or b.is_zero()
+        seen["common factor"] += g.degree >= 1
+
+    check()
+    assert all(seen.values()), seen
+
+
+def test_gcd_over_q_divides_only_by_monic_remainders(monkeypatch):
+    # monic remainders keep Euclid's coefficients small over Q
+    divisors = []
+    original = fields._pdivmod
+
+    def recording(F, a, b):
+        if F is QQ:
+            divisors.append(b)
+        return original(F, a, b)
+
+    monkeypatch.setattr(fields, "_pdivmod", recording)
+    f = T(QQ, 1, 1) * T(QQ, 2, 0, 3) * T(QQ, 7, 5, 0, 11)
+    g = T(QQ, 1, 1) * T(QQ, 3, 0, 3, 2)
+    assert uni_gcd(f, g) == T(QQ, 1, 1)
+    assert uni_gcd(T(QQ, 4, 6), T(QQ, 2, 3)) == T(QQ, Fraction(2, 3), 1)
+    assert divisors and all(b[-1] == 1 for b in divisors), divisors
+
+
+@pytest.mark.parametrize("name", ["F5", "F9"])
+def test_factor_seed_picks_only_the_random_stream(name):
+    # several irreducibles of one degree make the equal-degree split draw
+    # random polynomials; the factors come back sorted whatever was drawn
+    field, irreducibles = monic_irreducibles(name)
+    planted = [g for g in irreducibles if g.degree == 2][:3]
+    planted += [g for g in irreducibles if g.degree == 1][:3]
+    f = T(field, 2)
+    for g in planted:
+        f = f * g
+    results = [[(str(g), m) for g, m in uni_factor(f, seed=s)[1]] for s in (None, 1, 7, 12345)]
+    assert all(r == results[0] for r in results)
+    assert sorted(results[0]) == sorted((str(g), 1) for g in planted)

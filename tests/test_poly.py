@@ -8,7 +8,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from planecurves.errors import NotSuitable, ZeroPolynomial
-from planecurves.fields import UniPoly, join_fields
+from planecurves.fields import UniPoly, join_fields, uni_gcd
 from planecurves.poly import (
     AFFINE,
     PROJECTIVE,
@@ -316,3 +316,112 @@ class TestSquarefree:
         # x^3 + y^3 = (x+y)^3 over F_3
         d = squarefree_defect(aff("x^3 + y^3", F3))
         assert d is not None
+
+
+def unipoly_prs_gcd(F, G):
+    """Reference bivariate gcd: the primitive PRS on lists of UniPoly coefficients."""
+
+    def trim(cs):
+        while cs and cs[-1].is_zero():
+            cs.pop()
+        return cs
+
+    def pseudo_rem(A, B):
+        A = list(A)
+        db, lb = len(B) - 1, B[-1]
+        while len(A) - 1 >= db and A:
+            la, shift = A[-1], len(A) - 1 - db
+            A = [c * lb for c in A]
+            for j in range(db + 1):
+                A[shift + j] = A[shift + j] - la * B[j]
+            A.pop()
+            trim(A)
+        return A
+
+    def primitive(cs, var):
+        g = UniPoly.zero(field, var)
+        for c in cs:
+            g = uni_gcd(g, c)
+        if g.is_zero() or g.is_one():
+            return list(cs), g
+        out = []
+        for c in cs:
+            q, r = divmod(c, g)
+            assert r.is_zero()
+            out.append(q)
+        return out, g
+
+    if F.is_zero() or G.is_zero():
+        return normalized(G if F.is_zero() else F)
+    F, G = F._pair(G)
+    field = F.field
+    x, y = F.variables
+    A, B = biv_coeffs(F, y), biv_coeffs(G, y)
+    if len(A) < len(B):
+        A, B = B, A
+    A, contA = primitive(A, x)
+    B, contB = primitive(B, x)
+    cont = uni_gcd(contA, contB)
+    while True:
+        if len(B) == 1:
+            prim = [UniPoly(field, (field.one(),), x)]
+            break
+        R = pseudo_rem(A, B)
+        if not R:
+            prim, _ = primitive(B, x)
+            break
+        A, B = B, primitive(R, x)[0]
+    terms = {}
+    for k, u in enumerate(prim):
+        for j, c in enumerate((u * cont).coeffs):
+            terms[(j, k)] = c
+    return normalized(MultiPoly(field, F.variables, terms))
+
+
+def normalized(P):
+    """P divided by its leading coefficient in degree-then-reverse-lex order."""
+    if P.is_zero():
+        return P
+    lead = max(P.terms, key=lambda e: (sum(e), e))
+    return P * P.terms[lead].inverse()
+
+
+def divides(g, P):
+    """Whether g divides P: one polynomial is a Groebner basis of its ideal."""
+
+    def lead(Q):
+        return max(Q.terms, key=lambda e: (e[1], e[0]))
+
+    eg = lead(g)
+    while not P.is_zero():
+        e = lead(P)
+        if e[0] < eg[0] or e[1] < eg[1]:
+            return False
+        quotient = {(e[0] - eg[0], e[1] - eg[1]): P.terms[e] / g.terms[eg]}
+        P = P - MultiPoly(P.field, P.variables, quotient) * g
+    return True
+
+
+@pytest.mark.parametrize("name", sorted(RESULTANT_FIELDS))
+def test_biv_gcd_agrees_with_the_unipoly_prs(name):
+    field, coeffs = RESULTANT_FIELDS[name]
+    coeffs = coeffs or [c for c in field.elements() if not c.is_zero()]
+    seen = {"trivial": 0, "planted": 0}
+
+    @seed(1890)
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(data=st.data())
+    def check(data):
+        F = data.draw(biv_polys(field, coeffs, "y", deg=2))
+        G = data.draw(biv_polys(field, coeffs, data.draw(st.sampled_from(AFFINE)), deg=2))
+        if data.draw(st.booleans()):
+            h = data.draw(biv_polys(field, coeffs, data.draw(st.sampled_from(AFFINE)), deg=1))
+            F, G = F * h, G * h
+        g = biv_gcd(F, G)
+        want = unipoly_prs_gcd(F, G)
+        assert g == want and str(g) == str(want)
+        assert divides(g, F) and divides(g, G)
+        seen["trivial" if g.total_degree() == 0 else "planted"] += 1
+
+    check()
+    assert all(seen.values()), seen
