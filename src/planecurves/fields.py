@@ -18,7 +18,12 @@ Over a finite field factorization is complete: squarefree decomposition,
 then distinct-degree splitting, then equal-degree splitting with a seeded
 deterministic random stream.  Over Q only rational roots are split off;
 a residual factor of degree >= 2 is returned whole and callers that need
-an actual point raise NonRationalPoint.
+an actual point raise NonRationalPoint.  The rational roots of a squarefree
+factor come from its roots modulo the first good prime p (one that keeps
+the leading coefficient and squarefreeness), lifted p-adically by Newton's
+iteration past twice |leading * constant coefficient| and read back as
+rationals; only a candidate at which the factor vanishes exactly is kept.
+This needs no random choice and no divisor of any coefficient.
 
 Roots over a finite field come from one factorization over the input
 field.  Adjoining an irreducible factor g of degree d over F_q gives its d
@@ -732,18 +737,6 @@ def uni_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     return UniPoly._from_values(a.field, _pgcd(a.field, a.values, b.values), a.var)
 
 
-def _divisors(n: int) -> list:
-    n = abs(n)
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
-
-
 def _squarefree_decomposition(f: UniPoly):
     """[(squarefree factor, multiplicity)] of a monic f, by Yun's loop.
 
@@ -771,7 +764,9 @@ def _squarefree_decomposition(f: UniPoly):
 def _rational_roots_split(g: UniPoly):
     """Split the rational roots off a squarefree monic g over Q.
 
-    Returns (roots, residual) where residual has no rational roots.
+    Returns (roots, residual) where residual has no rational roots.  The
+    candidates come from _padic_root_candidates; each one is kept only when
+    g vanishes at it exactly.
     """
     field = g.field
     roots = []
@@ -781,25 +776,87 @@ def _rational_roots_split(g: UniPoly):
         g = g // UniPoly(field, (0, 1), g.var)
     if g.degree < 1:
         return roots, g
-    denom_lcm = 1
-    for c in g.values:
-        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in g.values]
-    a0, an = ints[0], ints[-1]
-    candidates = []
-    for p in _divisors(a0):
-        for q in _divisors(an):
-            if math.gcd(p, q) == 1:
-                candidates.append(Fraction(p, q))
-                candidates.append(Fraction(-p, q))
-    for cand in candidates:
-        if g.degree < 1:
-            break
+    for cand in _padic_root_candidates(g.values):
         root = field.scalar(cand)
         if g.eval(root).is_zero():
             roots.append(root)
             g = g // UniPoly(field, (-root, field.one()), g.var)
     return roots, g
+
+
+def _padic_root_candidates(values) -> list:
+    """A list of rationals holding every rational root of a squarefree g
+    over Q with g(0) != 0, given g's raw coefficients (Loos, SIAM J. Comput.
+    12, 1983).
+
+    With denominators and content cleared, g has integer coefficients
+    a_0..a_n, and a root u/v in lowest terms has v | a_n and u | a_0, so
+    a_n*u/v is an integer of absolute value at most |a_n*a_0|.  Modulo a
+    good prime p (_good_prime) every rational root reduces to a simple root
+    of g mod p.  Newton's iteration lifts each simple root r to the unique
+    root mod p^k above it, and once p^k > 2|a_n*a_0| the symmetric residue
+    of a_n*r mod p^k is a_n*u/v when r came from u/v.  A residue beyond
+    |a_n*a_0| comes from no rational root and is dropped; the others are
+    only candidates, for the caller's exact check.
+    """
+    den = math.lcm(*[c.denominator for c in values])
+    a = [int(c * den) for c in values]
+    content = math.gcd(*a)
+    a = [c // content for c in a]
+    da = [k * c for k, c in enumerate(a)][1:]
+    p = _good_prime(a, da)
+    ap = [c % p for c in a]
+    bound = abs(a[-1] * a[0])
+    out = []
+    # p is small (the primes below it multiply to at most |res(g, g')|), so
+    # the roots mod p are found by trying every residue
+    for r in range(p):
+        if _int_eval(ap, r) % p:
+            continue
+        m = p
+        while m <= 2 * bound:
+            m *= m
+            r = (r - _int_eval(a, r) * pow(_int_eval(da, r), -1, m)) % m
+        s = a[-1] * r % m
+        s = s - m if 2 * s > m else s
+        if abs(s) <= bound:
+            out.append(Fraction(s, a[-1]))
+    return out
+
+
+def _int_eval(a, r: int) -> int:
+    acc = 0
+    for c in reversed(a):
+        acc = acc * r + c
+    return acc
+
+
+def _good_prime(a, da) -> int:
+    """The first prime p not dividing a[-1] such that the integer polynomial
+    a (derivative da) stays squarefree modulo p.
+
+    Every other prime divides res(a, da) = +-a_n*disc(a), which is nonzero
+    for squarefree a and, by Hadamard's bound on the Sylvester matrix, at
+    most |a|_2^(n-1) * |da|_2^n.  So the product of the primes passed over
+    stays within that bound, and the search raises instead of running on
+    when it does not.
+    """
+    n = len(a) - 1
+    bound_sq = sum(c * c for c in a) ** (n - 1) * sum(c * c for c in da) ** n
+    passed = 1
+    p = 1
+    while True:
+        p += 1
+        if not _is_prime(p):
+            continue
+        if a[-1] % p:
+            F = PrimeField(p)
+            ap = _trim([c % p for c in a])
+            if len(_pgcd(F, ap, _trim([c % p for c in da]))) == 1:
+                return p
+        passed *= p
+        if passed * passed > bound_sq:
+            raise InternalError(f"no good prime for a squarefree polynomial of degree {n}")
 
 
 def _pth_root(f: UniPoly) -> UniPoly:
@@ -872,7 +929,10 @@ def uni_factor(f: UniPoly, seed=None):
     The product of the factors with multiplicity, times the unit, is f.
     Over a finite field every factor is irreducible.  Over Q the rational
     roots come off as linear factors and a residual without rational roots
-    is returned whole (its full factorization is out of scope here).
+    is returned whole (its full factorization is out of scope here).  Those
+    roots are found per squarefree part by _rational_roots_split: roots
+    modulo a good prime, lifted p-adically and checked exactly; seed plays
+    no part over Q.
     """
     if f.is_zero():
         raise ZeroPolynomial("cannot factor 0")
@@ -901,7 +961,8 @@ def uni_factor(f: UniPoly, seed=None):
 
 
 def is_irreducible(f: UniPoly) -> bool:
-    """Rabin's test over finite fields; root test for degree <= 3 over Q."""
+    """Rabin's test over finite fields; over Q, for degree <= 3, squarefree
+    with no rational root."""
     if f.is_zero() or f.degree < 1:
         return False
     if f.degree == 1:
@@ -909,6 +970,8 @@ def is_irreducible(f: UniPoly) -> bool:
     if isinstance(f.field, RationalField):
         if f.degree > 3:
             raise ValueError("irreducibility over Q is only certified up to degree 3")
+        if uni_gcd(f, f.derivative()).degree >= 1:
+            return False
         roots, _ = _rational_roots_split(f.monic())
         return not roots
     q = f.field.order()

@@ -276,9 +276,14 @@ def _certify_irreducible(F: MultiPoly):
     """Raise Reducible unless F passes the (partial) irreducibility guard.
 
     A repeated factor is always detected.  Full irreducibility is certified
-    when some specialized fiber of full degree is irreducible: over a finite
-    field that test is exact for any degree, over Q only up to cubics, so
-    higher-degree rational inputs need assume_irreducible.
+    when some specialized fiber of full degree is irreducible, which implies
+    that F is.  The test is one-sided: a reducible fiber proves nothing.
+    Over a finite field the fibers are factored completely, but an
+    irreducible F can still have no irreducible fiber: when p = 2 mod 3,
+    cubing is a bijection of F_p, so y^3 + c always has a root and the Fermat
+    cubic is never certified.  Over Q a residual without rational roots is
+    only known irreducible up to cubics, so higher-degree rational inputs
+    need assume_irreducible.
     """
     n = F.total_degree()
     if n == 1:

@@ -649,13 +649,50 @@ def _generator_table(field: Field):
     return gens
 
 
+# raw term dicts {exponent tuple: raw value}: sums and products keep the key
+# order of MultiPoly's own + and *, and drop zero coefficients
+
+
+def _dadd(F, a: dict, b: dict) -> dict:
+    add = F.add
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = add(out[e], c) if e in out else c
+    return {e: c for e, c in out.items() if c}
+
+
+def _dneg(F, a: dict) -> dict:
+    neg = F.neg
+    return {e: neg(c) for e, c in a.items()}
+
+
+def _dmul(F, a: dict, b: dict) -> dict:
+    add, mul = F.add, F.mul
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple([i + j for i, j in zip(ea, eb)])
+            c = mul(ca, cb)
+            out[e] = add(out[e], c) if e in out else c
+    return {e: c for e, c in out.items() if c}
+
+
 class _Parser:
+    """Recursive descent over the token list.
+
+    Every rule returns a dict {exponent tuple: raw value of the field}.  A
+    number is coerced once, where it is read; a product of atoms such as
+    123*X^2*Y*Z^3 multiplies one-term dicts, so it stays one term, and the
+    MultiPoly is built once, from the whole expression.
+    """
+
     def __init__(self, tokens, field, variables, gens):
         self.tokens = tokens
         self.pos = 0
         self.field = field
         self.variables = variables
         self.gens = gens
+        self.unit = (0,) * len(variables)
         self.varmap = {}
         for v in variables:
             self.varmap[v.lower()] = v
@@ -670,22 +707,24 @@ class _Parser:
         return tok
 
     def parse(self) -> MultiPoly:
-        p = self.expr()
+        terms = self.expr()
         if self.peek()[0] != "end":
             raise ValueError(f"trailing input near token {self.peek()[1]!r}")
-        return p
+        F = self.field
+        return MultiPoly(F, self.variables, {e: Scalar(F, c) for e, c in terms.items()})
 
     def expr(self):
+        F = self.field
         sign = 1
         if self.peek()[0] in "+-":
             sign = -1 if self.take()[0] == "-" else 1
         acc = self.term()
         if sign < 0:
-            acc = -acc
+            acc = _dneg(F, acc)
         while self.peek()[0] in "+-":
             op = self.take()[0]
             t = self.term()
-            acc = acc - t if op == "-" else acc + t
+            acc = _dadd(F, acc, _dneg(F, t) if op == "-" else t)
         return acc
 
     def term(self):
@@ -694,11 +733,9 @@ class _Parser:
             kind = self.peek()[0]
             if kind == "*":
                 self.take()
-                acc = acc * self.factor()
-            elif kind in ("num", "name", "("):
-                acc = acc * self.factor()
-            else:
+            elif kind not in ("num", "name", "("):
                 return acc
+            acc = _dmul(self.field, acc, self.factor())
 
     def factor(self):
         base = self.atom()
@@ -707,8 +744,20 @@ class _Parser:
             kind, val = self.take()
             if kind != "num":
                 raise ValueError("exponent must be a nonnegative integer")
-            base = base ** val
+            F = self.field
+            result = {self.unit: F.raw_one}
+            while val:
+                if val & 1:
+                    result = _dmul(F, result, base)
+                val >>= 1
+                if val:
+                    base = _dmul(F, base, base)
+            base = result
         return base
+
+    def constant(self, value):
+        v = self.field.scalar(value).value
+        return {self.unit: v} if v else {}
 
     def atom(self):
         kind, val = self.take()
@@ -718,15 +767,17 @@ class _Parser:
                 k2, v2 = self.take()
                 if k2 != "num" or v2 == 0:
                     raise ValueError("malformed rational coefficient")
-                return MultiPoly.constant(self.field, Fraction(val, v2), self.variables)
-            return MultiPoly.constant(self.field, val, self.variables)
+                return self.constant(Fraction(val, v2))
+            return self.constant(val)
         if kind == "name":
             if val in self.gens:
-                return MultiPoly.constant(self.field, self.gens[val], self.variables)
+                return self.constant(self.gens[val])
             v = self.varmap.get(val)
             if v is None:
                 raise ValueError(f"unknown symbol {val!r} for variables {self.variables}")
-            return MultiPoly.var(self.field, v, self.variables)
+            exps = [0] * len(self.variables)
+            exps[self.variables.index(v)] = 1
+            return {tuple(exps): self.field.raw_one}
         if kind == "(":
             inner = self.expr()
             if self.take()[0] != ")":

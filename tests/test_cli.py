@@ -40,6 +40,17 @@ class TestHumanOutput:
         assert set(lines[2:4]) == {"  r=1  y^2+x-2*y  (t = -1)", "  r=1  y^2+x+2*y  (t = 1)"}
         assert lines[-1] == "multiplicity sequence: [2]"
 
+    def test_resolve_node_with_a_19_digit_slope(self, capsys):
+        # the fiber's rational roots come from a p-adic lift, not from the
+        # divisors of 10^18+3
+        code, out, _ = run(capsys, "resolve", "(y-1000000000000000003*x)*(y+x)+x^3")
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0] == "termination: Resolved"
+        children = {line.split("(t = ")[1] for line in lines[2:4]}
+        assert children == {"-1)", "1000000000000000003)"}
+        assert lines[-1] == "multiplicity sequence: [2]"
+
     def test_intersect(self, capsys):
         code, out, _ = run(capsys, "intersect", "y^2-x^3", "y")
         assert code == 0

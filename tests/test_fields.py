@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ import planecurves.fields as fields
 from planecurves.errors import (
     DivisionByZero,
     IncompatibleFields,
+    InternalError,
     NonRationalPoint,
     ReducibleMinPoly,
     UnsupportedExtension,
@@ -502,3 +504,141 @@ def test_factor_seed_picks_only_the_random_stream(name):
     results = [[(str(g), m) for g, m in uni_factor(f, seed=s)[1]] for s in (None, 1, 7, 12345)]
     assert all(r == results[0] for r in results)
     assert sorted(results[0]) == sorted((str(g), 1) for g in planted)
+
+
+# ---------------------------------------------------------------------------
+# rational roots over Q: the p-adic lift against trial division
+# ---------------------------------------------------------------------------
+
+
+def trial_divisors(n):
+    """The positive divisors of n != 0, from its factorization by trial division."""
+    n, exponents, d = abs(n), {}, 2
+    while d * d <= n:
+        while n % d == 0:
+            exponents[d] = exponents.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        exponents[n] = exponents.get(n, 0) + 1
+    divisors = [1]
+    for q, k in exponents.items():
+        divisors = [v * q ** i for v in divisors for i in range(k + 1)]
+    return divisors
+
+
+def trial_division_roots(f):
+    """The distinct rational roots of f over Q, by the rational root theorem."""
+    den = math.lcm(*[c.denominator for c in f.values])
+    ints = [int(c * den) for c in f.values]
+    roots = set()
+    if ints[0] == 0:
+        roots.add(Fraction(0))
+        while ints[0] == 0:
+            ints = ints[1:]
+    n = len(ints) - 1
+    denominators = trial_divisors(ints[-1])
+    for u in trial_divisors(ints[0]) if n else ():
+        for v in denominators:
+            if math.gcd(u, v) != 1:
+                continue
+            for s in (u, -u):
+                if sum(c * s ** k * v ** (n - k) for k, c in enumerate(ints)) == 0:
+                    roots.add(Fraction(s, v))
+    return roots
+
+
+# primes below 10^5, so that trial division factors products of them quickly
+FIVE_DIGIT_PRIMES = [10007, 10009, 10037, 24989, 49999, 65537, 77761, 99989, 99991]
+
+small_integer_polys = st.lists(st.integers(-9, 9), min_size=2, max_size=7).filter(
+    lambda cs: cs[-1] != 0
+).map(lambda cs: T(QQ, *cs))
+big_integer = st.tuples(
+    st.lists(st.sampled_from(FIVE_DIGIT_PRIMES), min_size=3, max_size=4),
+    st.sampled_from([1, -1, 2, -3]),
+).map(lambda ps: ps[1] * math.prod(ps[0]))
+big_linear_factors = st.lists(
+    st.tuples(big_integer, big_integer).map(lambda ab: T(QQ, -ab[0], ab[1])),  # b*t - a
+    min_size=1,
+    max_size=2,
+)
+
+
+@st.composite
+def rational_root_inputs(draw):
+    """Small integer polynomials, products of b*t - a with 10-20 digit a and
+    b, repeated factors, roots at 0 and non-monic leading coefficients."""
+    f = draw(small_integer_polys)
+    if draw(st.booleans()):
+        f = T(QQ, *draw(st.lists(st.integers(-9, 9), min_size=1, max_size=3).filter(
+            lambda cs: cs[-1] != 0)))
+        for g in draw(big_linear_factors):
+            f = f * g ** draw(st.integers(1, 2))
+    f = f * T(QQ, 0, 1) ** draw(st.integers(0, 2))
+    return f * draw(st.sampled_from([1, -1, Fraction(1, 6), 35]))
+
+
+def test_rational_roots_match_trial_division():
+    seen = {"big": 0, "repeated": 0, "root at 0": 0, "non-monic": 0, "residual": 0}
+
+    @seed(1983)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(f=rational_root_inputs())
+    def check(f):
+        want = trial_division_roots(f)
+        unit, factors = uni_factor(f)
+        linear = {-g.coeff(0).value: m for g, m in factors if g.degree == 1}
+        assert set(linear) == want
+        for r, m in linear.items():
+            # the multiplicity is the number of times t - r divides f
+            lin = T(QQ, -r, 1)
+            assert (f % lin ** m).is_zero() and not (f % lin ** (m + 1)).is_zero()
+        for g, _m in factors:
+            if g.degree >= 2:
+                assert not trial_division_roots(g)
+        product = T(QQ, unit)
+        for g, m in factors:
+            product = product * g ** m
+        assert product == f
+        # the splitter itself, on the squarefree part
+        g = (f // uni_gcd(f, f.derivative())).monic()
+        roots, residual = fields._rational_roots_split(g)
+        assert {r.value for r in roots} == want and len(roots) == len(want)
+        assert residual.degree == g.degree - len(want)
+        seen["big"] += max(abs(c.numerator) for c in f.values) >= 10 ** 10
+        seen["repeated"] += any(m > 1 for _g, m in factors)
+        seen["root at 0"] += 0 in want
+        seen["non-monic"] += f.lc() != QQ.one()
+        seen["residual"] += residual.degree >= 1
+
+    check()
+    assert all(seen.values()), seen
+
+
+def test_rational_roots_of_the_stress_slope():
+    n = 1000000000000000003
+    f = T(QQ, -n, 1) * T(QQ, 1, 1) * T(QQ, 2, 0, 1)
+    _, factors = uni_factor(f)
+    assert [str(g) for g, _m in factors] == ["t+1", f"t-{n}", "t^2+2"]
+
+
+def test_rational_roots_use_no_random_stream(monkeypatch):
+    def refuse(*_a):
+        raise AssertionError("Random used over Q")
+
+    monkeypatch.setattr(fields, "Random", refuse)
+    _, factors = uni_factor(T(QQ, 6, -5, 1) * T(QQ, 3, 0, 1))
+    assert [str(g) for g, _m in factors] == ["t-2", "t-3", "t^2+3"]
+
+
+def test_good_prime_search_ends_on_non_squarefree_input():
+    # t^2 - 2t + 1 = (t - 1)^2 is not squarefree modulo any prime
+    with pytest.raises(InternalError):
+        fields._good_prime([1, -2, 1], [-2, 2])
+    assert fields._good_prime([-1, 0, 1], [0, 2]) == 3
+
+
+@pytest.mark.parametrize("f", [T(QQ, -1, 1) ** 2, T(QQ, -1, 1) ** 2 * T(QQ, 2, 1)])
+def test_is_irreducible_over_q_rejects_repeated_factors(f):
+    assert is_irreducible(f) is False

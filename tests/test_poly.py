@@ -73,6 +73,98 @@ class TestParsing:
             assert G == F, text
 
 
+MESSAGES = [
+    ("x +", "unexpected token None"),
+    ("(x+y", "unbalanced parenthesis"),
+    ("x^y", "exponent must be a nonnegative integer"),
+    ("x$y", "unexpected character '$' in polynomial"),
+    ("3/0*x", "malformed rational coefficient"),
+    ("x)", "trailing input near token ')'"),
+    ("y^2 - W", "unknown variable 'W'"),
+    ("x + Y", "mixed upper and lower case variables"),
+    ("z^2 + x", "z is not an affine variable; affine input uses x, y"),
+]
+
+
+@pytest.mark.parametrize("bad, message", MESSAGES)
+def test_parse_error_messages(bad, message):
+    with pytest.raises(ValueError) as err:
+        parse_poly(bad, QQ, space="affine")
+    assert str(err.value) == message
+
+
+def test_parse_builds_no_intermediate_polynomials(monkeypatch):
+    # a product of atoms is one term; the MultiPoly is built once at the end
+    x, y = MultiPoly.var(QQ, "x"), MultiPoly.var(QQ, "y")
+    X, Y, Z = (MultiPoly.var(QQ, v, PROJECTIVE) for v in PROJECTIVE)
+    want = {
+        "123*X^2*Y*Z^3": 123 * X ** 2 * Y * Z ** 3,
+        "2/3 x y^4 - (x+1)^3 y": Fraction(2, 3) * x * y ** 4 - (x + 1) ** 3 * y,
+        "-(y-x)(y+x) + 0*x^5": -(y - x) * (y + x),
+    }
+    for op in ("__init__", "__mul__", "__pow__", "__add__", "__sub__", "__neg__"):
+        original = getattr(MultiPoly, op)
+        monkeypatch.setattr(MultiPoly, op, lambda *a, _f=original, _op=op: calls.append(_op) or _f(*a))
+    for text, G in want.items():
+        calls = []
+        F = parse_poly(text, QQ)
+        assert calls == ["__init__"], (text, calls)
+        assert F == G
+
+
+def _expr_trees():
+    # (text, builder) pairs; the builder makes the same polynomial with
+    # MultiPoly's own arithmetic
+    num = st.tuples(st.integers(0, 20), st.sampled_from([1, 1, 2, 3, 4, 6])).map(
+        lambda nd: (f"{nd[0]}/{nd[1]}" if nd[1] > 1 else str(nd[0]),
+                    lambda K, c=Fraction(*nd): MultiPoly.constant(K, c))
+    )
+    var = st.sampled_from(["x", "y"]).map(lambda v: (v, lambda K, v=v: MultiPoly.var(K, v)))
+    power = st.tuples(var, st.integers(0, 4)).map(
+        lambda vk: (f"{vk[0][0]}^{vk[1]}", lambda K, b=vk[0][1], k=vk[1]: b(K) ** k)
+    )
+    atom = st.one_of(num, var, power)
+    monomial = st.lists(atom, min_size=1, max_size=4).map(
+        lambda atoms: ("*".join(t for t, _ in atoms),
+                       lambda K, bs=[b for _, b in atoms]: _product(K, bs))
+    )
+
+    def extend(inner):
+        pair = st.tuples(inner, inner)
+        return st.one_of(
+            pair.map(lambda ab: (f"({ab[0][0]})+({ab[1][0]})",
+                                 lambda K, a=ab[0][1], b=ab[1][1]: a(K) + b(K))),
+            pair.map(lambda ab: (f"{ab[0][0]}-({ab[1][0]})",
+                                 lambda K, a=ab[0][1], b=ab[1][1]: a(K) - b(K))),
+            pair.map(lambda ab: (f"({ab[0][0]})({ab[1][0]})",
+                                 lambda K, a=ab[0][1], b=ab[1][1]: a(K) * b(K))),
+            inner.map(lambda a: (f"-({a[0]})", lambda K, a=a[1]: -a(K))),
+            st.tuples(inner, st.integers(0, 3)).map(
+                lambda ak: (f"({ak[0][0]})^{ak[1]}", lambda K, a=ak[0][1], k=ak[1]: a(K) ** k)
+            ),
+        )
+
+    return st.recursive(monomial, extend, max_leaves=8)
+
+
+def _product(K, builders):
+    out = builders[0](K)
+    for b in builders[1:]:
+        out = out * b(K)
+    return out
+
+
+@seed(1883)
+@settings(max_examples=80, deadline=None, database=None)
+@given(tree=_expr_trees(), field=st.sampled_from([QQ, F5]))
+def test_parse_agrees_with_multipoly_arithmetic(tree, field):
+    text, build = tree
+    F, G = parse_poly(text, field, space="affine"), build(field)
+    assert F.terms == G.terms
+    # the same key order as MultiPoly's own sums and products
+    assert list(F.terms) == list(G.terms)
+
+
 class TestArithmetic:
     def test_binomial_square(self):
         x = MultiPoly.var(QQ, "x")
