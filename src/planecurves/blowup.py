@@ -42,6 +42,7 @@ from .poly import (
     AFFINE,
     CHART,
     MultiPoly,
+    biv_coeffs,
     biv_gcd,
     is_suitable,
     make_suitable_many,
@@ -55,10 +56,9 @@ JOINT_LABELS = ("C", "D", "H")
 
 def _chart_transform(F: MultiPoly, r: int) -> MultiPoly:
     """F(x, x*t) / x^r, exact; result in variables (x, t)."""
-    terms = {}
-    for (i, j), c in F.terms.items():
-        terms[(i + j - r, j)] = c
-    return MultiPoly(F.field, CHART, terms)
+    return MultiPoly._from_values(
+        F.field, CHART, {(i + j - r, j): c for (i, j), c in F.values.items()}
+    )
 
 
 def blow_up_chart(F: MultiPoly) -> MultiPoly:
@@ -77,14 +77,7 @@ def blow_up_chart(F: MultiPoly) -> MultiPoly:
 
 def fiber_poly(Fprime: MultiPoly) -> UniPoly:
     """F'(0, t) as a univariate polynomial: the exceptional fiber."""
-    coeffs = {}
-    for (i, j), c in Fprime.terms.items():
-        if i == 0:
-            coeffs[j] = c
-    if not coeffs:
-        return UniPoly.zero(Fprime.field, "t")
-    dense = [coeffs.get(k, Fprime.field.zero()) for k in range(max(coeffs) + 1)]
-    return UniPoly(Fprime.field, dense, "t")
+    return biv_coeffs(Fprime, "x")[0]
 
 
 def exceptional_points(Fprime: MultiPoly):
@@ -487,7 +480,7 @@ def _child_points(driver_transforms, driver_rs, witness, rational):
 
 
 def _is_pure_y_power(L: MultiPoly) -> bool:
-    keys = list(L.terms)
+    keys = list(L.values)
     return len(keys) == 1 and keys[0][0] == 0
 
 

@@ -101,14 +101,16 @@ class IntersectionReport:
 def _fulton(F: MultiPoly, G: MultiPoly) -> int:
     """I_0(F, G) for coprime F, G over one field, by Fulton's reduction.
 
-    Works on the term dicts: while both curves pass through the origin,
+    Works on the raw value dicts: while both curves pass through the origin,
     either one restriction to y = 0 vanishes, so that curve is y*H and
     I(y, other) = ord_x of the other's restriction is split off, or the
     restriction of higher degree s is cut down by (b/a) x^(s-r) times the
     other one (Fulton, Algebraic Curves, section 3.3).  Only the
     intersection axioms are used; no shear, determinant or field growth.
     """
-    f, g = dict(F.terms), dict(G.terms)
+    K = F.field
+    sub, mul, neg = K.sub, K.mul, K.neg
+    f, g = dict(F.values), dict(G.values)
     total = 0
     while True:
         if not f or not g:
@@ -127,14 +129,14 @@ def _fulton(F: MultiPoly, G: MultiPoly) -> int:
             g = {(i, j - 1): c for (i, j), c in g.items()}
             continue
         r, s = max(fx), max(gx)
-        q = gx[s] / fx[r]
+        q = mul(gx[s], K.inv(fx[r]))
         for (i, j), c in f.items():
             key = (i + s - r, j)
-            v = g[key] - q * c if key in g else -(q * c)
-            if v.is_zero():
-                del g[key]
-            else:
+            v = sub(g[key], mul(q, c)) if key in g else neg(mul(q, c))
+            if v:
                 g[key] = v
+            else:
+                del g[key]
 
 
 def intersection_oracle(F: MultiPoly, G: MultiPoly) -> int:
@@ -290,7 +292,7 @@ def _certify_irreducible(F: MultiPoly):
         return
     for v in PROJECTIVE:
         idx = PROJECTIVE.index(v)
-        if all(e[idx] >= 1 for e in F.terms):
+        if all(e[idx] >= 1 for e in F.values):
             raise Reducible(f"curve is divisible by {v}")
     aff = dehomogenize(F, "Z")
     defect = squarefree_defect(aff)

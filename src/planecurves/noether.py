@@ -79,14 +79,14 @@ class ProjPoint:
 
 def _strip_var(F: MultiPoly, idx: int):
     # F = v^k * rest with v the idx-th variable and rest not divisible by v
-    k = min(e[idx] for e in F.terms)
+    k = min(e[idx] for e in F.values)
     if k == 0:
         return F, 0
-    terms = {
+    values = {
         tuple(ei - k if i == idx else ei for i, ei in enumerate(e)): c
-        for e, c in F.terms.items()
+        for e, c in F.values.items()
     }
-    return MultiPoly(F.field, F.variables, terms), k
+    return MultiPoly._from_values(F.field, F.variables, values), k
 
 
 def _assert_coprime_forms(F: MultiPoly, G: MultiPoly):

@@ -1,9 +1,12 @@
 """Sparse multivariate polynomials and the two coordinate changes.
 
-Polynomials are exponent-tuple -> Scalar maps over an explicit field, in
-affine variables (x, y) or homogeneous ones (X, Y, Z).  Blow-up charts
-additionally use (x, t).  Everything here is exact; there is no floating
-point anywhere in the package.
+A polynomial holds `values`, a dict from exponent tuples to raw values of
+its field (see fields.Field) with no zeros, in affine variables (x, y) or
+homogeneous ones (X, Y, Z).  Blow-up charts additionally use (x, t).  Sums,
+products, powers and substitution run on these dicts through the sparse
+kernels _dadd, _dneg, _dmul and _dpow, which the parser uses as well.
+Everything here is exact; there is no floating point anywhere in the
+package.
 
 The only coordinate changes an infinitely near point needs are a
 translation to the origin and one shear x -> x + lam*y making the tangent
@@ -18,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 
-from .errors import InternalError, NotSuitable, ZeroPolynomial
+from .errors import IncompatibleFields, InternalError, NotSuitable, ZeroPolynomial
 from .fields import (
     NEG_INF,
     ExtensionField,
@@ -34,7 +37,6 @@ from .fields import (
     extend_field,
     find_irreducible,
     join_fields,
-    scalar_to_str,
 )
 from .linalg import echelon
 
@@ -44,22 +46,36 @@ PROJECTIVE = ("X", "Y", "Z")
 
 
 class MultiPoly:
-    """Immutable sparse polynomial in named variables over a field."""
+    """Immutable sparse polynomial in named variables over a field.
 
-    __slots__ = ("field", "variables", "terms")
+    `values` maps exponent tuples to nonzero raw values of `field`; `terms`,
+    `coeff` and `constant_term` wrap Scalars on demand.
+    """
+
+    __slots__ = ("field", "variables", "values")
 
     def __init__(self, field: Field, variables, terms):
         variables = tuple(variables)
-        clean = {}
+        scalar = field.scalar
+        values = {}
         for exps, c in terms.items():
             if len(exps) != len(variables):
                 raise ValueError("exponent arity does not match variables")
-            c = field.scalar(c)
-            if not c.is_zero():
-                clean[exps] = c
+            v = scalar(c).value
+            if v:
+                values[exps] = v
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "values", values)
+
+    @classmethod
+    def _from_values(cls, field: Field, variables: tuple, values: dict) -> "MultiPoly":
+        """Wrap a dict of nonzero raw values of `field`, skipping coercion."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "values", values)
+        return self
 
     def __setattr__(self, *a):
         raise AttributeError("MultiPoly is immutable")
@@ -68,7 +84,7 @@ class MultiPoly:
 
     @classmethod
     def zero(cls, field, variables=AFFINE):
-        return cls(field, variables, {})
+        return cls._from_values(field, tuple(variables), {})
 
     @classmethod
     def constant(cls, field, c, variables=AFFINE):
@@ -76,31 +92,38 @@ class MultiPoly:
 
     @classmethod
     def var(cls, field, name, variables=AFFINE):
+        variables = tuple(variables)
         exps = [0] * len(variables)
-        exps[list(variables).index(name)] = 1
-        return cls(field, variables, {tuple(exps): field.one()})
+        exps[variables.index(name)] = 1
+        return cls._from_values(field, variables, {tuple(exps): field.raw_one})
 
     # ---- basic queries ----
 
+    @property
+    def terms(self) -> dict:
+        """The coefficients as Scalars, keyed by exponent tuple."""
+        F = self.field
+        return {e: Scalar(F, v) for e, v in self.values.items()}
+
     def is_zero(self):
-        return not self.terms
+        return not self.values
 
     def total_degree(self):
-        return max((sum(e) for e in self.terms), default=NEG_INF)
+        return max((sum(e) for e in self.values), default=NEG_INF)
 
     def min_total_degree(self):
-        return min((sum(e) for e in self.terms), default=NEG_INF)
+        return min((sum(e) for e in self.values), default=NEG_INF)
 
     def degree_in(self, name: str):
         i = self.variables.index(name)
-        return max((e[i] for e in self.terms), default=NEG_INF)
+        return max((e[i] for e in self.values), default=NEG_INF)
 
     def is_homogeneous(self):
-        degs = {sum(e) for e in self.terms}
+        degs = {sum(e) for e in self.values}
         return len(degs) <= 1
 
     def coeff(self, exps) -> Scalar:
-        return self.terms.get(tuple(exps), self.field.zero())
+        return Scalar(self.field, self.values.get(tuple(exps), self.field.raw_zero))
 
     def constant_term(self) -> Scalar:
         return self.coeff((0,) * len(self.variables))
@@ -125,101 +148,78 @@ class MultiPoly:
         target = join_fields(self.field, other.field)
         return self.map_field(target), other.map_field(target)
 
-    def map_field(self, target: Field) -> "MultiPoly":
-        if target == self.field:
-            return self
-        return MultiPoly(
-            target,
-            self.variables,
-            {e: target.embed(c) for e, c in self.terms.items()},
-        )
-
-    def __add__(self, other):
+    def _kernel(self, other, op):
+        """op(field, raw self, raw other) over the joined field, wrapped."""
         p = self._pair(other)
         if p is None:
             return NotImplemented
         a, b = p
-        out = dict(a.terms)
-        for e, c in b.terms.items():
-            out[e] = out[e] + c if e in out else c
-        return MultiPoly(a.field, a.variables, out)
+        return MultiPoly._from_values(a.field, a.variables, op(a.field, a.values, b.values))
+
+    def map_field(self, target: Field) -> "MultiPoly":
+        if target == self.field:
+            return self
+        return MultiPoly(target, self.variables, self.terms)
+
+    def __add__(self, other):
+        return self._kernel(other, _dadd)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.field, self.variables, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._from_values(self.field, self.variables, _dneg(self.field, self.values))
 
     def __sub__(self, other):
-        p = self._pair(other)
-        if p is None:
-            return NotImplemented
-        a, b = p
-        return a + (-b)
+        return self._kernel(other, lambda F, a, b: _dadd(F, a, _dneg(F, b)))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        p = self._pair(other)
-        if p is None:
-            return NotImplemented
-        a, b = p
-        out = {}
-        for ea, ca in a.terms.items():
-            for eb, cb in b.terms.items():
-                e = tuple(i + j for i, j in zip(ea, eb))
-                c = ca * cb
-                out[e] = out[e] + c if e in out else c
-        return MultiPoly(a.field, a.variables, out)
+        return self._kernel(other, _dmul)
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
-        result = MultiPoly.constant(self.field, self.field.one(), self.variables)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        F, unit = self.field, (0,) * len(self.variables)
+        return MultiPoly._from_values(F, self.variables, _dpow(F, self.values, e, unit))
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            other = MultiPoly.constant(self.field, self.field.scalar(other), self.variables)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        try:
-            a, b = self._pair(other)
-        except Exception:
+        if isinstance(other, MultiPoly) and other.variables != self.variables:
             return False
-        return a.terms == b.terms
+        try:
+            p = self._pair(other)
+        except IncompatibleFields:
+            return False
+        return NotImplemented if p is None else p[0].values == p[1].values
 
     def __hash__(self):
-        return hash((self.variables, frozenset(self.terms.items())))
+        # hash_value keeps the hash of equal polynomials over a tower alike
+        h = self.field.hash_value
+        return hash((self.variables, frozenset([(e, h(v)) for e, v in self.values.items()])))
 
     # ---- calculus and forms ----
 
     def derivative(self, name: str) -> "MultiPoly":
         i = self.variables.index(name)
+        F = self.field
         out = {}
-        for e, c in self.terms.items():
+        for e, c in self.values.items():
             if e[i] == 0:
                 continue
-            k = self.field.scalar(e[i]) * c
-            if k.is_zero():
+            k = F.mul(F.raw(e[i]), c)
+            if not k:
                 continue
             ne = list(e)
             ne[i] -= 1
             out[tuple(ne)] = k
-        return MultiPoly(self.field, self.variables, out)
+        return MultiPoly._from_values(F, self.variables, out)
 
     def form_of_degree(self, d: int) -> "MultiPoly":
-        return MultiPoly(
+        return MultiPoly._from_values(
             self.field,
             self.variables,
-            {e: c for e, c in self.terms.items() if sum(e) == d},
+            {e: c for e, c in self.values.items() if sum(e) == d},
         )
 
     def mult_at_origin(self) -> int:
@@ -233,18 +233,19 @@ class MultiPoly:
     # ---- substitution ----
 
     def evaluate(self, values: dict) -> Scalar:
-        vals = []
+        F = self.field
         for v in self.variables:
-            a = values[v]
-            vals.append(a if isinstance(a, Scalar) else self.field.scalar(a))
-        acc = None
-        for e, c in self.terms.items():
-            term = c
-            for a, k in zip(vals, e):
-                if k:
-                    term = term * a ** k
-            acc = term if acc is None else acc + term
-        return acc if acc is not None else self.field.zero()
+            if isinstance(values[v], Scalar):
+                F = join_fields(F, values[v].field)
+        point = [F.scalar(values[v]).value for v in self.variables]
+        add, mul = F.add, F.mul
+        acc = F.raw_zero
+        for e, c in self.map_field(F).values.items():
+            for a, k in zip(point, e):
+                for _ in range(k):
+                    c = mul(c, a)
+            acc = add(acc, c)
+        return Scalar(F, acc)
 
     def substitute(self, repl: dict, variables=None) -> "MultiPoly":
         """Substitute polynomials (or scalars) for variables.
@@ -265,46 +266,39 @@ class MultiPoly:
                 )
             field = join_fields(field, img.field)
             images[v] = img
-        base = self.map_field(field)
-        images = {v: p.map_field(field) for v, p in images.items()}
-        one = MultiPoly.constant(field, field.one(), variables)
-        powers = {v: [one] for v in images}
-
-        def power(v, k):
-            # a loop, not recursion: a closure that calls itself is a reference
-            # cycle, which keeps every cached power alive until the next gc pass
-            cache = powers[v]
-            while len(cache) <= k:
-                cache.append(cache[-1] * images[v])
-            return cache[k]
-
+        images = {v: p.map_field(field).values for v, p in images.items()}
+        unit = (0,) * len(variables)
+        powers = {v: [{unit: field.raw_one}] for v in images}
+        add = field.add
         out = {}
-        for e, c in base.terms.items():
-            term = one
+        for e, c in self.map_field(field).values.items():
+            term = {unit: c}
             for v, k in zip(self.variables, e):
                 if k:
-                    term = term * power(v, k)
-            for ek, ck in term.terms.items():
-                ck = c * ck
-                out[ek] = out[ek] + ck if ek in out else ck
-        return MultiPoly(field, variables, out)
+                    cache = powers[v]
+                    while len(cache) <= k:
+                        cache.append(_dmul(field, cache[-1], images[v]))
+                    term = _dmul(field, term, cache[k])
+            for ek, ck in term.items():
+                out[ek] = add(out[ek], ck) if ek in out else ck
+        return MultiPoly._from_values(field, variables, {e: c for e, c in out.items() if c})
 
     def rename(self, variables) -> "MultiPoly":
         variables = tuple(variables)
         if len(variables) != len(self.variables):
             raise ValueError("rename must preserve arity")
-        return MultiPoly(self.field, variables, dict(self.terms))
+        return MultiPoly._from_values(self.field, variables, dict(self.values))
 
     # ---- printing ----
 
     def __str__(self):
-        if not self.terms:
+        if not self.values:
             return "0"
-        keys = sorted(self.terms, key=lambda e: (-sum(e), tuple(-k for k in e)))
+        keys = sorted(self.values, key=lambda e: (-sum(e), tuple(-k for k in e)))
+        element_str = self.field.element_str
         parts = []
         for e in keys:
-            c = self.terms[e]
-            cs = scalar_to_str(c)
+            cs = element_str(self.values[e])
             vars_part = "*".join(
                 v if k == 1 else f"{v}^{k}"
                 for v, k in zip(self.variables, e)
@@ -359,10 +353,9 @@ def homogenize(F: MultiPoly) -> MultiPoly:
     if F.is_zero():
         return MultiPoly.zero(F.field, PROJECTIVE)
     n = int(F.total_degree())
-    out = {}
-    for (i, j), c in F.terms.items():
-        out[(i, j, n - i - j)] = c
-    return MultiPoly(F.field, PROJECTIVE, out)
+    return MultiPoly._from_values(
+        F.field, PROJECTIVE, {(i, j, n - i - j): c for (i, j), c in F.values.items()}
+    )
 
 
 def dehomogenize(F: MultiPoly, chart: str = "Z") -> MultiPoly:
@@ -375,18 +368,17 @@ def dehomogenize(F: MultiPoly, chart: str = "Z") -> MultiPoly:
         raise ValueError("dehomogenize expects a homogeneous polynomial")
     idx = F.variables.index(chart)
     keep = [i for i in range(3) if i != idx]
+    add = F.field.add
     out = {}
-    for e, c in F.terms.items():
+    for e, c in F.values.items():
         key = (e[keep[0]], e[keep[1]])
-        out[key] = out[key] + c if key in out else c
-    return MultiPoly(F.field, AFFINE, out)
+        out[key] = add(out[key], c) if key in out else c
+    return MultiPoly._from_values(F.field, AFFINE, {e: c for e, c in out.items() if c})
 
 
 def is_suitable(F: MultiPoly) -> bool:
-    """True when the lowest form does not vanish at (x, y) = (0, 1)."""
-    L = F.lowest_form()
-    x, y = F.variables
-    return not L.evaluate({x: 0, y: 1}).is_zero()
+    """True when the lowest form does not vanish at (x, y) = (0, 1): F has a y^r term."""
+    return (0, F.mult_at_origin()) in F.values
 
 
 def _shear_candidates(field: Field):
@@ -465,12 +457,12 @@ def biv_coeffs(F: MultiPoly, main: str) -> list:
     n = 0 if dm == NEG_INF else int(dm)
     zero = F.field.raw_zero
     rows = [[] for _ in range(n + 1)]
-    for e, c in F.terms.items():
+    for e, c in F.values.items():
         row, k = rows[e[mi]], e[ci]
         if len(row) <= k:
             row.extend([zero] * (k + 1 - len(row)))
-        row[k] = c.value
-    # terms hold no zeros, so each row ends in a nonzero value
+        row[k] = c
+    # values hold no zeros, so each row ends in a nonzero value
     return [UniPoly._from_values(F.field, tuple(row), co) for row in rows]
 
 
@@ -536,22 +528,19 @@ def biv_gcd(F: MultiPoly, G: MultiPoly) -> MultiPoly:
     if len(B) == 1:
         # B is a unit times content already removed: gcd in y is trivial
         B = [(field.raw_one,)]
-    terms = {}
+    values = {}
     for k, c in enumerate(B):
         for j, v in enumerate(_pmul(field, c, cont)):
             if v:
-                terms[(j, k)] = Scalar(field, v)
-    return _normalize_biv(MultiPoly(field, F.variables, terms))
+                values[(j, k)] = v
+    return _normalize_biv(MultiPoly._from_values(field, F.variables, values))
 
 
 def _normalize_biv(F: MultiPoly) -> MultiPoly:
     if F.is_zero():
         return F
-    keys = sorted(F.terms, key=lambda e: (-sum(e), tuple(-k for k in e)))
-    lead = F.terms[keys[0]]
-    if lead == F.field.one():
-        return F
-    return F * lead.inverse()
+    lead = F.values[min(F.values, key=lambda e: (-sum(e), tuple(-k for k in e)))]
+    return F if lead == F.field.raw_one else F * Scalar(F.field, F.field.inv(lead))
 
 
 def squarefree_defect(F: MultiPoly) -> MultiPoly | None:
@@ -644,13 +633,13 @@ def _generator_table(field: Field):
     gens = {}
     cur = field
     while isinstance(cur, ExtensionField):
-        gens[cur.gen_name] = field.embed(cur.generator())
+        gens[cur.gen_name] = field.embed(cur.generator()).value
         cur = cur.base
     return gens
 
 
-# raw term dicts {exponent tuple: raw value}: sums and products keep the key
-# order of MultiPoly's own + and *, and drop zero coefficients
+# raw term dicts {exponent tuple: raw value}: sums, products and powers for
+# MultiPoly and the parser alike; they drop zero coefficients
 
 
 def _dadd(F, a: dict, b: dict) -> dict:
@@ -675,6 +664,20 @@ def _dmul(F, a: dict, b: dict) -> dict:
             c = mul(ca, cb)
             out[e] = add(out[e], c) if e in out else c
     return {e: c for e, c in out.items() if c}
+
+
+def _dpow(F, a: dict, e: int, unit: tuple) -> dict:
+    """a^e by repeated squaring, skipping the last squaring; unit is the zero exponent."""
+    if e < 0:
+        raise ValueError("negative exponent")
+    result = {unit: F.raw_one}
+    while e:
+        if e & 1:
+            result = _dmul(F, result, a)
+        e >>= 1
+        if e:
+            a = _dmul(F, a, a)
+    return result
 
 
 class _Parser:
@@ -710,8 +713,7 @@ class _Parser:
         terms = self.expr()
         if self.peek()[0] != "end":
             raise ValueError(f"trailing input near token {self.peek()[1]!r}")
-        F = self.field
-        return MultiPoly(F, self.variables, {e: Scalar(F, c) for e, c in terms.items()})
+        return MultiPoly._from_values(self.field, self.variables, terms)
 
     def expr(self):
         F = self.field
@@ -744,19 +746,11 @@ class _Parser:
             kind, val = self.take()
             if kind != "num":
                 raise ValueError("exponent must be a nonnegative integer")
-            F = self.field
-            result = {self.unit: F.raw_one}
-            while val:
-                if val & 1:
-                    result = _dmul(F, result, base)
-                val >>= 1
-                if val:
-                    base = _dmul(F, base, base)
-            base = result
+            base = _dpow(self.field, base, val, self.unit)
         return base
 
     def constant(self, value):
-        v = self.field.scalar(value).value
+        v = self.field.raw(value)
         return {self.unit: v} if v else {}
 
     def atom(self):
@@ -771,7 +765,7 @@ class _Parser:
             return self.constant(val)
         if kind == "name":
             if val in self.gens:
-                return self.constant(self.gens[val])
+                return {self.unit: self.gens[val]}
             v = self.varmap.get(val)
             if v is None:
                 raise ValueError(f"unknown symbol {val!r} for variables {self.variables}")

@@ -21,6 +21,7 @@ from planecurves.errors import (
     NotSuitable,
     ZeroPolynomial,
 )
+from planecurves.fields import UniPoly
 from planecurves.poly import CHART, MultiPoly, parse_poly
 
 from .helpers import F3, QQ, aff, corpus, field_by_name
@@ -70,6 +71,15 @@ class TestChart:
         assert fiber.degree == 2
         pts = exceptional_points(Fp)
         assert sorted(str(a) for a, _ in pts) == ["-1", "1"]
+
+    def test_fiber_is_the_chart_at_x_0(self):
+        x, t = chart_vars(QQ)
+        Fp = (t ** 2 - 1) * (x + 1) + x * t ** 3 + 3 * x ** 2
+        assert fiber_poly(Fp) == UniPoly(QQ, (-1, 0, 1), "t")
+        zero = MultiPoly.zero(QQ, CHART)
+        assert fiber_poly(zero).is_zero() and fiber_poly(zero).var == "t"
+        with pytest.raises(ZeroPolynomial):
+            exceptional_points(zero)
 
 
 class TestResolveTree:

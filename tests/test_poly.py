@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from planecurves import poly
 from planecurves.errors import NotSuitable, ZeroPolynomial
-from planecurves.fields import UniPoly, join_fields, uni_gcd
+from planecurves.fields import Scalar, UniPoly, extend_field, find_irreducible, join_fields, uni_gcd
 from planecurves.poly import (
     AFFINE,
     PROJECTIVE,
@@ -27,7 +28,7 @@ from planecurves.poly import (
     translate,
 )
 
-from .helpers import F2, F3, F5, F9, QQ, aff, corpus, hom
+from .helpers import F2, F3, F5, F7, F9, QQ, aff, corpus, hom
 
 
 class TestParsing:
@@ -102,13 +103,15 @@ def test_parse_builds_no_intermediate_polynomials(monkeypatch):
         "2/3 x y^4 - (x+1)^3 y": Fraction(2, 3) * x * y ** 4 - (x + 1) ** 3 * y,
         "-(y-x)(y+x) + 0*x^5": -(y - x) * (y + x),
     }
-    for op in ("__init__", "__mul__", "__pow__", "__add__", "__sub__", "__neg__"):
+    constructors = ("__init__", "_from_values")
+    for op in constructors + ("__mul__", "__pow__", "__add__", "__sub__", "__neg__"):
         original = getattr(MultiPoly, op)
         monkeypatch.setattr(MultiPoly, op, lambda *a, _f=original, _op=op: calls.append(_op) or _f(*a))
     for text, G in want.items():
         calls = []
         F = parse_poly(text, QQ)
-        assert calls == ["__init__"], (text, calls)
+        # exactly one construction, by either constructor, and no arithmetic
+        assert len(calls) == 1 and calls[0] in constructors, (text, calls)
         assert F == G
 
 
@@ -199,13 +202,15 @@ class TestArithmetic:
             base, want = UniPoly(QQ, (1, 1), "x"), UniPoly(QQ, (1,), "x")
         for _ in range(e):
             want = want * base
-        mul, count = cls.__mul__, []
+        # MultiPoly's power runs on the raw kernels, so count its products there
+        owner, name = (poly, "_dmul") if cls is MultiPoly else (cls, "__mul__")
+        mul, count = getattr(owner, name), []
 
-        def counting(a, b):
+        def counting(*a):
             count.append(1)
-            return mul(a, b)
+            return mul(*a)
 
-        monkeypatch.setattr(cls, "__mul__", counting)
+        monkeypatch.setattr(owner, name, counting)
         assert base ** e == want
         assert len(count) == products
 
@@ -286,6 +291,16 @@ class TestSuitability:
     def test_zero_cannot_be_sheared(self):
         with pytest.raises(ZeroPolynomial):
             make_suitable(MultiPoly.zero(QQ))
+
+    @pytest.mark.parametrize("text", ["y^2 - x*y", "x*y + y^3", "x^2 + y^3", "y - x", "x + y^2"])
+    def test_suitable_means_the_lowest_form_misses_0_1(self, text):
+        F = aff(text)
+        at_0_1 = F.lowest_form().evaluate({"x": 0, "y": 1})
+        assert is_suitable(F) == (not at_0_1.is_zero())
+
+    def test_suitability_of_zero_raises(self):
+        with pytest.raises(ZeroPolynomial):
+            is_suitable(MultiPoly.zero(QQ))
 
 
 class TestGcdResultant:
@@ -517,3 +532,140 @@ def test_biv_gcd_agrees_with_the_unipoly_prs(name):
 
     check()
     assert all(seen.values()), seen
+
+
+# ---------------------------------------------------------------------------
+# raw-value kernels against a reference on Scalar dicts
+# ---------------------------------------------------------------------------
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out[e] + c if e in out else c
+    return {e: c for e, c in out.items() if not c.is_zero()}
+
+
+def _ref_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = (ea[0] + eb[0], ea[1] + eb[1])
+            out[e] = out[e] + ca * cb if e in out else ca * cb
+    return {e: c for e, c in out.items() if not c.is_zero()}
+
+
+def _ref_pow(a, k, one):
+    out = {(0, 0): one}
+    for _ in range(k):
+        out = _ref_mul(out, a)
+    return out
+
+
+def _ref_substitute(a, gx, gy, one):
+    out = {}
+    for (i, j), c in a.items():
+        term = _ref_mul(_ref_pow(gx, i, one), _ref_pow(gy, j, one))
+        out = _ref_add(out, {e: c * v for e, v in term.items()})
+    return out
+
+
+def _ref_derivative_x(a):
+    out = {(i - 1, j): c * i for (i, j), c in a.items() if i}
+    return {e: c for e, c in out.items() if not c.is_zero()}
+
+
+def _tower(base):
+    return extend_field(base, find_irreducible(base, 2))
+
+
+KERNEL_FIELDS = {"Q": QQ, "F7": F7, "F9": F9()}
+# a level above each finite field, for map_field, == and hash
+KERNEL_TOWERS = {name: _tower(K) for name, K in KERNEL_FIELDS.items() if K.is_finite}
+
+
+@st.composite
+def small_polys(draw, field):
+    """At most five terms in (x, y), each exponent at most 3."""
+    if field.is_finite:
+        coeff = st.sampled_from(list(field.elements()))
+    else:
+        coeff = st.tuples(st.integers(-9, 9), st.integers(1, 4)).map(lambda nd: Fraction(*nd))
+    exps = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    return MultiPoly(field, AFFINE, draw(st.dictionaries(exps, coeff, max_size=5)))
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+def test_kernels_agree_with_scalar_reference(name):
+    K = KERNEL_FIELDS[name]
+    one = K.one()
+
+    @seed(1910)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(F=small_polys(K), G=small_polys(K), H=small_polys(K), k=st.integers(0, 3))
+    def check(F, G, H, k):
+        f, g, h = F.terms, G.terms, H.terms
+        assert (F + G).terms == _ref_add(f, g)
+        assert (F - G).terms == _ref_add(f, {e: -c for e, c in g.items()})
+        assert (-F).terms == {e: -c for e, c in f.items()}
+        assert (F * G).terms == _ref_mul(f, g)
+        assert (F ** k).terms == _ref_pow(f, k, one)
+        assert F.substitute({"x": G, "y": H}).terms == _ref_substitute(f, g, h, one)
+        assert F.derivative("x").terms == _ref_derivative_x(f)
+        assert parse_poly(str(F), K, space="affine") == F
+        if name in KERNEL_TOWERS:
+            up = F.map_field(KERNEL_TOWERS[name])
+            assert F == up and up == F
+            assert hash(F) == hash(up)
+
+    check()
+
+
+@pytest.mark.parametrize("name", ["Q", "F7", "F7[z1]"])
+def test_kernels_build_no_scalars(monkeypatch, name):
+    K = {"Q": QQ, "F7": F7, "F7[z1]": _tower(F7)}[name]
+    c = "z1" if name == "F7[z1]" else "3"
+    F = aff(f"2*x^2*y - {c}*y^2 + x + 1", K)
+    G = aff(f"x*y - 5*x + {c}*y^3 + 4", K)
+    ops = {
+        "F + G": lambda: F + G,
+        "F - G": lambda: F - G,
+        "-F": lambda: -F,
+        "F * G": lambda: F * G,
+        "F ** 3": lambda: F ** 3,
+        "substitute": lambda: F.substitute({"x": G, "y": F}),
+        "derivative": lambda: F.derivative("x"),
+    }
+    init, built = Scalar.__init__, []
+
+    def counting(self, *a):
+        built.append(1)
+        init(self, *a)
+
+    monkeypatch.setattr(Scalar, "__init__", counting)
+    counts = {}
+    for label, op in ops.items():
+        built.clear()
+        op()
+        counts[label] = len(built)
+    assert counts == dict.fromkeys(ops, 0)
+
+
+def test_eq_is_false_across_variables_and_incompatible_fields():
+    F = aff("x^2 + y")
+    assert F != F.rename(("x", "t"))
+    assert F != homogenize(F)
+    assert aff("x + 1", F5) != aff("x + 1", F7)
+    assert aff("x + 1", F5) != aff("x + 1")
+    assert aff("1", F5) != F7.one()
+
+
+def test_eq_coerces_constants_into_the_tower():
+    K = _tower(F3)
+    assert aff("2", F3) == 2 and aff("2", F3) == K.scalar(2) and aff("2", F3) != K.generator()
+    assert aff("1/2") == Fraction(1, 2)
+
+
+def test_negative_power_is_rejected():
+    with pytest.raises(ValueError):
+        aff("x + 1") ** -1
