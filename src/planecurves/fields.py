@@ -1,15 +1,16 @@
 """Exact scalar arithmetic over Q, prime fields, and finite extension towers.
 
 Each field owns the raw values of its elements and the arithmetic on them:
-a Fraction over Q, an int in [0, p) over F_p, and on an extension level a
-tuple of base raw values, low degree first and trimmed, nesting like the
-tower.  Raw zeros are falsy, all other raw values truthy.  Scalar (a field
-and a raw value) and UniPoly (a field and the trimmed tuple of its
-coefficients' raw values) are the API boundary: same-field arithmetic calls
-the field's raw operation, and the univariate kernels loop on raw value
-tuples and wrap their result once.  Mixed-field operations embed along the
-unique tower inclusion when one exists and raise otherwise, so a wrong-field
-bug surfaces at the first arithmetic step instead of as a wrong answer later.
+over Q an int for an integral value and a Fraction otherwise, an int in
+[0, p) over F_p, and on an extension level a tuple of base raw values, low
+degree first and trimmed, nesting like the tower.  Raw zeros are falsy, all
+other raw values truthy.  Scalar (a field and a raw value) and UniPoly (a
+field and the trimmed tuple of its coefficients' raw values) are the API
+boundary: same-field arithmetic calls the field's raw operation, and the
+univariate kernels loop on raw value tuples and wrap their result once.
+Mixed-field operations embed along the unique tower inclusion when one
+exists and raise otherwise, so a wrong-field bug surfaces at the first
+arithmetic step instead of as a wrong answer later.
 
 The univariate layer (UniPoly) provides division, gcd, and factorization.
 One Euclid loop on raw tuples, _pgcd, makes each remainder monic before it
@@ -201,19 +202,20 @@ class Field:
         """Lift a scalar from a subfield of the tower into this field."""
         if s.field is self or s.field == self:
             return s
-        if not isinstance(self, ExtensionField):
-            raise IncompatibleFields(f"{s.field.describe()} !< {self.describe()}")
-        inner = self.base.embed(s).value
-        return Scalar(self, (inner,) if inner else ())
+        return Scalar(self, _lift(s.value, _levels_above(self, s.field)))
 
     def __repr__(self):
         return self.describe()
 
 
 class RationalField(Field):
+    """Q.  Integral raw values are ints, so integer inputs compute on ints
+    and pay no Fraction normalisation; inv returns a Fraction.  A Fraction
+    with denominator 1 equals, hashes and prints like its int."""
+
     kind = "rationals"
-    raw_zero = Fraction(0)
-    raw_one = Fraction(1)
+    raw_zero = 0
+    raw_one = 1
     add = operator.add
     sub = operator.sub
     neg = operator.neg
@@ -221,7 +223,13 @@ class RationalField(Field):
     inv = Fraction(1).__truediv__
     element_str = str
     hash_value = hash
-    raw = Fraction
+
+    @staticmethod
+    def raw(n):
+        if type(n) is int:
+            return n
+        n = Fraction(n)
+        return n.numerator if n.denominator == 1 else n
 
     def characteristic(self):
         return 0
@@ -399,6 +407,24 @@ class ExtensionField(Field):
 
     def __hash__(self):
         return hash(("ext", self._describe))
+
+
+def _levels_above(target: Field, source: Field) -> int:
+    """How many extension levels lie between `source` and `target`;
+    IncompatibleFields when target's tower does not hold `source`."""
+    k, cur = 0, target
+    while not (cur is source or cur == source):
+        if not isinstance(cur, ExtensionField):
+            raise IncompatibleFields(f"{source.describe()} !< {cur.describe()}")
+        cur, k = cur.base, k + 1
+    return k
+
+
+def _lift(v, k: int):
+    """A raw value embedded k levels up a tower: a 1-tuple per level."""
+    for _ in range(k):
+        v = (v,) if v else ()
+    return v
 
 
 def join_fields(a: Field, b: Field) -> Field:
@@ -619,7 +645,8 @@ class UniPoly:
     def map_field(self, target: Field) -> "UniPoly":
         if target == self.field:
             return self
-        return UniPoly(target, tuple(target.embed(c) for c in self.coeffs), self.var)
+        k = _levels_above(target, self.field)
+        return UniPoly._from_values(target, tuple([_lift(v, k) for v in self.values]), self.var)
 
     def __add__(self, other):
         return self._kernel(other, _padd)
@@ -655,6 +682,8 @@ class UniPoly:
         return divmod(self, other)[1]
 
     def __pow__(self, e: int):
+        if e < 0:
+            raise ValueError("negative exponent")
         result = UniPoly(self.field, (self.field.one(),), self.var)
         base = self
         while e:

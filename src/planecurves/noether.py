@@ -31,6 +31,7 @@ from .fields import (
     RationalField,
     Scalar,
     UniPoly,
+    _trim,
     extend_field,
     find_irreducible,
     join_fields,
@@ -133,12 +134,10 @@ def _z_fiber(P: MultiPoly, x0: Scalar, y0: Scalar) -> UniPoly:
 
 def _direction_points(b: MultiPoly, fld: Field):
     """Zeros [x:y:0] of a binary form b(X, Y) on the line Z = 0."""
+    values = b.map_field(fld).values
     deg = b.total_degree()
-    u = UniPoly(
-        fld,
-        [fld.embed(b.coeff((deg - j, j, 0))) for j in range(deg + 1)],
-        var="t",
-    )
+    row = [values.get((deg - j, j, 0), fld.raw_zero) for j in range(deg + 1)]
+    u = UniPoly._from_values(fld, _trim(row), "t")
     points = []
     if u.degree >= 1:
         fld, roots = roots_with_extension(u)
@@ -181,11 +180,11 @@ def find_common_points(F: MultiPoly, G: MultiPoly):
     if Fh.total_degree() >= 1 and Gh.total_degree() >= 1:
         fld = _common_points_core(Fh, Gh, fld, add)
     if kF >= 1:
-        raws, fld = _direction_points(G.map_field(fld), fld)
+        raws, fld = _direction_points(G, fld)
         for raw in raws:
             add(raw)
     if kG >= 1:
-        raws, fld = _direction_points(F.map_field(fld), fld)
+        raws, fld = _direction_points(F, fld)
         for raw in raws:
             add(raw)
     return points

@@ -19,16 +19,20 @@ polynomial (same field, same terms).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
+from math import lcm
 
 from .errors import IncompatibleFields, InternalError, NotSuitable, ZeroPolynomial
 from .fields import (
     NEG_INF,
     ExtensionField,
     Field,
+    PrimeField,
     RationalField,
     Scalar,
     UniPoly,
+    _levels_above,
+    _lift,
     _needs_parens,
     _pdivmod,
     _pgcd,
@@ -159,7 +163,10 @@ class MultiPoly:
     def map_field(self, target: Field) -> "MultiPoly":
         if target == self.field:
             return self
-        return MultiPoly(target, self.variables, self.terms)
+        k = _levels_above(target, self.field)
+        return MultiPoly._from_values(
+            target, self.variables, {e: _lift(v, k) for e, v in self.values.items()}
+        )
 
     def __add__(self, other):
         return self._kernel(other, _dadd)
@@ -498,12 +505,63 @@ def _primitive(field, rows: list):
     return out, g
 
 
+# the prime of biv_gcd's coprimality certificate over Q
+CERT_PRIME = 2**31 - 1
+
+
+@cache
+def _cert_field() -> PrimeField:
+    # built on first use, not per call: PrimeField tests primality by trial
+    # division, which takes milliseconds at this size
+    return PrimeField(CERT_PRIME)
+
+
+def _image_mod_p(F: MultiPoly, Fp: PrimeField) -> MultiPoly | None:
+    """F over Q with its denominators cleared, reduced modulo p; None when p
+    divides the lex-leading (y, then x) coefficient of the cleared F."""
+    den = lcm(*[c.denominator for c in F.values.values()])
+    p = Fp.p
+    image = {}
+    for e, c in F.values.items():
+        v = c.numerator * (den // c.denominator) % p
+        if v:
+            image[e] = v
+    if max(F.values, key=lambda e: (e[1], e[0])) not in image:
+        return None
+    return MultiPoly._from_values(Fp, F.variables, image)
+
+
 def biv_gcd(F: MultiPoly, G: MultiPoly) -> MultiPoly:
     """Gcd of two bivariate polynomials, primitive with monic leading part.
 
-    A primitive pseudo-remainder sequence in y over F[x]; every remainder
-    is divided by its content, and the gcd of the inputs' contents is
-    multiplied back at the end.
+    Over Q a coprimality certificate comes first.  Both inputs, with their
+    denominators cleared, are reduced modulo the fixed prime CERT_PRIME =
+    2^31 - 1, unless p divides the lex-leading (y, then x) integer
+    coefficient of either.  If the gcd of the two images is constant, the
+    inputs are coprime and the gcd is 1.  Why: by Gauss's lemma a common
+    factor h of the inputs can be taken primitive in Z[x, y], and it then
+    divides both cleared inputs over Z.  Its lex-leading coefficient divides
+    theirs, so p does not divide it, h mod p keeps its lex-leading monomial
+    and stays nonconstant, and h mod p divides both images.
+
+    Otherwise, and over every other field, the gcd comes from _biv_gcd's
+    exact pseudo-remainder sequence, so every nonconstant gcd is the one
+    it computes.
+    """
+    over_q = isinstance(F.field, RationalField) and isinstance(G.field, RationalField)
+    if over_q and F.values and G.values:
+        Fp = _cert_field()
+        A, B = _image_mod_p(F, Fp), _image_mod_p(G, Fp)
+        if A is not None and B is not None and _biv_gcd(A, B).total_degree() == 0:
+            return MultiPoly._from_values(F.field, F.variables, {(0, 0): F.field.raw_one})
+    return _biv_gcd(F, G)
+
+
+def _biv_gcd(F: MultiPoly, G: MultiPoly) -> MultiPoly:
+    """The exact gcd: a primitive pseudo-remainder sequence in y over F[x].
+
+    Every remainder is divided by its content, and the gcd of the inputs'
+    contents is multiplied back at the end.
     """
     if F.is_zero():
         return _normalize_biv(G)

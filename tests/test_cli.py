@@ -364,6 +364,27 @@ def test_no_assert_statements_in_the_package():
 
 
 @pytest.mark.parametrize(
+    "argv,code,text",
+    [
+        # a shared component: the certificate cannot settle it, and the
+        # exact gcd finds the factor
+        (["intersect", "(y-x^2)*(y+x)", "(y-x^2)*(y-x)"], 1, "curves share a component"),
+        # coprime over Q: the certificate settles it, and the residual
+        # H - A F - B G is still recomputed
+        (["noether-solve", "1/2*YZ-X^2", "YZ+3/5*X^2", "Y*Z*X+X^3"], 0, "Solved"),
+    ],
+    ids=["fallback", "certificate"],
+)
+def test_gcd_paths_under_python_O(argv, code, text):
+    # neither path may rest on an assert, which -O strips
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "planecurves", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == code
+    assert text in proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["resolve", "y^2-x^5"],

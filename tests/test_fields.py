@@ -642,3 +642,33 @@ def test_good_prime_search_ends_on_non_squarefree_input():
 @pytest.mark.parametrize("f", [T(QQ, -1, 1) ** 2, T(QQ, -1, 1) ** 2 * T(QQ, 2, 1)])
 def test_is_irreducible_over_q_rejects_repeated_factors(f):
     assert is_irreducible(f) is False
+
+
+def test_unipoly_negative_power_is_rejected():
+    with pytest.raises(ValueError, match="negative exponent"):
+        UniPoly(QQ, (1, 1), "x") ** -1
+
+
+def test_rational_raw_values_are_ints_when_integral():
+    assert type(QQ.raw(3)) is int
+    assert type(QQ.raw(Fraction(6, 3))) is int and QQ.raw(Fraction(6, 3)) == 2
+    assert type(QQ.raw(Fraction(1, 2))) is Fraction
+    assert type(QQ.raw_zero) is int and type(QQ.raw_one) is int
+    # the inverse of an int is a Fraction, and an integral Fraction still
+    # equals, hashes and prints like its int
+    assert QQ.inv(4) == Fraction(1, 4) and type(QQ.inv(1)) is Fraction
+    assert QQ.scalar(Fraction(4, 2)) == QQ.scalar(2)
+    assert hash(Scalar(QQ, Fraction(2))) == hash(QQ.scalar(2))
+    assert str(Scalar(QQ, Fraction(-2))) == str(QQ.scalar(-2)) == "-2"
+
+
+def test_unipoly_map_field_lifts_raw_values():
+    K = extend_field(F7, find_irreducible(F7, 2))
+    L = extend_field(K, find_irreducible(K, 3))
+    f = T(F7, 3, 0, 5)
+    for target in (K, L):
+        g = f.map_field(target)
+        assert g.field is target and g == f and hash(g) == hash(f)
+        assert g.coeffs == tuple(target.embed(c) for c in f.coeffs)
+    with pytest.raises(IncompatibleFields):
+        f.map_field(F5)

@@ -669,3 +669,119 @@ def test_eq_coerces_constants_into_the_tower():
 def test_negative_power_is_rejected():
     with pytest.raises(ValueError):
         aff("x + 1") ** -1
+
+
+# ---------------------------------------------------------------------------
+# over Q: integer raw values and biv_gcd's modular coprimality certificate
+# ---------------------------------------------------------------------------
+
+
+def test_integer_polynomials_over_q_hold_ints():
+    F = aff("3*x^2*y - 12*y^3 + 7 - (x+2)^3")
+    G = aff("x*y - 5")
+    for P in (F, G, F * F - G, F.derivative("x"), translate(F, 2, -5)):
+        assert all(type(v) is int for v in P.values.values()), P
+    assert type(aff("1/2*x").values[(1, 0)]) is Fraction
+
+
+def test_coprime_pair_over_q_runs_no_exact_prs(monkeypatch):
+    # 12-digit coefficients, as in the cofactor workload
+    F = aff("483920174652*x^2*y - 918273645501*y^2 + 102938475611*x^3 + 564738291003*x*y")
+    G = aff("-739182645520*y^3 + 111122223333*x*y + 987654321012*x^2 - 246813579024*y")
+    fields_seen = []
+    original = poly._pseudo_rem
+
+    def spy(field, A, B):
+        fields_seen.append(field)
+        return original(field, A, B)
+
+    monkeypatch.setattr(poly, "_pseudo_rem", spy)
+    g = biv_gcd(F, G)
+    assert g == aff("1") and g.field is QQ
+    assert fields_seen and all(K is poly._cert_field() for K in fields_seen)
+    # the exact core, run on its own, does go through the PRS over Q
+    assert poly._biv_gcd(F, G) == g and any(K is QQ for K in fields_seen)
+
+
+P = poly.CERT_PRIME
+
+
+def lex_lead(F):
+    return max(F.values, key=lambda e: (e[1], e[0]))
+
+
+@st.composite
+def cert_pairs(draw):
+    """(F, G) over Q, integral or not, some sharing a factor (in x alone or
+    not), some whose lex-leading coefficient is a multiple of p (one kind
+    sharing p*y + c, which is a unit modulo p), and some congruent modulo p
+    though coprime over Q."""
+    coeff = st.integers(-9, 9)
+    if draw(st.booleans()):
+        coeff = st.tuples(coeff, st.integers(1, 4)).map(lambda nd: Fraction(*nd))
+    exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    polys = st.dictionaries(exps, coeff, min_size=1, max_size=4).map(
+        lambda t: MultiPoly(QQ, AFFINE, t)
+    )
+    F, G = draw(polys), draw(polys)
+    kinds = ["random", "shared", "shared_x", "lead", "lead_shared", "congruent"]
+    kind = draw(st.sampled_from(kinds))
+    if kind in ("shared", "shared_x", "lead_shared"):
+        if kind == "shared_x":
+            h = MultiPoly(QQ, AFFINE, {(1, 0): draw(st.integers(1, 5)), (0, 0): draw(coeff)})
+        elif kind == "lead_shared":
+            h = MultiPoly(QQ, AFFINE, {(0, 1): P, (0, 0): draw(st.integers(1, 5))})
+        else:
+            h = draw(polys)
+        F, G = F * h, G * h
+    elif kind == "lead" and not F.is_zero():
+        F = F + MultiPoly(QQ, AFFINE, {lex_lead(F): F.values[lex_lead(F)] * (P - 1)})
+    elif kind == "congruent":
+        G = F + MultiPoly(QQ, AFFINE, {(0, 0): P * draw(st.integers(1, 3))})
+    return F, G
+
+
+def test_certificate_agrees_with_the_exact_prs():
+    seen = dict.fromkeys(["certified", "nonconstant", "p_divides_lead", "unlucky"], 0)
+    Fp = poly._cert_field()
+
+    @seed(1971)
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(pair=cert_pairs())
+    def check(pair):
+        F, G = pair
+        got, want = biv_gcd(F, G), poly._biv_gcd(F, G)
+        # coprime is never reported where the PRS finds a common factor
+        if want.total_degree() >= 1:
+            assert got.total_degree() >= 1
+        assert got == want and str(got) == str(want) and got.field is want.field
+        if F.is_zero() or G.is_zero():
+            return
+        A, B = poly._image_mod_p(F, Fp), poly._image_mod_p(G, Fp)
+        if want.total_degree() >= 1:
+            seen["nonconstant"] += 1
+        elif A is None or B is None:
+            seen["p_divides_lead"] += 1
+        elif poly._biv_gcd(A, B).total_degree() >= 1:
+            seen["unlucky"] += 1
+        else:
+            seen["certified"] += 1
+
+    check()
+    assert all(seen.values()), seen
+
+
+def test_map_field_builds_no_scalars(monkeypatch):
+    K = _tower(F7)
+    F = aff("2*x^2*y - 3*y^2 + x + 1", F7)
+    init, built = Scalar.__init__, []
+
+    def counting(self, *a):
+        built.append(1)
+        init(self, *a)
+
+    monkeypatch.setattr(Scalar, "__init__", counting)
+    G = F.map_field(K)
+    assert built == []
+    assert G.field is K and G == F and str(G) == str(F)
+    assert G.values == {e: (v,) for e, v in F.values.items()}
