@@ -426,9 +426,6 @@ class _Grower:
                 translate(t.rename(AFFINE).map_field(alpha.field), 0, alpha)
                 for t in transforms
             ]
-            passing = [e.constant_term().is_zero() for e in child_eqs[:n_drivers]]
-            if not (any(passing) if witness else all(passing)):
-                continue
             if depth >= max_depth:
                 raise DepthCapExceeded(
                     f"joint tree exceeded max depth {max_depth}; transforms still meet"

@@ -34,7 +34,6 @@ only the other nonlinear factors are split again over the extension.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from fractions import Fraction
@@ -55,18 +54,33 @@ DEFAULT_FACTOR_SEED = 0
 NEG_INF = float("-inf")
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# below PSI_13 (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PSI_13 = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; ValueError at or above PSI_13."""
+    if n >= PSI_13:
+        raise ValueError(f"primality is decided only below {PSI_13}, got {n}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    s = ((n - 1) & -(n - 1)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -390,8 +404,7 @@ class ExtensionField(Field):
         }
 
     def elements(self):
-        base_values = [e.value for e in self.base.elements()]
-        for combo in itertools.product(base_values, repeat=self.degree):
+        for combo in _raw_tuples(self.base, self.degree):
             yield Scalar(self, _trim(combo))
 
     def random_scalar(self, rng):
@@ -407,6 +420,17 @@ class ExtensionField(Field):
 
     def __hash__(self):
         return hash(("ext", self._describe))
+
+
+def _raw_tuples(base: Field, k: int):
+    # every k-tuple of base raw values in itertools.product's order, drawn
+    # lazily: product lists the whole base field before its first tuple
+    if k == 0:
+        yield ()
+        return
+    for e in base.elements():
+        for rest in _raw_tuples(base, k - 1):
+            yield (e.value,) + rest
 
 
 def _levels_above(target: Field, source: Field) -> int:
@@ -1041,9 +1065,8 @@ def extend_field(base: Field, minpoly: UniPoly) -> ExtensionField:
 
 def find_irreducible(field: Field, degree: int) -> UniPoly:
     """Smallest (in canonical scan order) monic irreducible of given degree."""
-    base_elems = list(field.elements())
-    for combo in itertools.product(base_elems, repeat=degree):
-        f = UniPoly(field, list(combo) + [field.one()])
+    for combo in _raw_tuples(field, degree):
+        f = UniPoly._from_values(field, combo + (field.raw_one,), "t")
         if is_irreducible(f):
             return f
     raise RuntimeError("no irreducible found; impossible over a finite field")

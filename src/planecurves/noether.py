@@ -112,24 +112,20 @@ def _pair_candidates(field: Field):
                 for i in range(s + 1):
                     yield cands[i], cands[s - i]
         return gen()
-
-    def gen_finite():
-        for a in field.elements():
-            for b in field.elements():
-                yield a, b
-    return gen_finite()
+    return ((a, b) for a in field.elements() for b in field.elements())
 
 
 def _z_fiber(P: MultiPoly, x0: Scalar, y0: Scalar) -> UniPoly:
-    # P(x0, y0, Z) as a univariate polynomial in Z
+    # P(x0, y0, Z) as a univariate polynomial in Z, summed on raw values
     field = join_fields(P.field, join_fields(x0.field, y0.field))
-    P = P.map_field(field)
-    x0, y0 = field.embed(x0), field.embed(y0)
-    deg = P.degree_in("Z")
-    coeffs = [field.zero() for _ in range(deg + 1)]
-    for (i, j, k), c in P.terms.items():
-        coeffs[k] = coeffs[k] + c * x0 ** i * y0 ** j
-    return UniPoly(field, coeffs, var="Z")
+    x, y = field.embed(x0).value, field.embed(y0).value
+    add, mul = field.add, field.mul
+    coeffs = [field.raw_zero] * (P.degree_in("Z") + 1)
+    for (i, j, k), c in P.map_field(field).values.items():
+        for v in (x,) * i + (y,) * j:
+            c = mul(c, v)
+        coeffs[k] = add(coeffs[k], c)
+    return UniPoly._from_values(field, _trim(coeffs), "Z")
 
 
 def _direction_points(b: MultiPoly, fld: Field):
@@ -419,19 +415,17 @@ def solve_af_bg(
     mons_B = _monomials(e - d) if e >= d else []
     if not mons_A and not mons_B:
         return NoetherCertificate("NoSolution")
-    targets = _monomials(e)
-
-    def entry(P, target, mon):
-        diff = tuple(t - u for t, u in zip(target, mon))
-        if any(x < 0 for x in diff):
-            return fld.zero()
-        return P.coeff(diff)
-
-    rows = [
-        [entry(F, t, u) for u in mons_A] + [entry(G, t, v) for v in mons_B]
-        for t in targets
-    ]
-    rhs = [H.coeff(t) for t in targets]
+    # row t, column u of A's block holds F's coefficient of t - u: fill each
+    # column from the terms of F*x^u (G*x^v for B's), every other cell zero
+    targets = {t: i for i, t in enumerate(_monomials(e))}
+    zero = fld.zero()
+    rows = [[zero] * (len(mons_A) + len(mons_B)) for _ in targets]
+    F_terms, G_terms, H_terms = F.terms, G.terms, H.terms
+    columns = [(F_terms, u) for u in mons_A] + [(G_terms, v) for v in mons_B]
+    for col, (terms, (p, q, r)) in enumerate(columns):
+        for (i, j, k), s in terms.items():
+            rows[targets[i + p, j + q, k + r]][col] = s
+    rhs = [H_terms.get(t, zero) for t in targets]
     sol = solve_linear(rows, rhs, fld, free_values=free_values)
     if sol is None:
         return NoetherCertificate("NoSolution")

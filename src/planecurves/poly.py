@@ -18,6 +18,7 @@ polynomial (same field, same terms).
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import cache, partial
 from math import lcm
@@ -511,8 +512,7 @@ CERT_PRIME = 2**31 - 1
 
 @cache
 def _cert_field() -> PrimeField:
-    # built on first use, not per call: PrimeField tests primality by trial
-    # division, which takes milliseconds at this size
+    # built once, on first use: every image mod p lives in this one field
     return PrimeField(CERT_PRIME)
 
 
@@ -656,33 +656,17 @@ def resultant_biv(F: MultiPoly, G: MultiPoly, main: str) -> UniPoly:
 # ---------------------------------------------------------------------------
 
 
+# a number, a name (a word character other than a digit or '_', then
+# digits), an operator, or any other non-space character, an error
+_TOKEN = re.compile(r"(\d+)|([^\W\d_]\d*)|([-+*^()/])|(\S)")
+
+
 def _tokenize(text: str):
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("num", int(text[i:j])))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i + 1
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("name", text[i:j]))
-            i = j
-            continue
-        if ch in "+-*^()/":
-            tokens.append((ch, ch))
-            i += 1
-            continue
-        raise ValueError(f"unexpected character {ch!r} in polynomial")
+    for num, name, op, bad in _TOKEN.findall(text):
+        if bad:
+            raise ValueError(f"unexpected character {bad!r} in polynomial")
+        tokens.append(("num", int(num)) if num else ("name", name) if name else (op, op))
     tokens.append(("end", None))
     return tokens
 

@@ -431,3 +431,28 @@ def test_seed_changes_no_result(capsys, argv):
     assert want[0] == 0
     for s in ("1", "7", "12345"):
         assert run(capsys, *argv, "--seed", s) == want
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["resolve", "y^2-x^3"],
+        ["intersect", "y^2-x^3", "y^2-x^5"],
+        ["bezout", "Y^2*Z-X^3", "X^2-Y*Z"],
+        ["genus", "Y^2*Z-X^3-X*Z^2"],
+        ["noether-solve", "X^2-Y*Z", "Y^2-X*Z", "X^3-Y^3"],
+        # p = 3 (mod 4), so the tangent directions need F_(p^2)
+        ["resolve", "y^2+x^2"],
+    ],
+    ids=["resolve", "intersect", "bezout", "genus", "noether-solve", "resolve-extension"],
+)
+def test_large_prime_field(argv):
+    # primality by Miller-Rabin and lazily listed field elements: a
+    # regression that grows with p fails here instead of hanging the suite
+    proc = subprocess.run(
+        [sys.executable, "-m", "planecurves", *argv, "--field", "p:1000000000000000003"],
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert proc.returncode == 0, proc.stderr

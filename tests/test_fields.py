@@ -672,3 +672,63 @@ def test_unipoly_map_field_lifts_raw_values():
         assert g.coeffs == tuple(target.embed(c) for c in f.coeffs)
     with pytest.raises(IncompatibleFields):
         f.map_field(F5)
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert [n for n in range(200_000) if fields._is_prime(n)] == [
+        n for n in range(200_000) if _trial_division(n)
+    ]
+
+
+@pytest.mark.parametrize(
+    "n, prime",
+    [
+        # strong pseudoprimes to the bases 2-7, 2-23 and 2-37
+        (3215031751, False),
+        (3825123056546413051, False),
+        (318665857834031151167461, False),
+        (2**61 - 1, True),
+        (10**18 + 3, True),
+    ],
+)
+def test_is_prime_on_large_inputs(n, prime):
+    assert fields._is_prime(n) is prime
+
+
+def test_is_prime_refuses_inputs_past_its_bound():
+    assert fields.PSI_13 == 3317044064679887385961981
+    fields._is_prime(fields.PSI_13 - 1)
+    with pytest.raises(ValueError, match="primality is decided only below"):
+        fields._is_prime(fields.PSI_13)
+    with pytest.raises(ValueError):
+        PrimeField(fields.PSI_13 + 2)
+
+
+def _product_order(K):
+    base = [e.value for e in K.base.elements()]
+    return [fields._trim(c) for c in itertools.product(base, repeat=K.degree)]
+
+
+@pytest.mark.parametrize("name", ["F4", "F9", "F81 over F9"])
+def test_elements_follow_the_product_order(name):
+    K = {
+        "F4": lambda: extend_field(F2, find_irreducible(F2, 2)),
+        "F9": F9,
+        "F81 over F9": lambda: extend_field(F9(), find_irreducible(F9(), 2)),
+    }[name]()
+    got = [e.value for e in K.elements()]
+    assert got == _product_order(K)
+    assert len(set(got)) == K.order()
+
+
+def test_elements_of_a_huge_extension_start_at_once():
+    # x^2 + 1 is irreducible mod p = 3 (mod 4); listing F_p first would
+    # never finish
+    p = 10**18 + 3
+    K = extend_field(PrimeField(p), T(PrimeField(p), 1, 0, 1))
+    first = [e.value for e in itertools.islice(K.elements(), 4)]
+    assert first == [(), (0, 1), (0, 2), (0, 3)]

@@ -1,7 +1,12 @@
 """Common points, the residue condition, the AF+BG solver, Bezout totals."""
 
-import pytest
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
+from planecurves import noether
 from planecurves.cli import main
 from planecurves.errors import (
     CommonComponent,
@@ -17,9 +22,11 @@ from planecurves.noether import (
     find_singular_points,
     solve_af_bg,
 )
+from planecurves.fields import Scalar, join_fields
+from planecurves.linalg import solve_linear
 from planecurves.poly import PROJECTIVE, MultiPoly, parse_poly
 
-from .helpers import F5, F7, QQ, corpus, field_by_name, hom
+from .helpers import F5, F7, F9, QQ, corpus, field_by_name, hom
 
 DATA = corpus()
 
@@ -230,3 +237,135 @@ class TestBezout:
         out, _ = capsys.readouterr()
         assert code == 0
         assert "total = 9, expected = 9" in out
+
+
+def _per_cell_system(F, G, H):
+    """The AF+BG system as solve_af_bg built it before it filled columns
+    from the terms of F and G: one entry per (target, monomial) cell."""
+    fld = join_fields(join_fields(F.field, G.field), H.field)
+    F, G, H = F.map_field(fld), G.map_field(fld), H.map_field(fld)
+    c, d, e = F.total_degree(), G.total_degree(), H.total_degree()
+    mons_A = noether._monomials(e - c) if e >= c else []
+    mons_B = noether._monomials(e - d) if e >= d else []
+    targets = noether._monomials(e)
+
+    def entry(P, target, mon):
+        diff = tuple(t - u for t, u in zip(target, mon))
+        if any(x < 0 for x in diff):
+            return fld.zero()
+        return P.coeff(diff)
+
+    rows = [
+        [entry(F, t, u) for u in mons_A] + [entry(G, t, v) for v in mons_B]
+        for t in targets
+    ]
+    rhs = [H.coeff(t) for t in targets]
+    return fld, rows, rhs, mons_A, mons_B
+
+
+def _solve_per_cell(F, G, H, free_values):
+    fld, rows, rhs, mons_A, mons_B = _per_cell_system(F, G, H)
+    if not mons_A and not mons_B:
+        return ("NoSolution",)
+    sol = solve_linear(rows, rhs, fld, free_values=free_values)
+    if sol is None:
+        return ("NoSolution",)
+    nA = len(mons_A)
+    A = MultiPoly(fld, PROJECTIVE, dict(zip(mons_A, sol[:nA])))
+    B = MultiPoly(fld, PROJECTIVE, dict(zip(mons_B, sol[nA:])))
+    return ("Solved", str(A), str(B))
+
+
+SOLVER_FIELDS = {"Q": QQ, "F7": F7, "F9": F9()}
+
+
+def _scalars(field):
+    if field is QQ:
+        ints = st.integers(-4, 4)
+        return st.one_of(ints, st.builds(Fraction, ints, st.integers(1, 3))).map(QQ.scalar)
+    return st.sampled_from(list(field.elements()))
+
+
+@st.composite
+def _forms(draw, field, deg):
+    mons = noether._monomials(deg)
+    coeffs = draw(st.lists(_scalars(field), min_size=len(mons), max_size=len(mons)))
+    return MultiPoly(field, PROJECTIVE, dict(zip(mons, coeffs)))
+
+
+@pytest.mark.parametrize("name", sorted(SOLVER_FIELDS))
+def test_solver_matrix_agrees_with_the_per_cell_matrix(monkeypatch, name):
+    field = SOLVER_FIELDS[name]
+    seen = dict.fromkeys(["Solved", "NoSolution", "pinned"], 0)
+    systems = []
+
+    def spy(rows, rhs, fld, free_values=None):
+        systems.append((rows, rhs))
+        return solve_linear(rows, rhs, fld, free_values=free_values)
+
+    monkeypatch.setattr(noether, "solve_linear", spy)
+
+    @seed(2002)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(data=st.data())
+    def check(data):
+        c, d = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        e = data.draw(st.integers(1, c + d + 1))
+        F, G = data.draw(_forms(field, c)), data.draw(_forms(field, d))
+        H = data.draw(_forms(field, e))
+        if data.draw(st.booleans()):
+            # H in the ideal, perturbed or not
+            A = data.draw(_forms(field, e - c)) if e >= c else MultiPoly.zero(field, PROJECTIVE)
+            B = data.draw(_forms(field, e - d)) if e >= d else MultiPoly.zero(field, PROJECTIVE)
+            H = A * F + B * G + (H if data.draw(st.booleans()) else 0)
+        if F.total_degree() != c or G.total_degree() != d or H.total_degree() != e:
+            return
+        ncols = sum(len(noether._monomials(e - k)) for k in (c, d) if e >= k)
+        pinned = data.draw(
+            st.dictionaries(st.integers(0, max(ncols - 1, 0)), _scalars(field), max_size=3)
+        )
+        systems.clear()
+        try:
+            cert = solve_af_bg(F, G, H, free_values=pinned)
+        except CommonComponent:
+            return
+        want = _solve_per_cell(F, G, H, pinned)
+        got = (cert.status,) if cert.A is None else (cert.status, str(cert.A), str(cert.B))
+        assert got == want
+        if systems:
+            (rows, rhs), (_, want_rows, want_rhs, _, _) = systems[0], _per_cell_system(F, G, H)
+            assert rows == want_rows and rhs == want_rhs
+        seen[cert.status] += 1
+        seen["pinned"] += bool(pinned) and cert.status == "Solved"
+
+    check()
+    assert all(seen.values()), seen
+
+
+def test_solver_builds_no_scalar_per_zero_cell(monkeypatch):
+    F, G = hom("X^3+Y^3+Z^3"), hom("X*Y*Z+Y^3")
+    H = hom("X^5+Y*Z^4") * F + hom("Y^3*Z^2") * G
+    init, built, at_solve = Scalar.__init__, [], []
+    check_coprime, systems = noether._assert_coprime_forms, []
+
+    def counting(self, *a):
+        built.append(1)
+        init(self, *a)
+
+    def coprime_then_count(*a):
+        check_coprime(*a)
+        built.clear()
+
+    def spy(rows, rhs, fld, free_values=None):
+        at_solve.append(len(built))
+        systems.append(rows)
+        return solve_linear(rows, rhs, fld, free_values=free_values)
+
+    monkeypatch.setattr(Scalar, "__init__", counting)
+    monkeypatch.setattr(noether, "_assert_coprime_forms", coprime_then_count)
+    monkeypatch.setattr(noether, "solve_linear", spy)
+    assert solve_af_bg(F, G, H).status == "Solved"
+    zero_cells = sum(not s for row in systems[0] for s in row)
+    # one Scalar per term of F, G and H and one shared zero
+    assert at_solve == [len(F.values) + len(G.values) + len(H.values) + 1]
+    assert zero_cells > 10 * at_solve[0]

@@ -8,6 +8,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from planecurves import poly
+from planecurves.cli import main
 from planecurves.errors import NotSuitable, ZeroPolynomial
 from planecurves.fields import Scalar, UniPoly, extend_field, find_irreducible, join_fields, uni_gcd
 from planecurves.poly import (
@@ -785,3 +786,79 @@ def test_map_field_builds_no_scalars(monkeypatch):
     assert built == []
     assert G.field is K and G == F and str(G) == str(F)
     assert G.values == {e: (v,) for e, v in F.values.items()}
+
+
+def _scan_by_hand(text):
+    """The character-by-character scanner that the regular expression replaced."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            tokens.append(("num", int(text[i:j])))
+            i = j
+            continue
+        if ch.isalpha():
+            j = i + 1
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            tokens.append(("name", text[i:j]))
+            i = j
+            continue
+        if ch in "+-*^()/":
+            tokens.append((ch, ch))
+            i += 1
+            continue
+        raise ValueError(f"unexpected character {ch!r} in polynomial")
+    tokens.append(("end", None))
+    return tokens
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except ValueError as e:
+        return str(e)
+
+
+# ASCII, and beyond it only characters on which str.isdigit/isalpha/isspace
+# and the regular expression's \d, \w and \s agree
+TOKEN_ALPHABET = (
+    [chr(c) for c in range(128)]
+    + list("٠١٢٣٤٥٦٧٨٩०१२३४५६७८९０１２３")  # decimal digits
+    + list("  　 \x85")  # spaces
+    + list("éßЖλΩ中ñ")  # letters
+)
+
+
+def test_tokenize_agrees_with_the_hand_scanner():
+    seen = {"tokens": 0, "error": 0}
+    common = st.sampled_from(list("xyzXYZ12+-*^()/ ") + ["z1", "20", "٣", " ", "λ"])
+
+    @seed(1212)
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(st.lists(st.one_of(common, st.sampled_from(TOKEN_ALPHABET)), max_size=16).map("".join))
+    def check(text):
+        want = _tokens_or_error(_scan_by_hand, text)
+        assert _tokens_or_error(poly._tokenize, text) == want
+        seen["error" if isinstance(want, str) else "tokens"] += 1
+
+    check()
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("text", ["y^2-x²", "x^2+½*y", "²", "1²"])
+def test_digits_that_are_not_decimal_stay_an_error(monkeypatch, capsys, text):
+    # str.isdigit and \d disagree on '²', str.isalpha and \w on '½': the
+    # error text may differ from the hand scanner's, but not the exit code
+    assert main(["resolve", text]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    monkeypatch.setattr(poly, "_tokenize", _scan_by_hand)
+    with pytest.raises(ValueError):
+        parse_poly(text, QQ, space="affine")
