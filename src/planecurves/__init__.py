@@ -9,7 +9,6 @@ holds.
 
 from .blowup import (
     DEFAULT_MAX_DEPTH,
-    InfNearNode,
     InfNearTree,
     JointNode,
     JointTree,

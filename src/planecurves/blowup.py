@@ -5,17 +5,20 @@ point of the proper transform over the origin has a finite t-coordinate.
 A tree node records the recentered, re-suitabilized local equations of
 every tracked curve, so the blow-up step is always the same substitution.
 
-One grower builds every tree; the kinds differ only in which points are
-blown up and which exceptional points become children:
+One grower builds every tree, one depth level at a time; the kinds differ
+only in which points are blown up and which exceptional points become
+children:
 
 - lead: blown up while curve 0 is singular, every root of its fiber is a
   child (resolve_tree for one curve, tracked_resolution with companions
   carried along for the adjoint condition);
 - shared: blown up while both drivers pass, children are the roots of the
   gcd of their fibers (joint_tree, for intersection numbers);
-- witness: as shared, plus the points where a single driver passes, down
-  to one level past the shared tree (joint_tree(witness=True), for the
-  AF+BG condition).
+- witness: as shared, plus the points where a single driver passes, until
+  a level holds no shared point, one level past the shared tree
+  (joint_tree(witness=True), for the AF+BG condition).
+
+A resolution tree (resolve_tree) is an InfNearTree over the same nodes.
 
 Over finite fields, tangent directions that do not exist over the current
 field trigger an extension of the coefficient tower; over Q a non-rational
@@ -106,39 +109,6 @@ def _coord_change_json(shift, lam):
     return steps
 
 
-class InfNearNode:
-    """One infinitely near point of a single curve.
-
-    local_eq is the curve in suitable coordinates at this point: the input
-    (at the root) or the parent's chart transform translated by (0, shift),
-    then sheared by x -> x + shear*y (shear is zero when none was needed).
-    """
-
-    __slots__ = ("id", "depth", "field", "local_eq", "r", "shift", "shear", "children")
-
-    def __init__(self, id, depth, field, local_eq, r, shift, shear):
-        self.id = id
-        self.depth = depth
-        self.field = field
-        self.local_eq = local_eq
-        self.r = r
-        self.shift = shift  # recentering root on the parent's exceptional line; None at the root
-        self.shear = shear
-        self.children = []
-
-    def to_json(self):
-        return {
-            "id": self.id,
-            "depth": self.depth,
-            "field": self.field.describe(),
-            "local_eq": str(self.local_eq),
-            "r": self.r,
-            "shift": None if self.shift is None else str(self.shift),
-            "coord_change": _coord_change_json(self.shift, self.shear),
-            "children": [c.to_json() for c in self.children],
-        }
-
-
 def _bfs(root):
     queue = deque([root])
     while queue:
@@ -148,9 +118,11 @@ def _bfs(root):
 
 
 class InfNearTree:
+    """The resolution tree of one curve: JointNodes whose lead curve is it."""
+
     __slots__ = ("root", "termination")
 
-    def __init__(self, root: InfNearNode, termination: str):
+    def __init__(self, root: JointNode, termination: str):
         self.root = root
         self.termination = termination  # "Resolved" | "DepthCapped"
 
@@ -186,25 +158,16 @@ def resolve_tree(F: MultiPoly, max_depth: int = DEFAULT_MAX_DEPTH) -> InfNearTre
     _check_resolvable(F)
     capped = []
     root = _grow([F], "lead", max_depth, capped=capped)
-    return InfNearTree(_inf_near(root), "DepthCapped" if capped else "Resolved")
-
-
-def _inf_near(node) -> InfNearNode:
-    out = InfNearNode(
-        node.id, node.depth, node.field, node.eqs[0], node.rs[0], node.shift, node.shear
-    )
-    out.children = [_inf_near(c) for c in node.children]
-    return out
+    return InfNearTree(root, "DepthCapped" if capped else "Resolved")
 
 
 def to_dot(tree) -> str:
     """Graphviz rendering of a resolution or joint tree."""
     lines = ["digraph blowups {", '  node [shape=box, fontname="monospace"];']
+    joint = isinstance(tree, JointTree)
     for node in tree.nodes():
-        if isinstance(node, JointNode):
-            rs = ", ".join(
-                f"{lab}:{r}" for lab, r in zip(tree.labels, node.rs)
-            )
+        if joint:
+            rs = ", ".join(f"{lab}:{r}" for lab, r in zip(tree.labels, node.rs))
             label = f"depth {node.depth}\\n{rs}"
         else:
             label = f"depth {node.depth}, r={node.r}\\n{node.local_eq}"
@@ -225,34 +188,48 @@ class JointNode:
 
     Every curve reaches it through the same coordinates: the parent's chart
     transforms translated by (0, shift), then one common shear
-    x -> x + shear*y (zero when no shear was needed).
+    x -> x + shear*y (zero when no shear was needed).  A resolution tree
+    is made of these nodes too, with its curve as the lead (curve 0).
     """
 
     __slots__ = ("id", "depth", "field", "eqs", "rs", "shift", "shear", "children")
 
-    def __init__(self, id, depth, field, eqs, rs, shift, shear):
-        self.id = id
+    def __init__(self, depth, field, eqs, rs, shift, shear):
+        self.id = None  # numbered in preorder once the tree is grown
         self.depth = depth
         self.field = field
         self.eqs = eqs  # tuple of transforms, one per tracked curve, shared chart
         self.rs = rs  # multiplicity of each transform at this point (0 = absent)
-        self.shift = shift
+        self.shift = shift  # recentering root on the parent's exceptional line; None at the root
         self.shear = shear
         self.children = []
 
-    def to_json(self, labels):
-        return {
-            "id": self.id,
-            "depth": self.depth,
-            "field": self.field.describe(),
-            "curves": {
+    @property
+    def local_eq(self):
+        """The lead curve in this node's suitable coordinates."""
+        return self.eqs[0]
+
+    @property
+    def r(self):
+        """The lead curve's multiplicity at this point."""
+        return self.rs[0]
+
+    def to_json(self, labels=None):
+        """Every tracked curve under its label, or without labels the lead
+        curve alone, as a resolution tree node."""
+        out = {"id": self.id, "depth": self.depth, "field": self.field.describe()}
+        if labels is None:
+            out["local_eq"] = str(self.local_eq)
+            out["r"] = self.r
+        else:
+            out["curves"] = {
                 lab: {"local_eq": str(eq), "r": r}
                 for lab, eq, r in zip(labels, self.eqs, self.rs)
-            },
-            "shift": None if self.shift is None else str(self.shift),
-            "coord_change": _coord_change_json(self.shift, self.shear),
-            "children": [c.to_json(labels) for c in self.children],
-        }
+            }
+        out["shift"] = None if self.shift is None else str(self.shift)
+        out["coord_change"] = _coord_change_json(self.shift, self.shear)
+        out["children"] = [c.to_json(labels) for c in self.children]
+        return out
 
 
 class JointTree:
@@ -267,9 +244,6 @@ class JointTree:
 
     def contributions(self):
         return [(n.depth, n.rs) for n in self.nodes()]
-
-    def max_depth(self):
-        return max(n.depth for n in self.nodes())
 
     def to_json(self):
         return {"labels": list(self.labels), "root": self.root.to_json(self.labels)}
@@ -315,11 +289,11 @@ def joint_tree(
     share.  A third curve is carried along the same charts (its multiplicity
     is reported at every node) but never influences which points appear.
 
-    witness=True additionally materializes, up to one level past the deepest
-    shared node, the points where a single driver passes, and keeps blowing
-    up those where that driver is singular.  This is the point set over
-    which the AF+BG hypothesis must be verified; plain intersection trees
-    do not need it.
+    witness=True additionally materializes the points where a single driver
+    passes, and keeps blowing up those where that driver is singular, until
+    a level holds no shared node: one level past the deepest shared node.
+    This is the point set over which the AF+BG hypothesis must be verified;
+    plain intersection trees do not need it.
     """
     if not 2 <= len(curves) <= 3:
         raise ValueError("joint_tree tracks two or three curves")
@@ -343,15 +317,7 @@ def _joint_tree(curves, max_depth, labels, witness=False) -> JointTree:
     repeating the gcd.
     """
     labels = tuple(labels) if labels is not None else JOINT_LABELS[: len(curves)]
-    # Over Q the shared pass is also the guard: only its gcd fibers go
-    # through roots_with_extension, which raises NonRationalPoint on a
-    # non-rational point the drivers share; the witness pass reads rational
-    # roots alone and would silently drop such a conjugate pair.
-    tree = JointTree(_grow(curves, "shared", max_depth), labels)
-    if witness:
-        limit = tree.max_depth() + 1
-        tree = JointTree(_grow(curves, "witness", max_depth, depth_limit=limit), labels)
-    return tree
+    return JointTree(_grow(curves, "witness" if witness else "shared", max_depth), labels)
 
 
 def tracked_resolution(curves, max_depth: int = DEFAULT_MAX_DEPTH, labels=None) -> JointTree:
@@ -367,71 +333,76 @@ def tracked_resolution(curves, max_depth: int = DEFAULT_MAX_DEPTH, labels=None) 
     return JointTree(_grow(curves, "lead", max_depth), labels)
 
 
-def _grow(curves, kind, max_depth, capped=None, depth_limit=None) -> JointNode:
-    """The one tree grower: a JointNode tree of `curves` at the origin.
+def _grow(curves, kind, max_depth, capped=None) -> JointNode:
+    """The one tree grower: a JointNode tree of `curves` at the origin,
+    grown one depth level at a time.
 
     kind is "lead" (blow up while curve 0 is singular, every root of its
     fiber is a child), "shared" (blow up while curves 0 and 1 both pass,
     children are the common roots of their fibers) or "witness" (shared,
-    plus the points where one driver passes, down to depth_limit).  Every
-    other curve is carried through the same charts.  A lead node still
-    singular at max_depth is appended to `capped` and left a leaf, or
-    raises DepthCapExceeded when capped is None; the other kinds raise
-    when a kept child would lie deeper than max_depth.
+    plus the points where one driver passes, blown up while that driver is
+    singular).  A witness tree stops at the first level that holds no
+    shared node: a driver that misses a point misses every point above it,
+    so the shared nodes form a subtree at the root, and the witness tree
+    ends one level past its deepest node.  Every other curve is carried
+    through the same charts.  A lead node still singular at max_depth is
+    appended to `capped` and left a leaf, or raises DepthCapExceeded when
+    capped is None; the other kinds raise when a kept child would lie
+    deeper than max_depth.  The ids are numbered in preorder once the tree
+    is grown.
     """
-    return _Grower(kind, max_depth, capped, depth_limit, curves[0].field).build(
-        list(curves), 0, None
-    )
-
-
-class _Grower:
-    """One _grow call's settings; build recurses as a method, because a
-    nested function that calls itself is a reference cycle per call."""
-
-    def __init__(self, kind, max_depth, capped, depth_limit, field):
-        self.ids = count()
-        self.lead = kind == "lead"
-        self.witness = kind == "witness"
-        self.n_drivers = 1 if self.lead else 2
-        self.rational = isinstance(field, RationalField)
-        self.max_depth = max_depth
-        self.capped = capped
-        self.depth_limit = depth_limit
-
-    def build(self, eqs, depth, shift):
-        lead, witness = self.lead, self.witness
-        n_drivers, max_depth = self.n_drivers, self.max_depth
-        suited, lam, field = make_suitable_many(eqs)
-        rs = tuple(e.mult_at_origin() if e.constant_term().is_zero() else 0 for e in suited)
-        node = JointNode(next(self.ids), depth, field, tuple(suited), rs, shift, lam)
-
-        drivers = rs[:n_drivers]
-        if lead:
-            expand = rs[0] >= 2
-        else:
-            expand = all(r >= 1 for r in drivers) or (witness and any(r >= 2 for r in drivers))
-        if not expand or (self.depth_limit is not None and depth >= self.depth_limit):
-            return node
-        if lead and depth >= max_depth:
-            if self.capped is None:
-                raise DepthCapExceeded(
-                    f"resolution exceeded max depth {max_depth}; lead curve still singular"
-                )
-            self.capped.append(node)
-            return node
-
-        transforms = [_chart_transform(e, r) for e, r in zip(suited, rs)]
-        for alpha in _child_points(transforms[:n_drivers], drivers, witness, self.rational):
-            child_eqs = [
-                translate(t.rename(AFFINE).map_field(alpha.field), 0, alpha)
-                for t in transforms
-            ]
-            if depth >= max_depth:
+    lead, witness = kind == "lead", kind == "witness"
+    n_drivers = 1 if lead else 2
+    rational = isinstance(curves[0].field, RationalField)
+    root = _node(curves, 0, None)
+    level = [root]
+    while level:
+        if witness and not any(min(n.rs[:2]) >= 1 for n in level):
+            break
+        below = []
+        for node in level:
+            drivers = node.rs[:n_drivers]
+            if lead:
+                expand = drivers[0] >= 2
+            else:
+                expand = min(drivers) >= 1 or (witness and max(drivers) >= 2)
+            if not expand:
+                continue
+            if lead and node.depth >= max_depth:
+                if capped is None:
+                    raise DepthCapExceeded(
+                        f"resolution exceeded max depth {max_depth}; lead curve still singular"
+                    )
+                capped.append(node)
+                continue
+            transforms = [_chart_transform(e, r) for e, r in zip(node.eqs, node.rs)]
+            points = _child_points(transforms[:n_drivers], drivers, witness, rational)
+            if points and node.depth >= max_depth:
                 raise DepthCapExceeded(
                     f"joint tree exceeded max depth {max_depth}; transforms still meet"
                 )
-            node.children.append(self.build(child_eqs, depth + 1, alpha))
-        return node
+            for alpha in points:
+                eqs = [
+                    translate(t.rename(AFFINE).map_field(alpha.field), 0, alpha)
+                    for t in transforms
+                ]
+                node.children.append(_node(eqs, node.depth + 1, alpha))
+            below.extend(node.children)
+        level = below
+    ids = count()
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        node.id = next(ids)
+        stack.extend(reversed(node.children))
+    return root
+
+
+def _node(eqs, depth, shift) -> JointNode:
+    """A node of `eqs` made suitable together, with each one's multiplicity."""
+    suited, lam, field = make_suitable_many(eqs)
+    rs = tuple(e.mult_at_origin() if e.constant_term().is_zero() else 0 for e in suited)
+    return JointNode(depth, field, tuple(suited), rs, shift, lam)
 
 
 def _child_points(driver_transforms, driver_rs, witness, rational):
@@ -441,12 +412,14 @@ def _child_points(driver_transforms, driver_rs, witness, rational):
     so a single (lead) driver gets every root of its own fiber.
     """
     fibers = [fiber_poly(t) for t in driver_transforms]
-    if not witness:
+    if not witness or (rational and min(driver_rs) >= 1):
+        # over Q this also guards a witness node where both drivers pass:
+        # splitting their gcd raises NonRationalPoint on a conjugate pair of
+        # points they share, which the rational roots read below would drop
         shared = reduce(uni_gcd, fibers)
-        if shared.degree < 1:
-            return []
-        _, roots = roots_with_extension(shared)
-        return [alpha for alpha, _m in roots]
+        roots = roots_with_extension(shared)[1] if shared.degree >= 1 else []
+        if not witness:
+            return [alpha for alpha, _m in roots]
     if rational:
         points = []
         for Fp, fib, r in zip(driver_transforms, fibers, driver_rs):

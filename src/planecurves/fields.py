@@ -1064,11 +1064,20 @@ def extend_field(base: Field, minpoly: UniPoly) -> ExtensionField:
 
 
 def find_irreducible(field: Field, degree: int) -> UniPoly:
-    """Smallest (in canonical scan order) monic irreducible of given degree."""
-    for combo in _raw_tuples(field, degree):
-        f = UniPoly._from_values(field, combo + (field.raw_one,), "t")
-        if is_irreducible(f):
-            return f
+    """Smallest (in canonical scan order) monic irreducible of given degree.
+
+    The scan runs from the constant term outward; above degree 1 a zero
+    constant term leaves the factor t, so those candidates are skipped.
+    """
+    if degree < 1:
+        raise ValueError("an irreducible polynomial has degree at least 1")
+    for c0 in field.elements():
+        if degree > 1 and c0.is_zero():
+            continue
+        for rest in _raw_tuples(field, degree - 1):
+            f = UniPoly._from_values(field, (c0.value,) + rest + (field.raw_one,), "t")
+            if is_irreducible(f):
+                return f
     raise RuntimeError("no irreducible found; impossible over a finite field")
 
 

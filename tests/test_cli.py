@@ -390,6 +390,14 @@ def test_gcd_paths_under_python_O(argv, code, text):
         ["resolve", "y^2-x^5"],
         ["intersect", "y^2-x^3", "y^2+x^3"],
         ["noether-check", "X", "Y", "X*Y"],
+        ["delta", "y^2-x^5"],
+        ["adjoint", "y^2-x^3", "x"],
+        ["bezout", "Y^2*Z-X^3", "Y"],
+        ["genus", "Y^2*Z-X^3"],
+        pytest.param(
+            ["noether-check", "Y^2*Z-X^3", "Y", "Y^2", "--field", "p:7"],
+            id="noether-check-p7",
+        ),
     ],
     ids=lambda argv: argv[0],
 )

@@ -210,6 +210,51 @@ def test_find_irreducible_smallest_scan():
     assert is_irreducible(f)
 
 
+def _full_scan_irreducible(field, degree):
+    """Every monic candidate in the canonical order, constant term outermost."""
+    for combo in itertools.product(list(field.elements()), repeat=degree):
+        f = UniPoly(field, [*combo, field.one()], "t")
+        if is_irreducible(f):
+            return f
+
+
+SCAN_FIELDS = {
+    "F2": lambda: F2,
+    "F3": lambda: F3,
+    "F5": lambda: F5,
+    "F7": lambda: F7,
+    "F11": lambda: PrimeField(11),
+    "F13": lambda: PrimeField(13),
+    "F4": lambda: extend_field(F2, find_irreducible(F2, 2)),
+    "F9": F9,
+}
+
+
+@pytest.mark.parametrize("name", SCAN_FIELDS)
+def test_find_irreducible_keeps_the_full_scan_answer(name):
+    field = SCAN_FIELDS[name]()
+    for degree in (1, 2, 3, 4):
+        assert find_irreducible(field, degree) == _full_scan_irreducible(field, degree)
+
+
+def test_find_irreducible_skips_zero_constant_terms(monkeypatch):
+    # over F_p the candidates t^2 + c*t come first; each has the factor t
+    tested = []
+    real = fields.is_irreducible
+
+    def counted(f):
+        tested.append(f)
+        assert len(tested) < 100, "find_irreducible scans the zero constant terms"
+        return real(f)
+
+    monkeypatch.setattr(fields, "is_irreducible", counted)
+    f = find_irreducible(PrimeField(1000003), 2)
+    assert real(f) and f.degree == 2
+    assert str(f) == "t^2+1"
+    with pytest.raises(ValueError):
+        find_irreducible(F5, 0)
+
+
 def refactor_roots(f):
     """The root loop that factors all of f again over every new level."""
     field = f.field
