@@ -438,8 +438,6 @@ def _child_points(driver_transforms, driver_rs, witness, rational):
         if r < 1:
             continue
         product = fib if product is None else product * fib
-    if product is None or product.degree < 1:
-        return []
     _, roots = roots_with_extension(product)
     return [alpha for alpha, _m in roots]
 

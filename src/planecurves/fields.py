@@ -14,10 +14,12 @@ arithmetic step instead of as a wrong answer later.
 
 The univariate layer (UniPoly) provides division, gcd, and factorization.
 One Euclid loop on raw tuples, _pgcd, makes each remainder monic before it
-divides; it serves uni_gcd and the contents of poly.biv_gcd alike.
-Over a finite field factorization is complete: squarefree decomposition,
-then distinct-degree splitting, then equal-degree splitting with a seeded
-deterministic random stream.  Over Q only rational roots are split off;
+divides; it serves uni_gcd and the contents of poly.biv_gcd alike, and one
+square-and-multiply, _power, serves every power.  Over a finite field
+factorization is complete: squarefree decomposition, then distinct-degree
+splitting, then equal-degree splitting with a seeded deterministic random
+stream; a squarefree f is irreducible when its first distinct-degree factor
+has degree deg f.  Over Q only rational roots are split off;
 a residual factor of degree >= 2 is returned whole and callers that need
 an actual point raise NonRationalPoint.  The rational roots of a squarefree
 factor come from its roots modulo the first good prime p (one that keeps
@@ -139,6 +141,21 @@ def _pdivmod(F, a, b):
         for j in range(db):
             rem[top - db + j] = sub(rem[top - db + j], mul(q, b[j]))
     return tuple(quo), _trim(rem[:db])
+
+
+def _power(mul, one, base, e: int):
+    """base^e by square-and-multiply, skipping the last squaring; one is the
+    unit of mul.  The one power loop of Scalar, UniPoly and MultiPoly."""
+    if e < 0:
+        raise ValueError("negative exponent")
+    result = one
+    while e:
+        if e & 1:
+            result = mul(result, base)
+        e >>= 1
+        if e:
+            base = mul(base, base)
+    return result
 
 
 def _pmonic(F, a) -> tuple:
@@ -541,15 +558,7 @@ class Scalar:
         if e < 0:
             return self.inverse() ** (-e)
         f = self.field
-        mul = f.mul
-        result, base = f.raw_one, self.value
-        while e:
-            if e & 1:
-                result = mul(result, base)
-            e >>= 1
-            if e:
-                base = mul(base, base)
-        return Scalar(f, result)
+        return Scalar(f, _power(f.mul, f.raw_one, self.value, e))
 
     def __eq__(self, other):
         if type(other) is Scalar and other.field is self.field:
@@ -706,29 +715,16 @@ class UniPoly:
         return divmod(self, other)[1]
 
     def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative exponent")
-        result = UniPoly(self.field, (self.field.one(),), self.var)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return _power(operator.mul, UniPoly(self.field, (self.field.one(),), self.var), self, e)
 
     def pow_mod(self, e: int, modulus: "UniPoly") -> "UniPoly":
         a, m = self._pair(modulus)
         F, m = a.field, m.values
-        result = _pdivmod(F, (F.raw_one,), m)[1]
-        base = _pdivmod(F, a.values, m)[1]
-        while e:
-            if e & 1:
-                result = _pdivmod(F, _pmul(F, result, base), m)[1]
-            e >>= 1
-            if e:
-                base = _pdivmod(F, _pmul(F, base, base), m)[1]
+
+        def mul_mod(u, v):
+            return _pdivmod(F, _pmul(F, u, v), m)[1]
+
+        result = _power(mul_mod, _pdivmod(F, (F.raw_one,), m)[1], _pdivmod(F, a.values, m)[1], e)
         return UniPoly._from_values(F, result, a.var)
 
     def monic(self) -> "UniPoly":
@@ -1014,34 +1010,20 @@ def uni_factor(f: UniPoly, seed=None):
 
 
 def is_irreducible(f: UniPoly) -> bool:
-    """Rabin's test over finite fields; over Q, for degree <= 3, squarefree
-    with no rational root."""
+    """Squarefree, and over a finite field one distinct-degree factor of
+    full degree; over Q, for degree <= 3, squarefree with no rational root."""
     if f.is_zero() or f.degree < 1:
         return False
     if f.degree == 1:
         return True
-    if isinstance(f.field, RationalField):
-        if f.degree > 3:
-            raise ValueError("irreducibility over Q is only certified up to degree 3")
-        if uni_gcd(f, f.derivative()).degree >= 1:
-            return False
-        roots, _ = _rational_roots_split(f.monic())
-        return not roots
-    q = f.field.order()
-    n = int(f.degree)
-    x = UniPoly.x(f.field, f.var)
-
-    def x_power_q_tower(m):
-        w = x % f
-        for _ in range(m):
-            w = w.pow_mod(q, f)
-        return w
-
-    for ell in (d for d in range(2, n + 1) if n % d == 0 and _is_prime(d)):
-        g = uni_gcd(x_power_q_tower(n // ell) - x, f)
-        if g.degree >= 1:
-            return False
-    return (x_power_q_tower(n) - x % f).is_zero()
+    rational = isinstance(f.field, RationalField)
+    if rational and f.degree > 3:
+        raise ValueError("irreducibility over Q is only certified up to degree 3")
+    if uni_gcd(f, f.derivative()).degree >= 1:
+        return False
+    if rational:
+        return not _rational_roots_split(f.monic())[0]
+    return _distinct_degree(f.monic())[0][1] == f.degree
 
 
 def extend_field(base: Field, minpoly: UniPoly) -> ExtensionField:
@@ -1069,6 +1051,8 @@ def find_irreducible(field: Field, degree: int) -> UniPoly:
     The scan runs from the constant term outward; above degree 1 a zero
     constant term leaves the factor t, so those candidates are skipped.
     """
+    if isinstance(field, RationalField):
+        raise UnsupportedExtension("irreducibles are searched only over finite fields")
     if degree < 1:
         raise ValueError("an irreducible polynomial has degree at least 1")
     for c0 in field.elements():

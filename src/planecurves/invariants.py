@@ -12,6 +12,8 @@ route is trusted alone.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from .blowup import (
     DEFAULT_MAX_DEPTH,
     InfNearTree,
@@ -26,11 +28,12 @@ from .errors import (
     UnresolvedTree,
     ZeroPolynomial,
 )
-from .fields import RationalField, UniPoly, join_fields, uni_factor
+from .fields import RationalField, UniPoly, is_irreducible, join_fields
 from .poly import (
     MultiPoly,
     PROJECTIVE,
     _shear_candidates,
+    biv_coeffs,
     biv_gcd,
     dehomogenize,
     squarefree_defect,
@@ -252,26 +255,16 @@ def _localize(F: MultiPoly, coords):
 
 
 def _full_degree_fibers(F: MultiPoly, n: int):
-    # affine restrictions whose main-variable degree stays n, if any chart allows it
+    # fibers of the first affine restriction whose main-variable degree is n,
+    # if any chart allows it: n + 1 rows in that variable
     for chart in ("Z", "Y", "X"):
         aff = dehomogenize(F, chart)
-        for main, other in (("y", "x"), ("x", "y")):
-            top = (0, n) if main == "y" else (n, 0)
-            if aff.coeff(top).is_zero():
-                continue
-            field = F.field
-            samples = _shear_candidates(field)
-            for _ in range(8):
-                try:
-                    a = next(samples)
-                except StopIteration:
-                    break
-                fib = aff.substitute({other: MultiPoly.constant(field, a)})
-                coeffs = [
-                    fib.coeff((0, j) if main == "y" else (j, 0)) for j in range(n + 1)
-                ]
-                yield UniPoly(field, coeffs, var=main)
-            return
+        for main in ("y", "x"):
+            rows = biv_coeffs(aff, main)
+            if len(rows) == n + 1:
+                for a in islice(_shear_candidates(F.field), 8):
+                    yield UniPoly(F.field, [row.eval(a) for row in rows], var=main)
+                return
 
 
 def _certify_irreducible(F: MultiPoly):
@@ -280,12 +273,11 @@ def _certify_irreducible(F: MultiPoly):
     A repeated factor is always detected.  Full irreducibility is certified
     when some specialized fiber of full degree is irreducible, which implies
     that F is.  The test is one-sided: a reducible fiber proves nothing.
-    Over a finite field the fibers are factored completely, but an
+    Over a finite field is_irreducible decides each fiber, but an
     irreducible F can still have no irreducible fiber: when p = 2 mod 3,
     cubing is a bijection of F_p, so y^3 + c always has a root and the Fermat
-    cubic is never certified.  Over Q a residual without rational roots is
-    only known irreducible up to cubics, so higher-degree rational inputs
-    need assume_irreducible.
+    cubic is never certified.  Over Q is_irreducible stops at cubics, so
+    higher-degree rational inputs need assume_irreducible.
     """
     n = F.total_degree()
     if n == 1:
@@ -298,15 +290,10 @@ def _certify_irreducible(F: MultiPoly):
     defect = squarefree_defect(aff)
     if defect is not None:
         raise Reducible(f"repeated factor detected: {defect}")
-    rational = isinstance(F.field, RationalField)
-    for fib in _full_degree_fibers(F, n):
-        if fib.degree != n:
-            continue
-        _, factors = uni_factor(fib)
-        if len(factors) == 1 and factors[0][1] == 1 and factors[0][0].degree == n:
-            if rational and n > 3:
-                continue  # residual factors are not certified irreducible over Q
-            return
+    if not (isinstance(F.field, RationalField) and n > 3):
+        for fib in _full_degree_fibers(F, n):
+            if fib.degree == n and is_irreducible(fib):
+                return
     raise Reducible(
         "could not certify irreducibility; pass assume_irreducible for a "
         "curve known to be irreducible"

@@ -32,15 +32,21 @@ from .fields import (
     Scalar,
     UniPoly,
     _trim,
-    extend_field,
-    find_irreducible,
     join_fields,
     roots_with_extension,
     uni_gcd,
 )
 from .invariants import _intersection_multiplicity, _localize
 from .linalg import solve_linear
-from .poly import MultiPoly, PROJECTIVE, _shear_candidates, biv_gcd, dehomogenize, resultant_biv
+from .poly import (
+    MultiPoly,
+    PROJECTIVE,
+    _first_fit,
+    _shear_candidates,
+    biv_gcd,
+    dehomogenize,
+    resultant_biv,
+)
 
 
 class ProjPoint:
@@ -128,18 +134,15 @@ def _z_fiber(P: MultiPoly, x0: Scalar, y0: Scalar) -> UniPoly:
     return UniPoly._from_values(field, _trim(coeffs), "Z")
 
 
-def _direction_points(b: MultiPoly, fld: Field):
-    """Zeros [x:y:0] of a binary form b(X, Y) on the line Z = 0."""
-    values = b.map_field(fld).values
-    deg = b.total_degree()
-    row = [values.get((deg - j, j, 0), fld.raw_zero) for j in range(deg + 1)]
-    u = UniPoly._from_values(fld, _trim(row), "t")
+def _directions(u: UniPoly, deg: int, fld: Field):
+    """Zeros [x : y] of a binary form of degree deg, given u(t) = form(1, t):
+    [1 : t] at each root t of u, and [0 : 1] when deg u < deg."""
     points = []
     if u.degree >= 1:
-        fld, roots = roots_with_extension(u)
-        points = [(fld.one(), t, fld.zero()) for t, _ in roots]
+        fld, roots = roots_with_extension(u.map_field(fld))
+        points = [(fld.one(), t) for t, _ in roots]
     if u.degree < deg:
-        points.append((fld.zero(), fld.one(), fld.zero()))
+        points.append((fld.zero(), fld.one()))
     return points, fld
 
 
@@ -175,14 +178,14 @@ def find_common_points(F: MultiPoly, G: MultiPoly):
     # the component Z = 0 of one input meets the other in its directions
     if Fh.total_degree() >= 1 and Gh.total_degree() >= 1:
         fld = _common_points_core(Fh, Gh, fld, add)
-    if kF >= 1:
-        raws, fld = _direction_points(G, fld)
-        for raw in raws:
-            add(raw)
-    if kG >= 1:
-        raws, fld = _direction_points(F, fld)
-        for raw in raws:
-            add(raw)
+    for k, P in ((kF, G), (kG, F)):
+        if k >= 1:
+            # P(1, t, 0): the zeros of P on the line Z = 0
+            deg, zero = P.total_degree(), P.field.raw_zero
+            row = [P.values.get((deg - j, j, 0), zero) for j in range(deg + 1)]
+            dirs, fld = _directions(UniPoly._from_values(P.field, _trim(row), "t"), deg, fld)
+            for x0, y0 in dirs:
+                add((x0, y0, fld.zero()))
     return points
 
 
@@ -191,20 +194,13 @@ def _common_points_core(F: MultiPoly, G: MultiPoly, fld: Field, add):
     n, m = F.total_degree(), G.total_degree()
 
     # move [0:0:1] off both curves so the Z-leading coefficients are constants
-    while True:
-        a = b = None
-        for ca, cb in _pair_candidates(fld):
-            one = fld.one()
-            if not F.evaluate({"X": ca, "Y": cb, "Z": one}).is_zero() and not G.evaluate(
-                {"X": ca, "Y": cb, "Z": one}
-            ).is_zero():
-                a, b = ca, cb
-                break
-        if a is not None:
-            break
-        fld = extend_field(fld, find_irreducible(fld, 2))
-        F, G = F.map_field(fld), G.map_field(fld)
+    one = fld.one()
 
+    def off_both(ab):
+        point = {"X": ab[0], "Y": ab[1], "Z": one}
+        return not F.evaluate(point).is_zero() and not G.evaluate(point).is_zero()
+
+    (a, b), fld = _first_fit(fld, _pair_candidates, off_both)
     F, G = F.map_field(fld), G.map_field(fld)
     Xv, Yv, Zv = (MultiPoly.var(fld, v, PROJECTIVE) for v in PROJECTIVE)
     Fp = F.substitute({"X": Xv + Zv * a, "Y": Yv + Zv * b})
@@ -217,13 +213,7 @@ def _common_points_core(F: MultiPoly, G: MultiPoly, fld: Field, add):
     R1 = resultant_biv(Ft, Gt, main="Z")
     if R1.is_zero():
         raise InternalError("resultant of coprime forms vanished")
-    directions = []
-    if R1.degree >= 1:
-        fld, roots = roots_with_extension(R1.map_field(fld))
-        directions = [(fld.one(), t) for t, _ in roots]
-    if R1.degree < n * m:
-        directions.append((fld.zero(), fld.one()))
-
+    directions, fld = _directions(R1, n * m, fld)
     for x0, y0 in directions:
         h = uni_gcd(_z_fiber(Fp, x0, y0), _z_fiber(Gp, x0, y0))
         if h.degree < 1:

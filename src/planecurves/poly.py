@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cache, partial
+from itertools import islice
 from math import lcm
 
 from .errors import IncompatibleFields, InternalError, NotSuitable, ZeroPolynomial
@@ -38,6 +39,7 @@ from .fields import (
     _pdivmod,
     _pgcd,
     _pmul,
+    _power,
     _psub,
     extend_field,
     find_irreducible,
@@ -402,6 +404,20 @@ def _shear_candidates(field: Field):
     return field.elements()
 
 
+def _first_fit(field: Field, candidates, ok):
+    """(c, field) for the first c of candidates(field) with ok(c).
+
+    When every candidate of a finite field fails, the field is extended by
+    the first monic irreducible quadratic and scanned again; c is None when
+    the candidates of an infinite field run out.
+    """
+    while True:
+        c = next((c for c in candidates(field) if ok(c)), None)
+        if c is not None or not field.is_finite:
+            return c, field
+        field = extend_field(field, find_irreducible(field, 2))
+
+
 def make_suitable_many(polys):
     """One shear making every polynomial in the list suitable at once.
 
@@ -416,23 +432,25 @@ def make_suitable_many(polys):
     for p in polys:
         if p.is_zero():
             raise ZeroPolynomial("cannot shear the zero polynomial")
+    forms = [p.lowest_form() for p in polys]
+    x, y = polys[0].variables
+    one = field.one()
+    # over Q the forms vanish at fewer integers than their degrees add up
+    # to, so a shear lies among the first limit candidates
+    limit = sum(int(p.total_degree()) for p in polys) + 3
 
-    while True:
-        forms = [p.lowest_form() for p in polys]
-        x, y = polys[0].variables
-        limit = sum(int(p.total_degree()) for p in polys) + 2
-        count = 0
-        for lam in _shear_candidates(field):
-            count += 1
-            if all(not L.evaluate({x: lam, y: field.one()}).is_zero() for L in forms):
-                if not lam.is_zero():
-                    polys = [shear(p, lam) for p in polys]
-                return polys, lam, field
-            if not field.is_finite and count > limit:
-                raise NotSuitable("no rational shear found; impossible")
-        # finite field exhausted: grow the tower and rescan
-        field = extend_field(field, find_irreducible(field, 2))
-        polys = [p.map_field(field) for p in polys]
+    def candidates(fld):
+        return islice(_shear_candidates(fld), None if fld.is_finite else limit)
+
+    def fits(lam):
+        return all(not L.evaluate({x: lam, y: one}).is_zero() for L in forms)
+
+    lam, field = _first_fit(field, candidates, fits)
+    if lam is None:
+        raise NotSuitable("no rational shear found; impossible")
+    if not lam.is_zero():
+        polys = [shear(p.map_field(field), lam) for p in polys]
+    return polys, lam, field
 
 
 def make_suitable(F: MultiPoly):
@@ -632,14 +650,10 @@ def resultant_biv(F: MultiPoly, G: MultiPoly, main: str) -> UniPoly:
     m, n = len(A) - 1, len(B) - 1
     if m < 0 or n < 0:
         raise ZeroPolynomial("resultant with the zero polynomial")
-    if m == 0 and n == 0:
-        return UniPoly(field, (field.one(),), co)
-    if m == 0:
-        return A[0] ** n
-    if n == 0:
-        return B[0] ** m
     # the Sylvester matrix on raw coefficient tuples; () is the zero of F[x]
     size = m + n
+    if size == 0:
+        return UniPoly(field, (field.one(),), co)
     a = [c.values for c in reversed(A)]
     b = [c.values for c in reversed(B)]
     rows = [[()] * i + a + [()] * (n - 1 - i) for i in range(n)]
@@ -709,17 +723,8 @@ def _dmul(F, a: dict, b: dict) -> dict:
 
 
 def _dpow(F, a: dict, e: int, unit: tuple) -> dict:
-    """a^e by repeated squaring, skipping the last squaring; unit is the zero exponent."""
-    if e < 0:
-        raise ValueError("negative exponent")
-    result = {unit: F.raw_one}
-    while e:
-        if e & 1:
-            result = _dmul(F, result, a)
-        e >>= 1
-        if e:
-            a = _dmul(F, a, a)
-    return result
+    """a^e by fields._power; unit is the zero exponent."""
+    return _power(partial(_dmul, F), {unit: F.raw_one}, a, e)
 
 
 class _Parser:

@@ -464,3 +464,40 @@ def test_large_prime_field(argv):
         timeout=20,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        # no pair of F_2 lies off both curves, so the common-point search
+        # adjoins a quadratic before it shifts [0 : 0 : 1] away
+        (
+            ["bezout", "X^2+X*Z", "Y^2+Y*Z", "--field", "p:2"],
+            "point [1 : 1 : 1] (chart Z): I = 1\n"
+            "point [0 : 0 : 1] (chart Z): I = 1\n"
+            "point [0 : 1 : 1] (chart Z): I = 1\n"
+            "point [1 : 0 : 1] (chart Z): I = 1\n"
+            "total = 4, expected = 4\n",
+        ),
+        # the component Z = 0 meets the conic where X^2 + Y^2 splits, over z1
+        (
+            ["bezout", "Z*(X-Y)", "X^2+Y^2-Z^2", "--field", "p:3"],
+            "point [1 : 1 : 2*z1] (chart Z): I = 1\n"
+            "point [1 : 1 : z1] (chart Z): I = 1\n"
+            "point [1 : 2*z1 : 0] (chart Y): I = 1\n"
+            "point [1 : z1 : 0] (chart Y): I = 1\n"
+            "total = 4, expected = 4\n",
+        ),
+        (
+            ["bezout", "X^2+Y^2-Z^2", "Z*(X-Y)", "--field", "p:3"],
+            "point [1 : 1 : 2*z1] (chart Z): I = 1\n"
+            "point [1 : 1 : z1] (chart Z): I = 1\n"
+            "point [1 : 2*z1 : 0] (chart Y): I = 1\n"
+            "point [1 : z1 : 0] (chart Y): I = 1\n"
+            "total = 4, expected = 4\n",
+        ),
+    ],
+    ids=["pairs-exhausted-p2", "z-component-first-p3", "z-component-second-p3"],
+)
+def test_common_point_branches_print_the_same(capsys, argv, want):
+    assert run(capsys, *argv) == (0, want, "")

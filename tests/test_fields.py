@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import Phase, given, seed, settings
 from hypothesis import strategies as st
 
 import planecurves.fields as fields
+import planecurves.poly as poly
 from planecurves.errors import (
     DivisionByZero,
     IncompatibleFields,
@@ -32,6 +34,7 @@ from planecurves.fields import (
     uni_factor,
     uni_gcd,
 )
+from planecurves.poly import parse_poly
 
 from .helpers import F2, F3, F5, F7, F9, QQ, patch_everywhere
 
@@ -777,3 +780,127 @@ def test_elements_of_a_huge_extension_start_at_once():
     K = extend_field(PrimeField(p), T(PrimeField(p), 1, 0, 1))
     first = [e.value for e in itertools.islice(K.elements(), 4)]
     assert first == [(), (0, 1), (0, 2), (0, 3)]
+
+
+def rabin_is_irreducible(f):
+    """Rabin's test (SIAM J. Comput. 9, 1980), kept as the reference for
+    is_irreducible over F_q: f of degree n >= 1 is irreducible when
+    x^(q^n) = x mod f and gcd(x^(q^(n/l)) - x, f) = 1 for each prime l | n."""
+    q, n = f.field.order(), int(f.degree)
+    x = UniPoly.x(f.field, f.var)
+
+    def x_power_q_tower(m):
+        w = x % f
+        for _ in range(m):
+            w = w.pow_mod(q, f)
+        return w
+
+    for ell in (d for d in range(2, n + 1) if n % d == 0 and fields._is_prime(d)):
+        if uni_gcd(x_power_q_tower(n // ell) - x, f).degree >= 1:
+            return False
+    return (x_power_q_tower(n) - x % f).is_zero()
+
+
+def _mobius(n):
+    out, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return -out if n > 1 else out
+
+
+def gauss_count(q, n):
+    """Monic irreducibles of degree n over F_q: (1/n) sum_{d | n} mu(d) q^(n/d)."""
+    return sum(_mobius(d) * q ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
+
+
+IRREDUCIBILITY_FIELDS = {
+    "F2": (lambda: F2, 4),
+    "F3": (lambda: F3, 4),
+    "F4": (lambda: extend_field(F2, find_irreducible(F2, 2)), 4),
+    "F5": (lambda: F5, 3),
+    "F7": (lambda: F7, 3),
+    "F9": (F9, 3),
+}
+
+
+@pytest.mark.parametrize("name", IRREDUCIBILITY_FIELDS)
+def test_is_irreducible_matches_rabin_and_gauss(name):
+    make, top = IRREDUCIBILITY_FIELDS[name]
+    field = make()
+    elems = list(field.elements())
+    for n in range(1, top + 1):
+        count = 0
+        for combo in itertools.product(elems, repeat=n):
+            f = UniPoly(field, [*combo, field.one()])
+            got = is_irreducible(f)
+            assert got == rabin_is_irreducible(f), str(f)
+            count += got
+        assert count == gauss_count(field.order(), n), (n, count)
+
+
+def test_is_irreducible_needs_a_squarefree_input():
+    # t^2 = t*t, and over F_2 (t + 1)^2 = t^2 + 1 has derivative 0
+    assert not is_irreducible(T(F2, 0, 0, 1))
+    assert not is_irreducible(T(F2, 1, 0, 1))
+    assert not is_irreducible(T(F3, 1, 0, 0, 1))  # (t + 1)^3
+    with pytest.raises(ValueError):
+        is_irreducible(T(QQ, 1, 0, 0, 0, 1))
+
+
+def test_gauss_count_reference():
+    assert [gauss_count(2, n) for n in range(1, 7)] == [2, 1, 2, 3, 6, 9]
+    assert [gauss_count(3, n) for n in range(1, 5)] == [3, 3, 8, 18]
+
+
+POWER_EXPONENTS = (0, 1, 2, 5, 16)
+
+
+@pytest.mark.parametrize("e", POWER_EXPONENTS)
+def test_power_helper_matches_repeated_multiplication(e):
+    assert fields._power(operator.mul, 1, 3, e) == 3 ** e
+    K = F9()
+    a = K.generator() + K.one()
+    want = K.one()
+    for _ in range(e):
+        want = want * a
+    assert a ** e == want
+    f, m = T(F7, 3, 1, 2), T(F7, 1, 0, 5, 0, 1)
+    want_f = T(F7, 1)
+    for _ in range(e):
+        want_f = want_f * f
+    assert f ** e == want_f
+    assert f.pow_mod(e, m) == want_f % m
+    P = parse_poly("x + 2*y + 1", F5, space="affine")
+    want_p = parse_poly("1", F5, space="affine")
+    for _ in range(e):
+        want_p = want_p * P
+    assert P ** e == want_p
+    unit = (0, 0)
+    assert poly._dpow(F5, P.values, e, unit) == want_p.values
+
+
+def test_negative_powers():
+    a = F7.scalar(3)
+    assert a ** -2 == (a.inverse()) * (a.inverse())
+    with pytest.raises(ValueError, match="negative exponent"):
+        fields._power(operator.mul, 1, 3, -1)
+    with pytest.raises(ValueError, match="negative exponent"):
+        T(F7, 3, 1) ** -1
+    with pytest.raises(ValueError, match="negative exponent"):
+        T(F7, 3, 1).pow_mod(-1, T(F7, 1, 0, 1))
+    with pytest.raises(ValueError, match="negative exponent"):
+        parse_poly("x + 1", F5, space="affine") ** -1
+    with pytest.raises(ValueError, match="negative exponent"):
+        poly._dpow(F5, {(1, 0): 1}, -2, (0, 0))
+
+
+def test_find_irreducible_over_q_is_unsupported():
+    with pytest.raises(UnsupportedExtension):
+        find_irreducible(QQ, 2)
+    with pytest.raises(UnsupportedExtension):
+        find_irreducible(RationalField(), 1)

@@ -1,6 +1,8 @@
 """Delta invariants, intersection numbers two ways, adjoints, genus."""
 
 import pytest
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
 
 from planecurves.blowup import resolve_tree
 from planecurves.errors import (
@@ -10,7 +12,9 @@ from planecurves.errors import (
     UnresolvedTree,
     ZeroPolynomial,
 )
+from planecurves.fields import RationalField, UniPoly, uni_factor
 from planecurves.invariants import (
+    _certify_irreducible,
     adjoint_check,
     delta_invariant,
     genus,
@@ -18,7 +22,14 @@ from planecurves.invariants import (
     intersection_oracle,
 )
 from planecurves.noether import find_singular_points
-from planecurves.poly import MultiPoly, parse_poly
+from planecurves.poly import (
+    PROJECTIVE,
+    MultiPoly,
+    _shear_candidates,
+    dehomogenize,
+    parse_poly,
+    squarefree_defect,
+)
 
 from .helpers import F2, QQ, aff, corpus, field_by_name, hom
 
@@ -200,3 +211,103 @@ class TestGenus:
     def test_affine_input_rejected(self):
         with pytest.raises(ValueError):
             genus(aff("y^2-x^3"), [])
+
+
+def _fibers_by_substitution(F, n):
+    """The fiber loop _certify_irreducible used before it read biv_coeffs rows."""
+    for chart in ("Z", "Y", "X"):
+        aff_F = dehomogenize(F, chart)
+        for main, other in (("y", "x"), ("x", "y")):
+            top = (0, n) if main == "y" else (n, 0)
+            if aff_F.coeff(top).is_zero():
+                continue
+            field = F.field
+            samples = _shear_candidates(field)
+            for _ in range(8):
+                try:
+                    a = next(samples)
+                except StopIteration:
+                    break
+                fib = aff_F.substitute({other: MultiPoly.constant(field, a)})
+                coeffs = [fib.coeff((0, j) if main == "y" else (j, 0)) for j in range(n + 1)]
+                yield UniPoly(field, coeffs, var=main)
+            return
+
+
+def certify_by_factoring(F):
+    """The certificate as it was before is_irreducible decided the fibers:
+    each fiber factored by uni_factor, rational degree > 3 skipped."""
+    n = F.total_degree()
+    if n == 1:
+        return
+    for v in PROJECTIVE:
+        idx = PROJECTIVE.index(v)
+        if all(e[idx] >= 1 for e in F.values):
+            raise Reducible(f"curve is divisible by {v}")
+    defect = squarefree_defect(dehomogenize(F, "Z"))
+    if defect is not None:
+        raise Reducible(f"repeated factor detected: {defect}")
+    rational = isinstance(F.field, RationalField)
+    for fib in _fibers_by_substitution(F, n):
+        if fib.degree != n:
+            continue
+        _, factors = uni_factor(fib)
+        if len(factors) == 1 and factors[0][1] == 1 and factors[0][0].degree == n:
+            if rational and n > 3:
+                continue
+            return
+    raise Reducible(
+        "could not certify irreducibility; pass assume_irreducible for a "
+        "curve known to be irreducible"
+    )
+
+
+def _outcome(certify, F):
+    try:
+        certify(F)
+    except Reducible as exc:
+        return str(exc)
+    return None
+
+
+CERTIFY_CASES = [(e["F"], e["field"]) for e in DATA["genus_cases"]] + [
+    ("X^3+Y^3+Z^3", "p:11"),
+    ("X^3+Y^3+Z^3", "p:5"),
+    ("X^4+Y^4+Z^4", "q"),
+    ("X^4+Y^4+Z^4", "p:3"),
+    ("X^4+Y^4+Z^4", "p:5"),
+    ("(X^2+Y^2-2Z^2)*(X^2-Y^2)", "q"),
+    ("(X^2+Y^2-Z^2)*(X-Y)", "p:7"),
+    ("(X+Y+Z)^2", "p:5"),
+    ("X*Y", "q"),
+    ("Y^2*Z-X^3-X*Z^2", "q"),
+]
+
+
+@pytest.mark.parametrize("text, field", CERTIFY_CASES)
+def test_certificate_matches_factoring_fibers(text, field):
+    F = parse_poly(text, field_by_name(field), space="homogeneous")
+    assert _outcome(_certify_irreducible, F) == _outcome(certify_by_factoring, F)
+
+
+@pytest.mark.parametrize("field", ["p:2", "p:3", "p:5", "p:7", "q"])
+def test_certificate_matches_factoring_fibers_on_random_forms(field):
+    fld = field_by_name(field)
+    coeff = st.integers(-3, 3) if field == "q" else st.integers(0, int(field[2:]) - 1)
+    seen = {"certified": 0, "refused": 0}
+
+    @seed(1870)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(data=st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 4))
+        mons = [(i, j, n - i - j) for i in range(n + 1) for j in range(n + 1 - i)]
+        terms = data.draw(st.dictionaries(st.sampled_from(mons), coeff, min_size=1))
+        F = MultiPoly(fld, PROJECTIVE, terms)
+        assume(not F.is_zero())
+        got = _outcome(_certify_irreducible, F)
+        assert got == _outcome(certify_by_factoring, F)
+        seen["certified" if got is None else "refused"] += 1
+
+    check()
+    assert all(seen.values()), seen

@@ -862,3 +862,20 @@ def test_digits_that_are_not_decimal_stay_an_error(monkeypatch, capsys, text):
     monkeypatch.setattr(poly, "_tokenize", _scan_by_hand)
     with pytest.raises(ValueError):
         parse_poly(text, QQ, space="affine")
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["Q", "F7"])
+@pytest.mark.parametrize("main", AFFINE)
+def test_resultant_without_the_main_variable_is_a_power(field, main):
+    # Res(A0, G) = A0^n when A0 is free of the main variable, n = deg_main G
+    other = "y" if main == "x" else "x"
+    A0 = aff(f"2*{other}^2 + {other} - 3", field)
+    G = aff(f"{main}^3 + {other}*{main} + 5", field)
+    B0 = aff(f"{other} + 4", field)
+    unit = UniPoly(field, (field.one(),), other)
+    a0 = biv_coeffs(A0, main)[0]
+    b0 = biv_coeffs(B0, main)[0]
+    assert resultant_biv(A0, G, main) == a0 ** 3
+    assert resultant_biv(G, B0, main) == b0 ** 3
+    assert resultant_biv(A0, B0, main) == unit
+    assert str(resultant_biv(A0, G, main)) == str(a0 * a0 * a0)
