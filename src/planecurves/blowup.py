@@ -16,7 +16,9 @@ children:
   gcd of their fibers (joint_tree, for intersection numbers);
 - witness: as shared, plus the points where a single driver passes, until
   a level holds no shared point, one level past the shared tree
-  (joint_tree(witness=True), for the AF+BG condition).
+  (joint_tree(witness=True), for the AF+BG condition); the children come
+  from each passing driver's own fiber factors, merged without repeats,
+  which over F_q is the factorization of the fibers' product.
 
 A resolution tree (resolve_tree) is an InfNearTree over the same nodes.
 
@@ -40,12 +42,12 @@ from .errors import (
     NotSuitable,
     ZeroPolynomial,
 )
-from .fields import RationalField, UniPoly, roots_with_extension, uni_factor, uni_gcd
+from .fields import RationalField, UniPoly, _split_factors, roots_with_extension, uni_factor
+from .fields import uni_gcd
 from .poly import (
     AFFINE,
     CHART,
     MultiPoly,
-    biv_coeffs,
     biv_gcd,
     is_suitable,
     make_suitable_many,
@@ -80,7 +82,10 @@ def blow_up_chart(F: MultiPoly) -> MultiPoly:
 
 def fiber_poly(Fprime: MultiPoly) -> UniPoly:
     """F'(0, t) as a univariate polynomial: the exceptional fiber."""
-    return biv_coeffs(Fprime, "x")[0]
+    terms = {j: c for (i, j), c in Fprime.values.items() if not i}
+    zero = Fprime.field.raw_zero
+    values = tuple([terms.get(j, zero) for j in range(max(terms, default=-1) + 1)])
+    return UniPoly._from_values(Fprime.field, values, Fprime.variables[1])
 
 
 def exceptional_points(Fprime: MultiPoly):
@@ -249,19 +254,6 @@ class JointTree:
         return {"labels": list(self.labels), "root": self.root.to_json(self.labels)}
 
 
-def _rational_fiber_roots(fiber: UniPoly):
-    """Rational roots plus the leftover nonlinear irreducible factors (Q base)."""
-    roots = []
-    residuals = []
-    _unit, factors = uni_factor(fiber)
-    for fac, mult in factors:
-        if fac.degree == 1:
-            roots.append((-fac.coeff(0), mult))
-        else:
-            residuals.append(fac)
-    return roots, residuals
-
-
 def _assert_no_singular_residual(Fp: MultiPoly, residuals):
     """Over Q: a nonlinear fiber factor is tolerable only at smooth points."""
     if not residuals:
@@ -401,7 +393,7 @@ def _grow(curves, kind, max_depth, capped=None) -> JointNode:
 def _node(eqs, depth, shift) -> JointNode:
     """A node of `eqs` made suitable together, with each one's multiplicity."""
     suited, lam, field = make_suitable_many(eqs)
-    rs = tuple(e.mult_at_origin() if e.constant_term().is_zero() else 0 for e in suited)
+    rs = tuple(e.mult_at_origin() for e in suited)
     return JointNode(depth, field, tuple(suited), rs, shift, lam)
 
 
@@ -409,37 +401,32 @@ def _child_points(driver_transforms, driver_rs, witness, rational):
     """Candidate exceptional t-values for the next level, deterministic order.
 
     Without witness these are the roots of the gcd of the driver fibers,
-    so a single (lead) driver gets every root of its own fiber.
+    so a single (lead) driver gets every root of its own fiber.  At a
+    witness node they come from each passing driver's own fiber factors,
+    merged without repeats: over F_q the merged list is the factorization
+    of the fibers' product, as monic factorization is unique.  Over Q only
+    the linear factors are kept, once _assert_no_singular_residual has
+    cleared the others.
     """
     fibers = [fiber_poly(t) for t in driver_transforms]
     if not witness or (rational and min(driver_rs) >= 1):
         # over Q this also guards a witness node where both drivers pass:
         # splitting their gcd raises NonRationalPoint on a conjugate pair of
-        # points they share, which the rational roots read below would drop
+        # points they share, which keeping only linear factors below would drop
         shared = reduce(uni_gcd, fibers)
         roots = roots_with_extension(shared)[1] if shared.degree >= 1 else []
         if not witness:
             return [alpha for alpha, _m in roots]
-    if rational:
-        points = []
-        for Fp, fib, r in zip(driver_transforms, fibers, driver_rs):
-            if r < 1:
-                continue
-            roots, residuals = _rational_fiber_roots(fib)
-            _assert_no_singular_residual(Fp, residuals)
-            points.extend(alpha for alpha, _m in roots)
-        seen = []
-        for alpha in sorted(points, key=str):
-            if not any(alpha == s for s in seen):
-                seen.append(alpha)
-        return seen
-    product = None
-    for fib, r in zip(fibers, driver_rs):
+    merged = []
+    for Fp, fib, r in zip(driver_transforms, fibers, driver_rs):
         if r < 1:
             continue
-        product = fib if product is None else product * fib
-    _, roots = roots_with_extension(product)
-    return [alpha for alpha, _m in roots]
+        factors = uni_factor(fib)[1]
+        if rational:
+            _assert_no_singular_residual(Fp, [g for g, _m in factors if g.degree >= 2])
+            factors = [gm for gm in factors if gm[0].degree == 1]
+        merged.extend(gm for gm in factors if all(gm[0] != h for h, _m in merged))
+    return [alpha for alpha, _m in _split_factors(fibers[0].field, merged)[1]]
 
 
 # ---------------------------------------------------------------------------

@@ -28,10 +28,12 @@ iteration past twice |leading * constant coefficient| and read back as
 rationals; only a candidate at which the factor vanishes exactly is kept.
 This needs no random choice and no divisor of any coefficient.
 
-Roots over a finite field come from one factorization over the input
-field.  Adjoining an irreducible factor g of degree d over F_q gives its d
-roots for free as the Frobenius images z^(q^i) of the new generator z, so
-only the other nonlinear factors are split again over the extension.
+Roots come from a list of factors, split by one loop, _split_factors:
+roots_with_extension hands it the factorization of one polynomial, and a
+witness node in blowup the merged factors of its drivers' fibers.  Over a
+finite field, adjoining an irreducible factor g of degree d over F_q gives
+its d roots for free as the Frobenius images z^(q^i) of the new generator
+z, so only the other nonlinear factors are split again over the extension.
 """
 
 from __future__ import annotations
@@ -745,15 +747,11 @@ class UniPoly:
         return Scalar(F, acc)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            other = UniPoly(self.field, (self.field.scalar(other),), self.var)
-        if not isinstance(other, UniPoly):
-            return NotImplemented
         try:
-            a, b = self._pair(other)
+            p = self._pair(other)
         except IncompatibleFields:
             return False
-        return a.values == b.values
+        return NotImplemented if p is None else p[0].values == p[1].values
 
     def __hash__(self):
         # hash_value keeps the hash of equal polynomials over a tower alike
@@ -1069,20 +1067,29 @@ def roots_with_extension(f: UniPoly, seed=None):
     """All roots of f with multiplicity, over f's field or a finite extension.
 
     Returns (field, [(root, multiplicity), ...]) with the roots in text order.
-    f is factored once, over its own field.  Over Q a factor of degree >= 2
-    raises NonRationalPoint.  Over a finite field F_q the first nonlinear
-    factor g, in uni_factor's order, is adjoined as K = F_q[z]/(g), and its
-    roots in K are the Frobenius images z^(q^i), i < deg g, so g is never
-    factored again.  The other nonlinear factors are split over K one by one,
-    and the loop repeats until every factor is linear.  Monic factorization
-    is unique, so each level sees the same factors as factoring all of f
-    over it, and the tower and the roots are the same.
+    f is factored once, over its own field, and _split_factors splits the
+    factors.
     """
     if f.is_zero():
         raise ZeroPolynomial("roots of 0")
-    field = f.field
-    _, factors = uni_factor(f, seed=seed)
+    return _split_factors(f.field, uni_factor(f, seed=seed)[1], seed)
+
+
+def _split_factors(field: Field, factors, seed=None):
+    """Roots of distinct monic factors [(g, m), ...] over `field`, each
+    irreducible over a finite field, as (field, [(root, m), ...]) in text
+    order.
+
+    Over Q a factor of degree >= 2 raises NonRationalPoint.  Over a finite
+    field F_q the first nonlinear factor g is adjoined as K = F_q[z]/(g), and
+    its roots in K are the Frobenius images z^(q^i), i < deg g, so g is never
+    factored again.  The other nonlinear factors are split over K one by one,
+    and the loop repeats until every factor is linear.  Monic factorization
+    is unique, so each level sees the same factors as factoring their
+    product over it, and the tower and the roots are the same.
+    """
     while True:
+        factors = sorted(factors, key=_factor_key)
         k = next((i for i, (g, _) in enumerate(factors) if g.degree >= 2), None)
         if k is None:
             break
@@ -1106,7 +1113,6 @@ def roots_with_extension(f: UniPoly, seed=None):
                 split.extend((part, mh * mp) for part, mp in parts)
             else:
                 split.append((h.map_field(field), mh))
-        split.sort(key=_factor_key)
         factors = split
     roots = [(-g.coeff(0), m) for g, m in factors]
     roots.sort(key=lambda rm: str(rm[0]))

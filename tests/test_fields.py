@@ -481,6 +481,15 @@ class TestUniPolyStorage:
         lifted = f.map_field(F9())
         assert lifted.field != F3 and lifted == f and hash(lifted) == hash(f)
 
+    def test_equal_to_a_scalar_of_a_larger_tower_field(self):
+        F49 = tower("F7^6")[1]
+        one = UniPoly(F7, (1,))
+        assert one == F49.one() and F49.one() == one and one != F49.generator()
+
+    def test_unequal_to_a_scalar_of_an_unrelated_field(self):
+        one = UniPoly(F7, (1,))
+        assert one != F5.one() and one != F9().one() and one != QQ.one()
+
 
 def euclid_gcd(a, b):
     """Reference gcd: Euclid on plain remainders, made monic at the end."""

@@ -25,7 +25,6 @@ from planecurves.blowup import (
     _check_resolvable,
     _coord_change_json,
     _joint_tree,
-    _rational_fiber_roots,
     fiber_poly,
     joint_tree,
     resolve_tree,
@@ -33,11 +32,11 @@ from planecurves.blowup import (
 )
 from planecurves.cli import main
 from planecurves.errors import CommonComponent, CurveError, DepthCapExceeded, ZeroPolynomial
-from planecurves.fields import RationalField, roots_with_extension, uni_gcd
+from planecurves.fields import RationalField, roots_with_extension, uni_factor, uni_gcd
 from planecurves.noether import _localize, check_condition, find_common_points
 from planecurves.poly import AFFINE, MultiPoly, biv_gcd, make_suitable_many, translate
 
-from .helpers import F5, F7, F9, QQ, aff, corpus, field_by_name, hom
+from .helpers import F3, F5, F7, F9, QQ, aff, corpus, field_by_name, hom, patch_everywhere
 
 # ---- the reference: the recursive grower and its two-pass witness tree ----
 
@@ -151,6 +150,19 @@ class _RefGrower:
                 raise DepthCapExceeded("transforms still meet")
             node.children.append(self.build(child_eqs, depth + 1, alpha))
         return node
+
+
+def _rational_fiber_roots(fiber):
+    """Rational roots plus the leftover nonlinear irreducible factors (Q base)."""
+    roots = []
+    residuals = []
+    _unit, factors = uni_factor(fiber)
+    for fac, mult in factors:
+        if fac.degree == 1:
+            roots.append((-fac.coeff(0), mult))
+        else:
+            residuals.append(fac)
+    return roots, residuals
 
 
 def _ref_child_points(driver_transforms, driver_rs, witness, rational):
@@ -302,10 +314,14 @@ HAND_PICKED = [
     ("y^2-x^3", "y", "x*y"),
     ("(y^2-x^3)*(y-x)", "y^2-x^5", "y"),
     ("y^3-x^7", "(y-x^2)*(y+x^2)", "x^2"),
+    # driver fibers sharing the factor t^2+1 (irreducible mod 3 and mod 7),
+    # each with factors of its own: the merged factor lists drop the repeat
+    ("y^2+x^2+x^3", "(y^2+x^2)*(y-x)+x^4", "x*y"),
+    ("(y^2+x^2)*(y-x)+x^5", "(y^2+x^2)*(y+x)+x^5", "y"),
 ]
 
 
-@pytest.mark.parametrize("field", [QQ, F7], ids=["Q", "F_7"])
+@pytest.mark.parametrize("field", [QQ, F3, F7], ids=["Q", "F_3", "F_7"])
 @pytest.mark.parametrize("texts", HAND_PICKED, ids="~".join)
 def test_hand_picked_trees_match(field, texts):
     F, G, H = (aff(t, field) for t in texts)
@@ -357,6 +373,42 @@ def test_check_condition_grows_one_tree_per_common_point(monkeypatch):
     assert len(points) == 3
     check_condition(F, G, H)
     assert grown == ["witness"] * len(points)
+
+
+def test_witness_children_factor_each_driver_fiber_alone(monkeypatch):
+    # a conic pair over F_101 built as the benchmark's proj_tower builds its
+    # p:101 triples: G(t, t^2, 1) = (t^2-2)(t-1)(t-2), and 2 is a
+    # non-residue mod 101, so two of the four transversal points lie over
+    # F_(101^2) and the trees grow over it; every polynomial factored for a
+    # witness node's children must be one passing driver's fiber, of degree
+    # at most that driver's r
+    F101 = field_by_name("p:101")
+    F, G = hom("Y*Z-X^2", F101), hom("Y^2-3*X*Y+6*X*Z-4*Z^2", F101)
+    H = hom("X", F101) * F + hom("Y+Z", F101) * G
+    current, factored = [], []  # the passing drivers' fibers at the node expanded
+    child_points, original = blowup._child_points, uni_factor
+
+    def spy_child_points(transforms, rs, witness, rational):
+        if witness:
+            current[:] = [(fiber_poly(t), r) for t, r in zip(transforms, rs) if r >= 1]
+        try:
+            return child_points(transforms, rs, witness, rational)
+        finally:
+            current.clear()
+
+    def spy_factor(f, *args, **kwargs):
+        if current:
+            factored.append((f, list(current)))
+        return original(f, *args, **kwargs)
+
+    monkeypatch.setattr(blowup, "_child_points", spy_child_points)
+    patch_everywhere(monkeypatch, original, spy_factor)
+    assert check_condition(F, G, H).ok
+    for f, drivers in factored:
+        assert any(f == fib and f.degree <= r for fib, r in drivers), f
+    # both drivers' fibers at each of the four points, all over F_(101^2)
+    assert len(factored) == 8
+    assert {f.field.order() for f, _ in factored} == {101**2}
 
 
 def test_shallowest_failure_is_reported_first(capsys):
