@@ -48,6 +48,7 @@ from .poly import (
     AFFINE,
     CHART,
     MultiPoly,
+    add_multiples,
     biv_gcd,
     is_suitable,
     make_suitable_many,
@@ -481,9 +482,7 @@ def appendix_sequence(F: MultiPoly, n: int):
             err.stages = stages
             err.phi = phi
             raise err
-        xv = MultiPoly.var(Fp.field, "x", AFFINE)
-        yv = MultiPoly.var(Fp.field, "y", AFFINE)
-        cur = Fp.substitute({"y": yv + xv * a})
+        cur = add_multiples(Fp, (1, a, 0))
         phi = phi.map_field(Fp.field) + MultiPoly(Fp.field, AFFINE, {(i, 0): a})
         stages.append((i, cur, a))
     return stages, phi

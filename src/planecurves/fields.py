@@ -754,8 +754,12 @@ class UniPoly:
         return NotImplemented if p is None else p[0].values == p[1].values
 
     def __hash__(self):
-        # hash_value keeps the hash of equal polynomials over a tower alike
-        return hash((self.var, tuple([self.field.hash_value(v) for v in self.values])))
+        # == ignores var and lets a constant equal its Scalar, so the hash
+        # does too; hash_value keeps equal polynomials over a tower alike
+        h = self.field.hash_value
+        if len(self.values) <= 1:
+            return h(self.values[0] if self.values else self.field.raw_zero)
+        return hash(tuple([h(v) for v in self.values]))
 
     def __str__(self):
         return _poly_str(self.field, self.values, self.var)

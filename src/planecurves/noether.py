@@ -43,6 +43,7 @@ from .poly import (
     PROJECTIVE,
     _first_fit,
     _shear_candidates,
+    add_multiples,
     biv_gcd,
     dehomogenize,
     resultant_biv,
@@ -202,9 +203,7 @@ def _common_points_core(F: MultiPoly, G: MultiPoly, fld: Field, add):
 
     (a, b), fld = _first_fit(fld, _pair_candidates, off_both)
     F, G = F.map_field(fld), G.map_field(fld)
-    Xv, Yv, Zv = (MultiPoly.var(fld, v, PROJECTIVE) for v in PROJECTIVE)
-    Fp = F.substitute({"X": Xv + Zv * a, "Y": Yv + Zv * b})
-    Gp = G.substitute({"X": Xv + Zv * a, "Y": Yv + Zv * b})
+    Fp, Gp = (add_multiples(P, (0, a, 2), (1, b, 2)) for P in (F, G))
     if Fp.coeff((0, 0, n)).is_zero() or Gp.coeff((0, 0, m)).is_zero():
         raise InternalError("the shifted curves still pass through [0 : 0 : 1]")
 

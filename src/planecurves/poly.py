@@ -10,7 +10,10 @@ package.
 
 The only coordinate changes an infinitely near point needs are a
 translation to the origin and one shear x -> x + lam*y making the tangent
-cone suitable; both are a single `substitute`.
+cone suitable.  Both add a multiple of a constant or of another variable to
+one variable, and add_multiples does each such change by _dshift: Horner's
+rule on the rows of terms it mixes, with no polynomial products.  The
+general `substitute` stays as the reference.
 
 The text format round-trips: str() output reparses to an identical
 polynomial (same field, same terms).
@@ -335,25 +338,35 @@ class MultiPoly:
 # ---------------------------------------------------------------------------
 
 
+def add_multiples(F: MultiPoly, *moves) -> MultiPoly:
+    """F after each move (i, s) or (i, s, j) in turn, by _dshift.
+
+    A move replaces variable i by var_i + s, or by var_i + s*var_j; s is an
+    int, a Fraction or a Scalar, and the result lives in the join of F's
+    field with the Scalars' fields.  When every s is zero, the result is F
+    mapped into that field.
+    """
+    field = F.field
+    for _, s, *_ in moves:
+        if isinstance(s, Scalar):
+            field = join_fields(field, s.field)
+    G = F.map_field(field)
+    values = G.values
+    for i, s, *j in moves:
+        s = field.scalar(s).value
+        if s:
+            values = _dshift(field, values, i, s, *j)
+    return G if values is G.values else MultiPoly._from_values(field, G.variables, values)
+
+
 def translate(F: MultiPoly, a, b) -> MultiPoly:
     """F(x + a, y + b): move the point (a, b) to the origin."""
-    x, y = F.variables
-    fa = a if isinstance(a, Scalar) else F.field.scalar(a)
-    fb = b if isinstance(b, Scalar) else F.field.scalar(b)
-    field = join_fields(join_fields(F.field, fa.field), fb.field)
-    if fa.is_zero() and fb.is_zero():
-        return F.map_field(field)
-    xv = MultiPoly.var(field, x, F.variables)
-    yv = MultiPoly.var(field, y, F.variables)
-    return F.substitute({x: xv + fa, y: yv + fb})
+    return add_multiples(F, (0, a), (1, b))
 
 
 def shear(F: MultiPoly, lam) -> MultiPoly:
     """F(x + lam*y, y): the linear change that makes F suitable."""
-    x, y = F.variables
-    xv = MultiPoly.var(F.field, x, F.variables)
-    yv = MultiPoly.var(F.field, y, F.variables)
-    return F.substitute({x: xv + yv * lam})
+    return add_multiples(F, (0, lam, 1))
 
 
 def homogenize(F: MultiPoly) -> MultiPoly:
@@ -720,6 +733,40 @@ def _dmul(F, a: dict, b: dict) -> dict:
             c = mul(ca, cb)
             out[e] = add(out[e], c) if e in out else c
     return {e: c for e, c in out.items() if c}
+
+
+def _dshift(F, a: dict, i: int, s, j=None) -> dict:
+    """a with variable i replaced by var_i + s, or by var_i + s*var_j; s raw.
+
+    Terms that agree off i (and, when j is given, in e_i + e_j) form one
+    row, a polynomial q(u) in u = var_i (or var_i / var_j).  Horner's rule
+    turns q(u) into q(u + s) in d(d+1)/2 multiply-adds, d the row's degree
+    (von zur Gathen and Gerhard, ISSAC 1997), and the row maps back.
+    """
+    add, mul, zero = F.add, F.mul, F.raw_zero
+    rows = {}
+    for e, c in a.items():
+        key = list(e)
+        key[i] = 0
+        if j is not None:
+            key[j] += e[i]
+        rows.setdefault(tuple(key), {})[e[i]] = c
+    out = {}
+    for key, row in rows.items():
+        d = max(row)
+        q = [row.get(k, zero) for k in range(d + 1)]
+        for k in range(d):
+            for m in range(d - 1, k - 1, -1):
+                if q[m + 1]:
+                    q[m] = add(q[m], mul(s, q[m + 1]))
+        for m, c in enumerate(q):
+            if c:
+                e = list(key)
+                e[i] = m
+                if j is not None:
+                    e[j] -= m
+                out[tuple(e)] = c
+    return out
 
 
 def _dpow(F, a: dict, e: int, unit: tuple) -> dict:

@@ -486,6 +486,13 @@ class TestUniPolyStorage:
         one = UniPoly(F7, (1,))
         assert one == F49.one() and F49.one() == one and one != F49.generator()
 
+    def test_equal_polynomials_and_scalars_hash_alike(self):
+        F49 = tower("F7^6")[1]
+        assert len({UniPoly(F7, (1,)), F7.one()}) == 1
+        assert len({UniPoly(F7, (1,)), F49.one()}) == 1
+        assert len({UniPoly(F7, ()), F49.zero()}) == 1
+        assert len({UniPoly(F7, (3, 1), "t"), UniPoly(F7, (3, 1), "s")}) == 1
+
     def test_unequal_to_a_scalar_of_an_unrelated_field(self):
         one = UniPoly(F7, (1,))
         assert one != F5.one() and one != F9().one() and one != QQ.one()

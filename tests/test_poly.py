@@ -15,6 +15,7 @@ from planecurves.poly import (
     AFFINE,
     PROJECTIVE,
     MultiPoly,
+    add_multiples,
     biv_coeffs,
     biv_gcd,
     dehomogenize,
@@ -250,14 +251,19 @@ class TestCoordinateMoves:
     def test_substitute_leaves_no_reference_cycles(self):
         # cyclic garbage waits for the collector, so it raises peak memory
         F = aff("y^3 - x^5 + x^2*y")
+        P = homogenize(F)
         gc.collect()
         gc.disable()
         try:
             moved = translate(F, 2, -1)
+            sheared = shear(F, 3)
+            shifted = add_multiples(P, (0, 2, 2), (1, -1, 2))
             assert gc.collect() == 0
         finally:
             gc.enable()
         assert translate(moved, -2, 1) == F
+        assert shear(sheared, -3) == F
+        assert add_multiples(shifted, (0, -2, 2), (1, 1, 2)) == P
 
     def test_translate_by_zero_only_changes_the_field(self):
         F = aff("y^2 - x^3", F3)
@@ -628,6 +634,7 @@ def test_kernels_build_no_scalars(monkeypatch, name):
     c = "z1" if name == "F7[z1]" else "3"
     F = aff(f"2*x^2*y - {c}*y^2 + x + 1", K)
     G = aff(f"x*y - 5*x + {c}*y^3 + 4", K)
+    s = F.values[(0, 2)]
     ops = {
         "F + G": lambda: F + G,
         "F - G": lambda: F - G,
@@ -636,6 +643,8 @@ def test_kernels_build_no_scalars(monkeypatch, name):
         "F ** 3": lambda: F ** 3,
         "substitute": lambda: F.substitute({"x": G, "y": F}),
         "derivative": lambda: F.derivative("x"),
+        "_dshift": lambda: poly._dshift(K, F.values, 0, s),
+        "_dshift along y": lambda: poly._dshift(K, F.values, 0, s, 1),
     }
     init, built = Scalar.__init__, []
 
@@ -650,6 +659,92 @@ def test_kernels_build_no_scalars(monkeypatch, name):
         op()
         counts[label] = len(built)
     assert counts == dict.fromkeys(ops, 0)
+
+
+# each base field of the shift test, and a quadratic level above it for
+# shift scalars that F's own field does not hold
+SHIFT_FIELDS = {name: (K, KERNEL_TOWERS.get(name)) for name, K in KERNEL_FIELDS.items()}
+SHIFT_FIELDS["F7[z1]"] = (KERNEL_TOWERS["F7"], _tower(KERNEL_TOWERS["F7"]))
+
+
+@st.composite
+def shift_scalars(draw, field, upper):
+    """Zero, an element of field, or one of the level above it."""
+    if not field.is_finite:
+        return draw(st.sampled_from([0, 1, -2, Fraction(3, 2)]).map(field.scalar))
+    base = st.sampled_from(list(field.elements()))
+    a0, a1 = draw(base), draw(base)
+    kind = draw(st.sampled_from(["zero", "field", "upper"]))
+    if kind == "zero":
+        return draw(st.sampled_from([field.zero(), upper.zero()]))
+    if kind == "field":
+        return a0
+    return upper.embed(a0) + upper.embed(a1) * upper.generator()
+
+
+@pytest.mark.parametrize("name", sorted(SHIFT_FIELDS))
+def test_taylor_shift_agrees_with_substitute(name):
+    K, upper = SHIFT_FIELDS[name]
+    x, y = (MultiPoly.var(K, v, AFFINE) for v in AFFINE)
+    X, Y, Z = (MultiPoly.var(K, v, PROJECTIVE) for v in PROJECTIVE)
+
+    @seed(1916)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(F=small_polys(K), a=shift_scalars(K, upper), b=shift_scalars(K, upper),
+           k=st.integers(0, 3))
+    def check(F, a, b, k):
+        # a polynomial in X, Y, Z that is not homogeneous
+        P = MultiPoly._from_values(
+            K, PROJECTIVE, {(i, j, (i + k * j) % 4): c for (i, j), c in F.values.items()}
+        )
+        shapes = [
+            (F, ((0, a), (1, b)), F.substitute({"x": x + a, "y": y + b})),
+            (F, ((0, a, 1),), F.substitute({"x": x + y * a})),
+            (F, ((1, a, 0),), F.substitute({"y": y + x * a})),
+            (P, ((0, a, 2), (1, b, 2)), P.substitute({"X": X + Z * a, "Y": Y + Z * b})),
+        ]
+        for G, moves, ref in shapes:
+            field = ref.field
+            got = add_multiples(G, *moves)
+            assert got.field == field and got.variables == G.variables
+            assert got.values == ref.values
+            values = G.map_field(field).values
+            for i, s, *j in moves:
+                s = field.scalar(s).value
+                values = poly._dshift(field, values, i, s, *j) if s else values
+            assert values == ref.values
+            if all(s.is_zero() for _, s, *_ in moves):
+                assert got == G.map_field(field)
+                assert got is G or got.field != G.field
+
+    check()
+
+
+def test_coordinate_changes_call_no_substitute(monkeypatch, capsys):
+    calls = []
+    substitute = MultiPoly.substitute
+
+    def spy(self, *a, **k):
+        calls.append(self)
+        return substitute(self, *a, **k)
+
+    monkeypatch.setattr(MultiPoly, "substitute", spy)
+    shapes, dshift = set(), poly._dshift
+
+    def count(field, values, i, s, j=None):
+        shapes.add((i, j))
+        return dshift(field, values, i, s, j)
+
+    monkeypatch.setattr(poly, "_dshift", count)
+    F = aff("y^3 - x^5 + x^2*y")
+    assert translate(F, 2, -1) != F and shear(F, 3) != F
+    # both curves pass through [0 : 0 : 1], so the core shifts Y by a multiple of Z
+    assert main(["bezout", "X^2 + Y^2 - X*Z", "X*Y - Y*Z + X^2", "--field", "p:7"]) == 0
+    assert main(["appendix", "y^2+2x^2*y+x^4+x^7", "3"]) == 0
+    capsys.readouterr()
+    assert calls == []
+    # translate's x and y, shear's x + lam*y, the core's Y + b*Z, the appendix's y + a*x
+    assert shapes >= {(0, None), (1, None), (0, 1), (1, 2), (1, 0)}
 
 
 def test_eq_is_false_across_variables_and_incompatible_fields():
