@@ -471,21 +471,23 @@ def appendix_sequence(F: MultiPoly, n: int):
         Fp = _chart_transform(cur, r).rename(AFFINE)
         m = Fp.mult_at_origin()
         if m < r:
-            err = HypothesisFailed(i, f"multiplicity dropped from {r} to {m}")
-            err.stages = stages
-            err.phi = phi
-            raise err
+            raise _stopped(i, f"multiplicity dropped from {r} to {m}", stages, phi)
         L = Fp.lowest_form()
         a = _unique_tangent(L, r)
         if a is None:
-            err = HypothesisFailed(i, "tangent cone is not a single r-fold line")
-            err.stages = stages
-            err.phi = phi
-            raise err
+            raise _stopped(i, "tangent cone is not a single r-fold line", stages, phi)
         cur = add_multiples(Fp, (1, a, 0))
         phi = phi.map_field(Fp.field) + MultiPoly(Fp.field, AFFINE, {(i, 0): a})
         stages.append((i, cur, a))
     return stages, phi
+
+
+def _stopped(stage: int, reason: str, stages, phi) -> HypothesisFailed:
+    # built here and raised unbound: an exception held in a local of the
+    # raising frame would make a cycle through its own traceback
+    err = HypothesisFailed(stage, reason)
+    err.stages, err.phi = stages, phi
+    return err
 
 
 def _unique_tangent(L: MultiPoly, r: int):

@@ -1,5 +1,8 @@
 """Command line interface: parse curves, dispatch, render text or JSON.
 
+One table, _TABLE, drives the parser, the parsing of the polynomials and
+the dispatch; each body only computes, and main prints the form asked for.
+
 Exit codes are a function of the outcome class alone: 0 success (including
 an appendix run that stops with a hypothesis failure, which is a normal
 report), 1 usage or domain precondition, 2 no solution or condition
@@ -35,6 +38,8 @@ from .invariants import (
 from .noether import bezout_check, check_condition, find_singular_points, solve_af_bg
 from .poly import parse_poly
 
+_scalar = json.JSONEncoder().encode  # the encoder json.dumps(obj) uses
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -45,35 +50,16 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     p = _Parser(prog="planecurves", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", metavar="command")
-
-    def common(sp, polys, extra=()):
-        for name in polys:
-            sp.add_argument(name, help=f"polynomial {name}")
+    for name, (_body, help_, polys, _space, extra) in _TABLE.items():
+        sp = sub.add_parser(name, help=help_)
+        for poly in polys:
+            sp.add_argument(poly, help=f"polynomial {poly}")
         sp.add_argument("--field", default="q", help="q for rationals, p:N for F_N")
         sp.add_argument("--max-depth", type=int, default=48, dest="max_depth")
         sp.add_argument("--seed", type=int, default=None, help="factorization seed")
         sp.add_argument("--json", action="store_true", dest="as_json")
-        for flag in extra:
-            sp.add_argument(flag, action="store_true", dest=flag.lstrip("-").replace("-", "_"))
-        return sp
-
-    common(sub.add_parser("resolve", help="resolution tree at the origin"), ["F"], ["--dot"])
-    common(sub.add_parser("delta", help="delta invariant at the origin"), ["F"])
-    common(
-        sub.add_parser("genus", help="geometric genus of a projective curve"),
-        ["F"],
-        ["--assume-irreducible"],
-    )
-    common(sub.add_parser("intersect", help="local intersection number at the origin"), ["F", "G"])
-    common(sub.add_parser("adjoint", help="adjoint margins of G on the tree of C"), ["C", "G"])
-    common(
-        sub.add_parser("noether-check", help="r_H >= r_F + r_G - 1 at all common points"),
-        ["F", "G", "H"],
-    )
-    common(sub.add_parser("noether-solve", help="solve H = A*F + B*G"), ["F", "G", "H"])
-    common(sub.add_parser("bezout", help="sum of local intersections vs deg F * deg G"), ["F", "G"])
-    ap = common(sub.add_parser("appendix", help="tangent-normalization recursion"), ["F"])
-    ap.add_argument("n", type=int, help="last stage to compute")
+        for arg, kwargs in extra.items():
+            sp.add_argument(arg, **kwargs)
     return p
 
 
@@ -85,8 +71,16 @@ def _field_of(flag: str):
     raise UsageError(f"--field must be 'q' or 'p:N', got {flag!r}")
 
 
-def _emit(obj):
-    print(json.dumps(obj, indent=2))
+def _json(obj, indent="\n"):
+    """json.dumps(obj, indent=2): with an indent the stdlib falls back to its
+    pure-Python encoder, whose closures leave reference cycles on every call."""
+    if not obj or not isinstance(obj, (dict, list, tuple)):
+        return _scalar(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        items = (f"{_scalar(k)}: {_json(v, inner)}" for k, v in obj.items())
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    return "[" + inner + ("," + inner).join(_json(v, inner) for v in obj) + indent + "]"
 
 
 # ---- human renderers ----
@@ -118,165 +112,119 @@ def _render_condition(report):
     return "\n".join(lines)
 
 
-# ---- command bodies ----
+# ---- command bodies: each returns (exit code, JSON builder, text builder) ----
 
 
-def _cmd_resolve(args, field):
-    F = parse_poly(args.F, field, space="affine")
+def _cmd_resolve(args, F):
     tree = resolve_tree(F, max_depth=args.max_depth)
-    if args.dot:
-        print(to_dot(tree))
-    elif args.as_json:
-        _emit(tree.to_json())
-    else:
-        print(_render_resolve(tree))
-    return 4 if tree.termination == "DepthCapped" else 0
+    text = functools.partial(to_dot if args.dot else _render_resolve, tree)
+    return (4 if tree.termination == "DepthCapped" else 0), tree.to_json, text
 
 
-def _cmd_delta(args, field):
-    F = parse_poly(args.F, field, space="affine")
+def _cmd_delta(args, F):
     rep = delta_invariant(resolve_tree(F, max_depth=args.max_depth))
-    if args.as_json:
-        _emit(rep.to_json())
-    else:
-        seq = ",".join(str(r) for _, r in rep.multiplicity_sequence)
-        print(f"delta = {rep.delta}, sequence = [{seq}]")
-    return 0
+    return 0, rep.to_json, lambda: "delta = {}, sequence = [{}]".format(
+        rep.delta, ",".join(str(r) for _, r in rep.multiplicity_sequence)
+    )
 
 
-def _cmd_genus(args, field):
-    F = parse_poly(args.F, field, space="homogeneous")
+def _cmd_genus(args, F):
     points = find_singular_points(F)
     g, deltas = _genus_and_deltas(F, points, args.assume_irreducible, args.max_depth)
-    if args.as_json:
-        _emit(
-            {
-                "genus": g,
-                "degree": F.total_degree(),
-                "singular_points": [p.to_json() for p in points],
-                "deltas": deltas,
-            }
-        )
-    else:
-        print(g)
-    return 0
+
+    def payload():
+        return {
+            "genus": g,
+            "degree": F.total_degree(),
+            "singular_points": [p.to_json() for p in points],
+            "deltas": deltas,
+        }
+
+    return 0, payload, lambda: str(g)
 
 
-def _cmd_intersect(args, field):
-    F = parse_poly(args.F, field, space="affine")
-    G = parse_poly(args.G, field, space="affine")
+def _cmd_intersect(args, F, G):
     rep = intersection_multiplicity(F, G, max_depth=args.max_depth)
-    if args.as_json:
-        _emit(rep.to_json())
-    else:
-        print(f"I = {rep.noether_sum} (tree) / {rep.oracle_value} (resultant)")
-        for d, rc, rd in rep.contributions:
-            print(f"  depth {d}: {rc}*{rd}")
-    if not rep.agreement:
-        print("internal: tree and resultant disagree", file=sys.stderr)
-        return 5
-    return 0
+    return (0 if rep.agreement else 5), rep.to_json, lambda: "\n".join(
+        [f"I = {rep.noether_sum} (tree) / {rep.oracle_value} (resultant)"]
+        + [f"  depth {d}: {rc}*{rd}" for d, rc, rd in rep.contributions]
+    )
 
 
-def _cmd_adjoint(args, field):
-    C = parse_poly(args.C, field, space="affine")
-    G = parse_poly(args.G, field, space="affine")
+def _cmd_adjoint(args, C, G):
     rep = adjoint_check(C, G, max_depth=args.max_depth)
-    if args.as_json:
-        _emit(rep.to_json())
-    else:
-        for d, rc, rg, margin in rep.entries:
-            print(f"depth {d}: r_C={rc} r_G={rg} margin={margin}")
-        print("adjoint condition " + ("holds" if rep.ok else "fails"))
-    return 0 if rep.ok else 2
+    return (0 if rep.ok else 2), rep.to_json, lambda: "\n".join(
+        [f"depth {d}: r_C={rc} r_G={rg} margin={margin}" for d, rc, rg, margin in rep.entries]
+        + ["adjoint condition " + ("holds" if rep.ok else "fails")]
+    )
 
 
-def _cmd_noether_check(args, field):
-    F = parse_poly(args.F, field, space="homogeneous")
-    G = parse_poly(args.G, field, space="homogeneous")
-    H = parse_poly(args.H, field, space="homogeneous")
+def _cmd_noether_check(args, F, G, H):
     rep = check_condition(F, G, H, max_depth=args.max_depth)
-    if args.as_json:
-        _emit(rep.to_json())
-    else:
-        print(_render_condition(rep))
-    return 0 if rep.ok else 2
+    return (0 if rep.ok else 2), rep.to_json, lambda: _render_condition(rep)
 
 
-def _cmd_noether_solve(args, field):
-    F = parse_poly(args.F, field, space="homogeneous")
-    G = parse_poly(args.G, field, space="homogeneous")
-    H = parse_poly(args.H, field, space="homogeneous")
+def _cmd_noether_solve(args, F, G, H):
     cert = solve_af_bg(F, G, H)
-    if args.as_json:
-        _emit(cert.to_json())
-    elif cert.status == "Solved":
-        print(f"Solved: A = {cert.A}, B = {cert.B}")
-    else:
-        print(cert.status)
-    return 0 if cert.status == "Solved" else 2
+    if cert.status == "Solved":
+        return 0, cert.to_json, lambda: f"Solved: A = {cert.A}, B = {cert.B}"
+    return 2, cert.to_json, lambda: cert.status
 
 
-def _cmd_bezout(args, field):
-    F = parse_poly(args.F, field, space="homogeneous")
-    G = parse_poly(args.G, field, space="homogeneous")
+def _cmd_bezout(args, F, G):
     rep = bezout_check(F, G, max_depth=args.max_depth)
-    if args.as_json:
-        _emit(rep.to_json())
-    else:
-        for p, chart, r in rep.entries:
-            print(f"point {p} (chart {chart}): I = {r.noether_sum}")
-        print(f"total = {rep.total}, expected = {rep.expected}")
-    if not rep.ok:
-        print("internal: Bezout total does not match the degree product", file=sys.stderr)
-        return 5
-    return 0
+    return (0 if rep.ok else 5), rep.to_json, lambda: "\n".join(
+        [f"point {p} (chart {chart}): I = {r.noether_sum}" for p, chart, r in rep.entries]
+        + [f"total = {rep.total}, expected = {rep.expected}"]
+    )
 
 
-def _cmd_appendix(args, field):
-    F = parse_poly(args.F, field, space="affine")
-    failed = None
+def _cmd_appendix(args, F):
     try:
-        stages, phi = appendix_sequence(F, args.n)
+        (stages, phi), failed = appendix_sequence(F, args.n), None
     except HypothesisFailed as e:
-        stages, phi = e.stages, e.phi
-        failed = {"stage": e.stage, "reason": e.reason}
-    if args.as_json:
-        _emit(
-            {
-                "stages": [
-                    {
-                        "stage": i,
-                        "equation": str(eq),
-                        "shift": None if a is None else str(a),
-                    }
-                    for i, eq, a in stages
-                ],
-                "phi": str(phi),
-                "failed": failed,
-            }
-        )
-    else:
-        for i, eq, a in stages:
-            at = "" if a is None else f"  (shift {a})"
-            print(f"stage {i}: {eq}{at}")
-        print(f"phi = {phi}")
+        (stages, phi), failed = (e.stages, e.phi), {"stage": e.stage, "reason": e.reason}
+
+    def payload():
+        rows = [
+            {"stage": i, "equation": str(eq), "shift": None if a is None else str(a)}
+            for i, eq, a in stages
+        ]
+        return {"stages": rows, "phi": str(phi), "failed": failed}
+
+    def text():
+        lines = [
+            f"stage {i}: {eq}" + ("" if a is None else f"  (shift {a})") for i, eq, a in stages
+        ]
+        lines.append(f"phi = {phi}")
         if failed is not None:
-            print(f"stopped at stage {failed['stage']}: {failed['reason']}")
-    return 0
+            lines.append(f"stopped at stage {failed['stage']}: {failed['reason']}")
+        return "\n".join(lines)
+
+    return 0, payload, text
 
 
-_COMMANDS = {
-    "resolve": _cmd_resolve,
-    "delta": _cmd_delta,
-    "genus": _cmd_genus,
-    "intersect": _cmd_intersect,
-    "adjoint": _cmd_adjoint,
-    "noether-check": _cmd_noether_check,
-    "noether-solve": _cmd_noether_solve,
-    "bezout": _cmd_bezout,
-    "appendix": _cmd_appendix,
+# name: (body, help, polynomial arguments one letter each, their space, extra arguments)
+_TABLE = {
+    "resolve": (_cmd_resolve, "resolution tree at the origin", "F", "affine",
+                {"--dot": {"action": "store_true"}}),
+    "delta": (_cmd_delta, "delta invariant at the origin", "F", "affine", {}),
+    "genus": (_cmd_genus, "geometric genus of a projective curve", "F", "homogeneous",
+              {"--assume-irreducible": {"action": "store_true"}}),
+    "intersect": (_cmd_intersect, "local intersection number at the origin", "FG", "affine", {}),
+    "adjoint": (_cmd_adjoint, "adjoint margins of G on the tree of C", "CG", "affine", {}),
+    "noether-check": (_cmd_noether_check, "r_H >= r_F + r_G - 1 at all common points", "FGH",
+                      "homogeneous", {}),
+    "noether-solve": (_cmd_noether_solve, "solve H = A*F + B*G", "FGH", "homogeneous", {}),
+    "bezout": (_cmd_bezout, "sum of local intersections vs deg F * deg G", "FG", "homogeneous", {}),
+    "appendix": (_cmd_appendix, "tangent-normalization recursion", "F", "affine",
+                 {"n": {"type": int, "help": "last stage to compute"}}),
 }
+_COMMANDS = {name: row[0] for name, row in _TABLE.items()}
+
+# exit code 5 from a body: its two computations of one number disagree
+_CROSS_CHECKS = {"intersect": "tree and resultant disagree",
+                 "bezout": "Bezout total does not match the degree product"}
 
 
 def main(argv=None) -> int:
@@ -289,7 +237,14 @@ def main(argv=None) -> int:
         field = _field_of(args.field)
         if args.seed is not None:
             _fields.DEFAULT_FACTOR_SEED = args.seed
-        return _COMMANDS[args.command](args, field)
+        _, _, names, space, _ = _TABLE[args.command]
+        polys = [parse_poly(getattr(args, n), field, space=space) for n in names]
+        code, payload, text = _COMMANDS[args.command](args, *polys)
+        # --dot is a text form, so it wins over --json
+        print(_json(payload()) if args.as_json and not getattr(args, "dot", False) else text())
+        if code == 5:
+            print(f"internal: {_CROSS_CHECKS[args.command]}", file=sys.stderr)
+        return code
     except InternalError as e:
         print(f"internal: {e}", file=sys.stderr)
         return 5

@@ -1067,7 +1067,7 @@ def find_irreducible(field: Field, degree: int) -> UniPoly:
     raise RuntimeError("no irreducible found; impossible over a finite field")
 
 
-def roots_with_extension(f: UniPoly, seed=None):
+def roots_with_extension(f: UniPoly):
     """All roots of f with multiplicity, over f's field or a finite extension.
 
     Returns (field, [(root, multiplicity), ...]) with the roots in text order.
@@ -1076,10 +1076,10 @@ def roots_with_extension(f: UniPoly, seed=None):
     """
     if f.is_zero():
         raise ZeroPolynomial("roots of 0")
-    return _split_factors(f.field, uni_factor(f, seed=seed)[1], seed)
+    return _split_factors(f.field, uni_factor(f)[1])
 
 
-def _split_factors(field: Field, factors, seed=None):
+def _split_factors(field: Field, factors):
     """Roots of distinct monic factors [(g, m), ...] over `field`, each
     irreducible over a finite field, as (field, [(root, m), ...]) in text
     order.
@@ -1113,7 +1113,7 @@ def _split_factors(field: Field, factors, seed=None):
             if i == k:
                 continue
             if h.degree >= 2:
-                _, parts = uni_factor(h.map_field(field), seed=seed)
+                _, parts = uni_factor(h.map_field(field))
                 split.extend((part, mh * mp) for part, mp in parts)
             else:
                 split.append((h.map_field(field), mh))

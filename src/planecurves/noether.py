@@ -44,6 +44,7 @@ from .poly import (
     _first_fit,
     _shear_candidates,
     add_multiples,
+    biv_coeffs,
     biv_gcd,
     dehomogenize,
     resultant_biv,
@@ -108,7 +109,8 @@ def _assert_coprime_forms(F: MultiPoly, G: MultiPoly):
             raise CommonComponent("curves share a component")
 
 
-def _pair_candidates(field: Field):
+def _pair_candidates(field: Field, curves):
+    """Pairs (a, b) to try for a point [a : b : 1] off the Z-free forms in curves."""
     if isinstance(field, RationalField):
         def gen():
             # pairs by antidiagonals of the integer order 0, 1, -1, 2, -2, ...
@@ -119,7 +121,18 @@ def _pair_candidates(field: Field):
                 for i in range(s + 1):
                     yield cands[i], cands[s - i]
         return gen()
-    return ((a, b) for a in field.elements() for b in field.elements())
+
+    def columns():
+        rows = None
+        for a in field.elements():
+            bs = field.elements()
+            yield a, next(bs)
+            # when the line X = aZ lies on a curve every (a, b) fails, and the
+            # rest of the column would be scanned to the end of a large field
+            rows = rows or [biv_coeffs(dehomogenize(P, "Z"), "y") for P in curves]
+            if all(any(not r.eval(a).is_zero() for r in rs) for rs in rows):
+                yield from ((a, b) for b in bs)
+    return columns()
 
 
 def _z_fiber(P: MultiPoly, x0: Scalar, y0: Scalar) -> UniPoly:
@@ -201,7 +214,7 @@ def _common_points_core(F: MultiPoly, G: MultiPoly, fld: Field, add):
         point = {"X": ab[0], "Y": ab[1], "Z": one}
         return not F.evaluate(point).is_zero() and not G.evaluate(point).is_zero()
 
-    (a, b), fld = _first_fit(fld, _pair_candidates, off_both)
+    (a, b), fld = _first_fit(fld, lambda k: _pair_candidates(k, (F, G)), off_both)
     F, G = F.map_field(fld), G.map_field(fld)
     Fp, Gp = (add_multiples(P, (0, a, 2), (1, b, 2)) for P in (F, G))
     if Fp.coeff((0, 0, n)).is_zero() or Gp.coeff((0, 0, m)).is_zero():
@@ -236,6 +249,8 @@ def find_singular_points(F: MultiPoly):
         raise ZeroPolynomial("singular points of the zero curve")
     if F.variables != PROJECTIVE or not F.is_homogeneous():
         raise ValueError("singular points expect a homogeneous polynomial in X, Y, Z")
+    if F.total_degree() < 1:
+        raise ValueError("curves must have degree at least 1")
     if F.total_degree() == 1:
         return []
     parts = [F.derivative(v) for v in PROJECTIVE]

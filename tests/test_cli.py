@@ -9,6 +9,8 @@ import sys
 
 import jsonschema
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import planecurves
 from planecurves import cli, fields, poly, schemas
@@ -211,6 +213,13 @@ class TestExitCodes:
         code, _, err = run(capsys, "delta", "y^2-x^3", "--field", "r:5")
         assert code == 1
 
+    @pytest.mark.parametrize("field", ["q", "p:7"])
+    def test_constant_curve_has_no_genus(self, capsys, field):
+        # a constant has every partial zero, but it is not a p-th power
+        code, out, err = run(capsys, "genus", "1", "--field", field)
+        assert (code, out) == (1, "")
+        assert err == "error: curves must have degree at least 1\n"
+
     def test_not_squarefree_is_domain_error(self, capsys):
         code, _, err = run(capsys, "resolve", "y^2")
         assert code == 1
@@ -398,6 +407,9 @@ def test_gcd_paths_under_python_O(argv, code, text):
             ["noether-check", "Y^2*Z-X^3", "Y", "Y^2", "--field", "p:7"],
             id="noether-check-p7",
         ),
+        pytest.param(["intersect", "y^2-x^3", "y^2+x^3", "--json"], id="intersect-json"),
+        # the recursion stops at stage 3 and reports it
+        pytest.param(["appendix", "y^2-x^3", "3"], id="appendix-stopped"),
     ],
     ids=lambda argv: argv[0],
 )
@@ -412,6 +424,23 @@ def test_commands_leave_no_reference_cycles(capsys, argv):
     finally:
         gc.enable()
     assert code == 0
+
+
+_JSON_LEAVES = st.none() | st.booleans() | st.integers() | st.text()
+
+
+@seed(1717)
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    st.recursive(
+        _JSON_LEAVES,
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+        max_leaves=20,
+    )
+)
+def test_json_writer_matches_json_dumps(obj):
+    # escapes, non-ASCII text and empty containers included
+    assert cli._json(obj) == json.dumps(obj, indent=2)
 
 
 @pytest.mark.parametrize(
@@ -451,8 +480,21 @@ def test_seed_changes_no_result(capsys, argv):
         ["noether-solve", "X^2-Y*Z", "Y^2-X*Z", "X^3-Y^3"],
         # p = 3 (mod 4), so the tangent directions need F_(p^2)
         ["resolve", "y^2+x^2"],
+        # the line X = 0 lies on a curve: the shift off [0:0:1] must not scan
+        # every b with a = 0 before it tries a = 1
+        ["bezout", "X*Y+Z^2", "X*(Y+Z)"],
+        ["genus", "X^2*Y+Y^2*Z+Z^3"],
     ],
-    ids=["resolve", "intersect", "bezout", "genus", "noether-solve", "resolve-extension"],
+    ids=[
+        "resolve",
+        "intersect",
+        "bezout",
+        "genus",
+        "noether-solve",
+        "resolve-extension",
+        "bezout-line-on-curve",
+        "genus-partial-with-line",
+    ],
 )
 def test_large_prime_field(argv):
     # primality by Miller-Rabin and lazily listed field elements: a
