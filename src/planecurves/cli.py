@@ -48,7 +48,9 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache  # parse_args leaves the parser as it was, and errors raise
 def _build_parser() -> _Parser:
-    p = _Parser(prog="planecurves", description=__doc__.splitlines()[0])
+    # a literal, not __doc__: python -OO strips docstrings
+    description = "Command line interface: parse curves, dispatch, render text or JSON."
+    p = _Parser(prog="planecurves", description=description)
     sub = p.add_subparsers(dest="command", metavar="command")
     for name, (_body, help_, polys, _space, extra) in _TABLE.items():
         sp = sub.add_parser(name, help=help_)
@@ -66,9 +68,11 @@ def _build_parser() -> _Parser:
 def _field_of(flag: str):
     if flag == "q":
         return RationalField()
-    if flag.startswith("p:"):
-        return PrimeField(int(flag[2:]))
-    raise UsageError(f"--field must be 'q' or 'p:N', got {flag!r}")
+    try:
+        p = int(flag[2:] if flag.startswith("p:") else "")
+    except ValueError:
+        raise UsageError(f"--field must be 'q' or 'p:N', got {flag!r}") from None
+    return PrimeField(p)
 
 
 def _json(obj, indent="\n"):

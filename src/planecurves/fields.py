@@ -8,9 +8,11 @@ other raw values truthy.  Scalar (a field and a raw value) and UniPoly (a
 field and the trimmed tuple of its coefficients' raw values) are the API
 boundary: same-field arithmetic calls the field's raw operation, and the
 univariate kernels loop on raw value tuples and wrap their result once.
-Mixed-field operations embed along the unique tower inclusion when one
-exists and raise otherwise, so a wrong-field bug surfaces at the first
-arithmetic step instead of as a wrong answer later.
+Each field stores the fields below it in its tower, `bases`, so a tower
+query is a lookup.  Mixed-field operations embed along the unique tower
+inclusion when one exists and raise otherwise, so a wrong-field bug
+surfaces at the first arithmetic step instead of as a wrong answer later;
+_joined maps polynomials into the join of their fields, the one join.
 
 The univariate layer (UniPoly) provides division, gcd, and factorization.
 One Euclid loop on raw tuples, _pgcd, makes each remainder monic before it
@@ -41,6 +43,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from functools import reduce
 from random import Random
 
 from .errors import (
@@ -192,23 +195,22 @@ class Field:
     """Common interface of the three field kinds.
 
     Each kind defines characteristic(), order() (None for an infinite
-    field), describe(), to_json() and, when finite, elements() in canonical
-    order and random_scalar(rng).  On raw values it has add, sub, neg, mul,
-    inv, element_str and hash_value, the constants raw_zero and raw_one,
-    and raw(n) for an int or a Fraction n.
+    field), describe() and, when finite, elements() in canonical order and
+    random_scalar(rng).  On raw values it has add, sub, neg, mul, inv,
+    element_str and hash_value, the constants raw_zero and raw_one, and
+    raw(n) for an int or a Fraction n.  `bases`, set once at construction,
+    holds the fields strictly below it in its tower, nearest first.
     """
 
-    kind = "abstract"
+    bases = ()
 
     def scalar(self, value) -> "Scalar":
         """Coerce an int, a Fraction, or a scalar of a field in the tower."""
         if not isinstance(value, Scalar):
             return Scalar(self, self.raw(value))
-        if value.field is self or value.field == self:
+        if value.field is self:
             return value
-        if self.tower_contains(value.field):
-            return self.embed(value)
-        raise IncompatibleFields("cannot coerce into " + self.describe())
+        return self.embed(value)
 
     def zero(self) -> "Scalar":
         return Scalar(self, self.raw_zero)
@@ -222,14 +224,7 @@ class Field:
 
     def tower_contains(self, other: "Field") -> bool:
         """True when `other` appears in this field's extension tower."""
-        cur = self
-        while True:
-            if cur == other:
-                return True
-            if isinstance(cur, ExtensionField):
-                cur = cur.base
-            else:
-                return False
+        return other in (self, *self.bases)
 
     def embed(self, s: "Scalar") -> "Scalar":
         """Lift a scalar from a subfield of the tower into this field."""
@@ -246,7 +241,6 @@ class RationalField(Field):
     and pay no Fraction normalisation; inv returns a Fraction.  A Fraction
     with denominator 1 equals, hashes and prints like its int."""
 
-    kind = "rationals"
     raw_zero = 0
     raw_one = 1
     add = operator.add
@@ -273,9 +267,6 @@ class RationalField(Field):
     def describe(self):
         return "Q"
 
-    def to_json(self):
-        return {"kind": "rationals"}
-
     def __eq__(self, other):
         return isinstance(other, RationalField)
 
@@ -287,7 +278,6 @@ QQ = RationalField()
 
 
 class PrimeField(Field):
-    kind = "prime"
     raw_zero = 0
     raw_one = 1
     element_str = str
@@ -330,9 +320,6 @@ class PrimeField(Field):
     def describe(self):
         return f"F{self.p}"
 
-    def to_json(self):
-        return {"kind": "prime", "p": self.p}
-
     def elements(self):
         return (Scalar(self, i) for i in range(self.p))
 
@@ -352,11 +339,12 @@ class ExtensionField(Field):
     Raw values are reduced modulo the minpoly's raw coefficients, `modulus`.
     """
 
-    kind = "extension"
     raw_zero = ()
 
     def __init__(self, base: Field, minpoly: "UniPoly", gen_name: str):
         self.base = base
+        # not self as well: a field holding itself is a reference cycle
+        self.bases = (base, *base.bases)
         self.gen_name = gen_name
         self.minpoly = UniPoly(base, minpoly.coeffs, gen_name)
         self.modulus = self.minpoly.values
@@ -414,14 +402,6 @@ class ExtensionField(Field):
     def describe(self):
         return self._describe
 
-    def to_json(self):
-        return {
-            "kind": "extension",
-            "base": self.base.to_json(),
-            "minpoly": str(self.minpoly),
-            "generator": self.gen_name,
-        }
-
     def elements(self):
         for combo in _raw_tuples(self.base, self.degree):
             yield Scalar(self, _trim(combo))
@@ -455,12 +435,11 @@ def _raw_tuples(base: Field, k: int):
 def _levels_above(target: Field, source: Field) -> int:
     """How many extension levels lie between `source` and `target`;
     IncompatibleFields when target's tower does not hold `source`."""
-    k, cur = 0, target
-    while not (cur is source or cur == source):
-        if not isinstance(cur, ExtensionField):
-            raise IncompatibleFields(f"{source.describe()} !< {cur.describe()}")
-        cur, k = cur.base, k + 1
-    return k
+    tower = (target, *target.bases)
+    try:
+        return tower.index(source)
+    except ValueError:
+        raise IncompatibleFields(f"{source.describe()} !< {tower[-1].describe()}") from None
 
 
 def _lift(v, k: int):
@@ -476,6 +455,17 @@ def join_fields(a: Field, b: Field) -> Field:
     if b.tower_contains(a):
         return b
     raise IncompatibleFields(f"{a.describe()} vs {b.describe()}")
+
+
+def _join(*items) -> Field:
+    """The join of the fields of Scalars or polynomials, left to right."""
+    return reduce(join_fields, [item.field for item in items])
+
+
+def _joined(*polys):
+    """(join of the polynomials' fields, the polynomials mapped into it)."""
+    field = _join(*polys)
+    return field, [p.map_field(field) for p in polys]
 
 
 class Scalar:
@@ -666,8 +656,7 @@ class UniPoly:
             return None
         if self.field == other.field:
             return self, other
-        target = join_fields(self.field, other.field)
-        return self.map_field(target), other.map_field(target)
+        return _joined(self, other)[1]
 
     def _kernel(self, other, op):
         """op(field, raw self, raw other) over the joined field, wrapped."""
@@ -782,8 +771,6 @@ def _pgcd(F, u, v) -> tuple:
 
 def uni_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     """Monic gcd; gcd(f, 0) = monic f, gcd(0, 0) = 0."""
-    if not isinstance(b, UniPoly):
-        b = UniPoly(a.field, (a.field.scalar(b),), a.var)
     a, b = a._pair(b)
     return UniPoly._from_values(a.field, _pgcd(a.field, a.values, b.values), a.var)
 
@@ -1039,12 +1026,7 @@ def extend_field(base: Field, minpoly: UniPoly) -> ExtensionField:
         raise ValueError("minimal polynomial must be monic")
     if not is_irreducible(minpoly):
         raise ReducibleMinPoly(str(minpoly))
-    level = 1
-    cur = base
-    while isinstance(cur, ExtensionField):
-        level += 1
-        cur = cur.base
-    return ExtensionField(base, minpoly, f"z{level}")
+    return ExtensionField(base, minpoly, f"z{len(base.bases) + 1}")
 
 
 def find_irreducible(field: Field, degree: int) -> UniPoly:

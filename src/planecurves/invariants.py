@@ -28,7 +28,7 @@ from .errors import (
     UnresolvedTree,
     ZeroPolynomial,
 )
-from .fields import RationalField, UniPoly, is_irreducible, join_fields
+from .fields import RationalField, UniPoly, _joined, is_irreducible
 from .poly import (
     MultiPoly,
     PROJECTIVE,
@@ -152,8 +152,7 @@ def intersection_oracle(F: MultiPoly, G: MultiPoly) -> int:
         raise ZeroPolynomial("intersection with the zero curve")
     if biv_gcd(F, G).total_degree() >= 1:
         raise CommonComponent("curves share a component")
-    field = join_fields(F.field, G.field)
-    return _fulton(F.map_field(field), G.map_field(field))
+    return _fulton(*_joined(F, G)[1])
 
 
 def intersection_multiplicity(
@@ -175,9 +174,7 @@ def intersection_multiplicity(
 
 def _intersection_multiplicity(F: MultiPoly, G: MultiPoly, max_depth: int) -> IntersectionReport:
     """intersection_multiplicity for nonzero F, G already known to be coprime."""
-    field = join_fields(F.field, G.field)
-    F = F.map_field(field)
-    G = G.map_field(field)
+    field, (F, G) = _joined(F, G)
     origin = (field.zero(), field.zero())
     if not (F.constant_term().is_zero() and G.constant_term().is_zero()):
         return IntersectionReport(origin, field, [], 0, 0)
@@ -241,11 +238,7 @@ def _localize(F: MultiPoly, coords):
     Picks the chart Z, Y or X, preferring the later coordinate when it is
     nonzero so the choice is deterministic.  Returns (affine poly, chart).
     """
-    field = F.field
-    for c in coords:
-        field = join_fields(field, c.field)
-    coords = tuple(field.embed(c) for c in coords)
-    F = F.map_field(field)
+    # translate maps F into the join of its field and the point's
     for chart, idx, others in (("Z", 2, (0, 1)), ("Y", 1, (0, 2)), ("X", 0, (1, 2))):
         if not coords[idx].is_zero():
             inv = coords[idx].inverse()

@@ -31,8 +31,9 @@ from .fields import (
     RationalField,
     Scalar,
     UniPoly,
+    _join,
+    _joined,
     _trim,
-    join_fields,
     roots_with_extension,
     uni_gcd,
 )
@@ -60,9 +61,7 @@ class ProjPoint:
         coords = tuple(coords)
         if len(coords) != 3:
             raise ValueError("projective points have three coordinates")
-        field = coords[0].field
-        for c in coords[1:]:
-            field = join_fields(field, c.field)
+        field = _join(*coords)
         coords = tuple(field.embed(c) for c in coords)
         pivot = next((c for c in coords if not c.is_zero()), None)
         if pivot is None:
@@ -137,7 +136,7 @@ def _pair_candidates(field: Field, curves):
 
 def _z_fiber(P: MultiPoly, x0: Scalar, y0: Scalar) -> UniPoly:
     # P(x0, y0, Z) as a univariate polynomial in Z, summed on raw values
-    field = join_fields(P.field, join_fields(x0.field, y0.field))
+    field = _join(P, x0, y0)
     x, y = field.embed(x0).value, field.embed(y0).value
     add, mul = field.add, field.mul
     coeffs = [field.raw_zero] * (P.degree_in("Z") + 1)
@@ -175,8 +174,7 @@ def find_common_points(F: MultiPoly, G: MultiPoly):
         raise ValueError("common points expect homogeneous polynomials in X, Y, Z")
     if F.total_degree() < 1 or G.total_degree() < 1:
         raise ValueError("curves must have degree at least 1")
-    fld = join_fields(F.field, G.field)
-    F, G = F.map_field(fld), G.map_field(fld)
+    fld, (F, G) = _joined(F, G)
     _assert_coprime_forms(F, G)
 
     points = []
@@ -215,7 +213,7 @@ def _common_points_core(F: MultiPoly, G: MultiPoly, fld: Field, add):
         return not F.evaluate(point).is_zero() and not G.evaluate(point).is_zero()
 
     (a, b), fld = _first_fit(fld, lambda k: _pair_candidates(k, (F, G)), off_both)
-    F, G = F.map_field(fld), G.map_field(fld)
+    # a and b lie in fld, so the shift maps F and G into it
     Fp, Gp = (add_multiples(P, (0, a, 2), (1, b, 2)) for P in (F, G))
     if Fp.coeff((0, 0, n)).is_zero() or Gp.coeff((0, 0, m)).is_zero():
         raise InternalError("the shifted curves still pass through [0 : 0 : 1]")
@@ -232,8 +230,7 @@ def _common_points_core(F: MultiPoly, G: MultiPoly, fld: Field, add):
             raise InternalError("no common point over a root of the resultant")
         fld, roots = roots_with_extension(h.map_field(fld))
         for z0, _ in roots:
-            x1, y1 = fld.embed(x0), fld.embed(y0)
-            add((x1 + fld.embed(a) * z0, y1 + fld.embed(b) * z0, z0))
+            add((x0 + a * z0, y0 + b * z0, z0))
     return fld
 
 
@@ -331,8 +328,7 @@ def check_condition(
             raise ZeroPolynomial("check_condition needs nonzero curves")
         if P.variables != PROJECTIVE or not P.is_homogeneous():
             raise ValueError("check_condition expects homogeneous polynomials in X, Y, Z")
-    fld = join_fields(join_fields(F.field, G.field), H.field)
-    F, G, H = F.map_field(fld), G.map_field(fld), H.map_field(fld)
+    _, (F, G, H) = _joined(F, G, H)
     report_points = []
     all_ok = True
     # find_common_points tests F and G for a common component, so the
@@ -411,8 +407,7 @@ def solve_af_bg(
             raise ZeroPolynomial("solve_af_bg needs nonzero curves")
         if P.variables != PROJECTIVE or not P.is_homogeneous():
             raise ValueError("solve_af_bg expects homogeneous polynomials in X, Y, Z")
-    fld = join_fields(join_fields(F.field, G.field), H.field)
-    F, G, H = F.map_field(fld), G.map_field(fld), H.map_field(fld)
+    fld, (F, G, H) = _joined(F, G, H)
     _assert_coprime_forms(F, G)
     c, d, e = F.total_degree(), G.total_degree(), H.total_degree()
     mons_A = _monomials(e - c) if e >= c else []
@@ -477,8 +472,7 @@ def bezout_check(
     """
     if F.is_zero() or G.is_zero():
         raise ZeroPolynomial("Bezout with the zero curve")
-    fld = join_fields(F.field, G.field)
-    F, G = F.map_field(fld), G.map_field(fld)
+    _, (F, G) = _joined(F, G)
     entries = []
     total = 0
     # find_common_points tests F and G for a common component, so the

@@ -30,12 +30,12 @@ from math import lcm
 from .errors import IncompatibleFields, InternalError, NotSuitable, ZeroPolynomial
 from .fields import (
     NEG_INF,
-    ExtensionField,
     Field,
     PrimeField,
     RationalField,
     Scalar,
     UniPoly,
+    _joined,
     _levels_above,
     _lift,
     _needs_parens,
@@ -155,8 +155,7 @@ class MultiPoly:
             )
         if self.field == other.field:
             return self, other
-        target = join_fields(self.field, other.field)
-        return self.map_field(target), other.map_field(target)
+        return _joined(self, other)[1]
 
     def _kernel(self, other, op):
         """op(field, raw self, raw other) over the joined field, wrapped."""
@@ -267,24 +266,23 @@ class MultiPoly:
         defaults to this polynomial's own.
         """
         variables = tuple(variables) if variables is not None else self.variables
-        field = self.field
-        images = {}
+        images = []
         for v in self.variables:
             img = repl.get(v)
             if img is None:
-                img = MultiPoly.var(field, v, variables)
+                img = MultiPoly.var(self.field, v, variables)
             elif isinstance(img, (int, Fraction, Scalar)):
                 img = MultiPoly.constant(
-                    img.field if isinstance(img, Scalar) else field, img, variables
+                    img.field if isinstance(img, Scalar) else self.field, img, variables
                 )
-            field = join_fields(field, img.field)
-            images[v] = img
-        images = {v: p.map_field(field).values for v, p in images.items()}
+            images.append(img)
+        field, (F, *images) = _joined(self, *images)
+        images = {v: p.values for v, p in zip(self.variables, images)}
         unit = (0,) * len(variables)
         powers = {v: [{unit: field.raw_one}] for v in images}
         add = field.add
         out = {}
-        for e, c in self.map_field(field).values.items():
+        for e, c in F.values.items():
             term = {unit: c}
             for v, k in zip(self.variables, e):
                 if k:
@@ -438,10 +436,7 @@ def make_suitable_many(polys):
     Over a finite field the tower is extended when no element of the
     current field works; over Q a working integer always exists.
     """
-    field = polys[0].field
-    for p in polys[1:]:
-        field = join_fields(field, p.field)
-    polys = [p.map_field(field) for p in polys]
+    field, polys = _joined(*polys)
     for p in polys:
         if p.is_zero():
             raise ZeroPolynomial("cannot shear the zero polynomial")
@@ -699,12 +694,8 @@ def _tokenize(text: str):
 
 
 def _generator_table(field: Field):
-    gens = {}
-    cur = field
-    while isinstance(cur, ExtensionField):
-        gens[cur.gen_name] = field.embed(cur.generator()).value
-        cur = cur.base
-    return gens
+    # every level of the tower but its bottom, Q or F_p, is an extension
+    return {K.gen_name: field.embed(K.generator()).value for K in (field, *field.bases)[:-1]}
 
 
 # raw term dicts {exponent tuple: raw value}: sums, products and powers for

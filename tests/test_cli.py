@@ -360,6 +360,34 @@ def test_module_entry_point():
     assert proc.stdout.strip() == "delta = 1, sequence = [2]"
 
 
+def test_module_entry_point_under_python_OO():
+    # -OO strips docstrings, so the parser's description is no docstring
+    proc = subprocess.run(
+        [sys.executable, "-OO", "-m", "planecurves", "delta", "y^2-x^3"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "delta = 1, sequence = [2]"
+
+
+@pytest.mark.parametrize(
+    "flag,err",
+    [
+        ("p:abc", "error: --field must be 'q' or 'p:N', got 'p:abc'"),
+        ("p:", "error: --field must be 'q' or 'p:N', got 'p:'"),
+        ("p:7.0", "error: --field must be 'q' or 'p:N', got 'p:7.0'"),
+        ("p:4", "error: 4 is not prime"),
+        ("p:+7", ""),
+        ("p: 7", ""),
+    ],
+)
+def test_field_flag_errors(capsys, flag, err):
+    code, out, got = run(capsys, "delta", "y^2-x^3", "--field", flag)
+    assert (code, got.strip()) == ((1, err) if err else (0, ""))
+    assert out == ("" if err else "delta = 1, sequence = [2]\n")
+
+
 def test_no_assert_statements_in_the_package():
     # exactness checks must survive python -O, so none may be an assert
     src = pathlib.Path(planecurves.__file__).parent

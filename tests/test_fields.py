@@ -1,6 +1,7 @@
 """Field towers, scalars, and univariate factorization."""
 
 import functools
+import gc
 import itertools
 import math
 import operator
@@ -920,3 +921,104 @@ def test_find_irreducible_over_q_is_unsupported():
         find_irreducible(QQ, 2)
     with pytest.raises(UnsupportedExtension):
         find_irreducible(RationalField(), 1)
+
+
+# the tower walks that Field.bases replaced, kept as references
+
+
+def _walk_tower_contains(field, other):
+    cur = field
+    while True:
+        if cur == other:
+            return True
+        if isinstance(cur, ExtensionField):
+            cur = cur.base
+        else:
+            return False
+
+
+def _walk_levels_above(target, source):
+    k, cur = 0, target
+    while not (cur is source or cur == source):
+        if not isinstance(cur, ExtensionField):
+            raise IncompatibleFields(f"{source.describe()} !< {cur.describe()}")
+        cur, k = cur.base, k + 1
+    return k
+
+
+def _walk_level(base):
+    # the level of a generator adjoined to base: z1 over Q or F_p
+    level, cur = 1, base
+    while isinstance(cur, ExtensionField):
+        level, cur = level + 1, cur.base
+    return level
+
+
+def _walk_tower(field):
+    out = [field]
+    while isinstance(out[-1], ExtensionField):
+        out.append(out[-1].base)
+    return out
+
+
+def _walk_generator_table(field):
+    gens, cur = {}, field
+    while isinstance(cur, ExtensionField):
+        gens[cur.gen_name] = field.embed(cur.generator()).value
+        cur = cur.base
+    return gens
+
+
+def _tower(base, degrees):
+    fields_ = [base]
+    for d in degrees:
+        fields_.append(extend_field(fields_[-1], find_irreducible(fields_[-1], d)))
+    return fields_
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except IncompatibleFields as e:
+        return ("IncompatibleFields", str(e))
+
+
+def _all_towers():
+    # towers of 1 to 3 levels over F_2, F_3 and F_5, a second copy of one
+    # (equal fields that are distinct objects), a rival tower and Q
+    towers = [_tower(p, (2, 3, 2)) for p in (F2, F3, F5)]
+    towers += [_tower(PrimeField(3), (2, 3)), _tower(F2, (3,)), [QQ]]
+    return [K for tower in towers for K in tower]
+
+
+def test_tower_queries_agree_with_the_walks():
+    every = _all_towers()
+    assert max(len(K.bases) for K in every) == 3
+    for K in every:
+        assert [id(B) for B in K.bases] == [id(B) for B in _walk_tower(K)[1:]]
+        for L in every:
+            assert K.tower_contains(L) == _walk_tower_contains(K, L)
+            assert _outcome(fields._levels_above, K, L) == _outcome(_walk_levels_above, K, L)
+        assert list(poly._generator_table(K).items()) == list(_walk_generator_table(K).items())
+
+
+@pytest.mark.parametrize("base", [F2, F3, F5], ids=str)
+def test_generator_names_count_the_levels(base):
+    K = base
+    for d in (2, 3, 2):
+        L = extend_field(K, find_irreducible(K, d))
+        assert L.gen_name == f"z{_walk_level(K)}" == f"z{len(L.bases)}"
+        K = L
+
+
+def test_a_dropped_tower_leaves_no_reference_cycles():
+    # a field listed in its own bases would be a cycle per field built
+    gc.collect()
+    gc.disable()
+    try:
+        K = _tower(PrimeField(5), (2, 3, 2))[-1]
+        assert len(K.bases) == 3
+        del K
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -10,6 +10,8 @@ from planecurves import noether
 from planecurves.cli import main
 from planecurves.errors import (
     CommonComponent,
+    CurveError,
+    InternalError,
     NonRationalPoint,
     Reducible,
     ZeroPolynomial,
@@ -26,7 +28,7 @@ from planecurves.fields import Scalar, join_fields
 from planecurves.linalg import solve_linear
 from planecurves.poly import PROJECTIVE, MultiPoly, parse_poly
 
-from .helpers import F5, F7, F9, QQ, corpus, field_by_name, hom
+from .helpers import F5, F7, F9, F11, QQ, corpus, field_by_name, hom
 
 DATA = corpus()
 
@@ -369,3 +371,38 @@ def test_solver_builds_no_scalar_per_zero_cell(monkeypatch):
     # one Scalar per term of F, G and H and one shared zero
     assert at_solve == [len(F.values) + len(G.values) + len(H.values) + 1]
     assert zero_cells > 10 * at_solve[0]
+
+
+@pytest.mark.parametrize("field", [F5, F7, F11], ids=str)
+def test_the_condition_implies_a_solution(field):
+    # Max Noether's AF+BG theorem: r_H >= r_F + r_G - 1 at every infinitely
+    # near point of F and G makes H = A*F + B*G.  The condition is only
+    # sufficient, so a solved H that fails it proves nothing.
+    held = []
+
+    @seed(1888)
+    @settings(max_examples=70, deadline=None, database=None)
+    @given(data=st.data())
+    def check(data):
+        c, d = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        e = data.draw(st.integers(max(c, d), c + d))
+        F, G = data.draw(_forms(field, c)), data.draw(_forms(field, d))
+        H = data.draw(_forms(field, e))
+        if data.draw(st.booleans()):
+            # H in the ideal, perturbed or not
+            A, B = data.draw(_forms(field, e - c)), data.draw(_forms(field, e - d))
+            H = A * F + B * G + (H if data.draw(st.booleans()) else 0)
+        if H.is_zero() or not H.is_homogeneous():
+            return
+        try:
+            report = check_condition(F, G, H)
+        except InternalError:
+            raise
+        except CurveError:
+            return
+        if report.ok:
+            held.append(H)
+            assert solve_af_bg(F, G, H).status == "Solved"
+
+    check()
+    assert held

@@ -86,7 +86,9 @@ def run_checkout(checkout, argvs):
 
 
 def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    # a literal, not __doc__: python -OO strips docstrings
+    description = "Compare the output of two checkouts on every benchmark workload call."
+    ap = argparse.ArgumentParser(description=description)
     ap.add_argument("other", nargs="?", help="the checkout to compare this one with")
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=WORKLOADS)
