@@ -4,7 +4,8 @@ A polynomial holds `values`, a dict from exponent tuples to raw values of
 its field (see fields.Field) with no zeros, in affine variables (x, y) or
 homogeneous ones (X, Y, Z).  Blow-up charts additionally use (x, t).  Sums,
 products, powers and substitution run on these dicts through the sparse
-kernels _dadd, _dneg, _dmul and _dpow, which the parser uses as well.
+kernels _dadd, _dneg, _dmul and _dpow; the parser multiplies and raises
+powers with the same kernels and sums its terms into one dict in place.
 Everything here is exact; there is no floating point anywhere in the
 package.
 
@@ -24,7 +25,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cache, partial
-from itertools import islice
+from itertools import chain, islice
 from math import lcm
 
 from .errors import IncompatibleFields, InternalError, NotSuitable, ZeroPolynomial
@@ -44,6 +45,7 @@ from .fields import (
     _pmul,
     _power,
     _psub,
+    _trim,
     extend_field,
     find_irreducible,
     join_fields,
@@ -557,28 +559,85 @@ def _image_mod_p(F: MultiPoly, Fp: PrimeField) -> MultiPoly | None:
     return MultiPoly._from_values(Fp, F.variables, image)
 
 
+# good points tried per variable before the certificate gives up
+SLICE_TRIES = 3
+
+
+def _slice(field, values: dict, i: int, powers: list, n: int) -> tuple:
+    """The raw univariate polynomial left when variable i of the term dict
+    `values` is set to the point whose powers are listed; n is the degree
+    of `values` in the other variable."""
+    add, mul = field.add, field.mul
+    out = [field.raw_zero] * (n + 1)
+    for e, c in values.items():
+        k = e[1 - i]
+        out[k] = add(out[k], mul(c, powers[e[i]]))
+    return _trim(out)
+
+
+def _coprime_by_slices(F: MultiPoly, G: MultiPoly) -> bool:
+    """True when a slice in each variable proves F and G coprime; see biv_gcd."""
+    field = F.field
+    mul = field.mul
+    for i in (0, 1):
+        n = max(e[1 - i] for e in F.values)
+        m = max(e[1 - i] for e in G.values)
+        top = max(e[i] for e in chain(F.values, G.values))
+        tries = 0
+        # the nonzero elements in canonical order, then 0: every local
+        # computation is centred at the origin, where slices share roots most
+        for t in chain(islice(field.elements(), 1, None), [field.zero()]):
+            powers = [field.raw_one]
+            for _ in range(top):
+                powers.append(mul(powers[-1], t.value))
+            f = _slice(field, F.values, i, powers, n)
+            if len(f) <= n:
+                continue  # t is a root of F's leading coefficient
+            if len(_pgcd(field, f, _slice(field, G.values, i, powers, m))) == 1:
+                break
+            tries += 1
+            if tries == SLICE_TRIES:
+                return False
+        else:
+            return False
+    return True
+
+
 def biv_gcd(F: MultiPoly, G: MultiPoly) -> MultiPoly:
     """Gcd of two bivariate polynomials, primitive with monic leading part.
 
-    Over Q a coprimality certificate comes first.  Both inputs, with their
-    denominators cleared, are reduced modulo the fixed prime CERT_PRIME =
-    2^31 - 1, unless p divides the lex-leading (y, then x) integer
-    coefficient of either.  If the gcd of the two images is constant, the
-    inputs are coprime and the gcd is 1.  Why: by Gauss's lemma a common
-    factor h of the inputs can be taken primitive in Z[x, y], and it then
-    divides both cleared inputs over Z.  Its lex-leading coefficient divides
-    theirs, so p does not divide it, h mod p keeps its lex-leading monomial
-    and stays nonconstant, and h mod p divides both images.
+    A coprimality certificate comes first.  A slice is the univariate
+    polynomial left when one variable is set to a field element.  F and G
+    are coprime when there are a t with lc_y(F)(t) != 0 at which the slices
+    F(t, y) and G(t, y) have a constant gcd, and an s with lc_x(F)(s) != 0
+    at which F(x, s) and G(x, s) do.  Why: a common factor h has positive
+    degree in y, say (x is the same with s).  Then lc_y(h) divides
+    lc_y(F), so h(t, y) keeps its degree and divides both slices.  Up to
+    SLICE_TRIES points with a nonzero leading coefficient are tried per
+    variable, the nonzero elements of the field in canonical order and then
+    0, with no randomness.
 
-    Otherwise, and over every other field, the gcd comes from _biv_gcd's
-    exact pseudo-remainder sequence, so every nonconstant gcd is the one
-    it computes.
+    Over Q the certificate runs on the inputs with their denominators
+    cleared, reduced modulo the fixed prime CERT_PRIME = 2^31 - 1, unless p
+    divides the lex-leading (y, then x) integer coefficient of either.
+    Why: by Gauss's lemma a common factor h of the inputs can be taken
+    primitive in Z[x, y], and it then divides both cleared inputs over Z.
+    Its lex-leading coefficient divides theirs, so p does not divide it, h
+    mod p keeps its lex-leading monomial and stays nonconstant, and h mod p
+    divides both images.
+
+    When no point proves it (the slices share a factor, the field is too
+    small, or p divides a leading coefficient), the gcd comes from
+    _biv_gcd's exact pseudo-remainder sequence, so every nonconstant gcd is
+    the one it computes.
     """
-    over_q = isinstance(F.field, RationalField) and isinstance(G.field, RationalField)
-    if over_q and F.values and G.values:
-        Fp = _cert_field()
-        A, B = _image_mod_p(F, Fp), _image_mod_p(G, Fp)
-        if A is not None and B is not None and _biv_gcd(A, B).total_degree() == 0:
+    if F.values and G.values and len(F.variables) == 2:
+        F, G = F._pair(G)
+        A, B = F, G
+        if isinstance(F.field, RationalField):
+            Fp = _cert_field()
+            A, B = _image_mod_p(F, Fp), _image_mod_p(G, Fp)
+        if A is not None and B is not None and _coprime_by_slices(A, B):
             return MultiPoly._from_values(F.field, F.variables, {(0, 0): F.field.raw_one})
     return _biv_gcd(F, G)
 
@@ -643,9 +702,9 @@ def squarefree_defect(F: MultiPoly) -> MultiPoly | None:
     for d in (fx, fy):
         if not d.is_zero():
             g = biv_gcd(g, d)
-    if g.total_degree() >= 1:
-        return g
-    return None
+            if g.total_degree() < 1:
+                return None
+    return g
 
 
 def resultant_biv(F: MultiPoly, G: MultiPoly, main: str) -> UniPoly:
@@ -761,7 +820,11 @@ def _dshift(F, a: dict, i: int, s, j=None) -> dict:
 
 
 def _dpow(F, a: dict, e: int, unit: tuple) -> dict:
-    """a^e by fields._power; unit is the zero exponent."""
+    """a^e by fields._power; unit is the zero exponent.  A one-term a is
+    raised directly: its exponents times e, its coefficient to the e."""
+    if len(a) == 1:
+        [(ea, c)] = a.items()
+        return {tuple([k * e for k in ea]): _power(F.mul, F.raw_one, c, e)}
     return _power(partial(_dmul, F), {unit: F.raw_one}, a, e)
 
 
@@ -801,18 +864,24 @@ class _Parser:
         return MultiPoly._from_values(self.field, self.variables, terms)
 
     def expr(self):
-        F = self.field
-        sign = 1
-        if self.peek()[0] in "+-":
-            sign = -1 if self.take()[0] == "-" else 1
-        acc = self.term()
-        if sign < 0:
-            acc = _dneg(F, acc)
-        while self.peek()[0] in "+-":
+        # the terms are summed into one dict; a key whose sum cancels is
+        # deleted, so a later term puts it last, as _dadd would
+        add, neg = self.field.add, self.field.neg
+        acc = {}
+        op = self.take()[0] if self.peek()[0] in "+-" else "+"
+        while True:
+            for e, c in self.term().items():
+                if op == "-":
+                    c = neg(c)
+                if e in acc:
+                    c = add(acc[e], c)
+                    if not c:
+                        del acc[e]
+                        continue
+                acc[e] = c
+            if self.peek()[0] not in "+-":
+                return acc
             op = self.take()[0]
-            t = self.term()
-            acc = _dadd(F, acc, _dneg(F, t) if op == "-" else t)
-        return acc
 
     def term(self):
         acc = self.factor()

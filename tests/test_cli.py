@@ -409,8 +409,14 @@ def test_no_assert_statements_in_the_package():
         # coprime over Q: the certificate settles it, and the residual
         # H - A F - B G is still recomputed
         (["noether-solve", "1/2*YZ-X^2", "YZ+3/5*X^2", "Y*Z*X+X^3"], 0, "Solved"),
+        # coprime over F_10007: two slices of the inputs themselves settle it
+        (
+            ["noether-solve", "YZ-X^2", "YZ+3*X^2", "Y*Z*X+X^3", "--field", "p:10007"],
+            0,
+            "Solved: A = 5004*X, B = 5004*X",
+        ),
     ],
-    ids=["fallback", "certificate"],
+    ids=["fallback", "certificate", "certificate-p10007"],
 )
 def test_gcd_paths_under_python_O(argv, code, text):
     # neither path may rest on an assert, which -O strips

@@ -2,6 +2,7 @@
 
 import gc
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, seed, settings
@@ -170,6 +171,87 @@ def test_parse_agrees_with_multipoly_arithmetic(tree, field):
     assert list(F.terms) == list(G.terms)
 
 
+class _ParserBefore(poly._Parser):
+    """The parser before its sums ran in place, kept as the reference: every
+    + or - copies the accumulator through _dadd, and every power multiplies
+    through _dmul."""
+
+    def expr(self):
+        F = self.field
+        sign = 1
+        if self.peek()[0] in "+-":
+            sign = -1 if self.take()[0] == "-" else 1
+        acc = self.term()
+        if sign < 0:
+            acc = poly._dneg(F, acc)
+        while self.peek()[0] in "+-":
+            op = self.take()[0]
+            t = self.term()
+            acc = poly._dadd(F, acc, poly._dneg(F, t) if op == "-" else t)
+        return acc
+
+    def factor(self):
+        base = self.atom()
+        if self.peek()[0] == "^":
+            self.take()
+            kind, val = self.take()
+            if kind != "num":
+                raise ValueError("exponent must be a nonnegative integer")
+            F = self.field
+            base = poly._power(partial(poly._dmul, F), {self.unit: F.raw_one}, base, val)
+        return base
+
+
+def _parse_before(text, field):
+    tokens, gens = poly._tokenize(text), poly._generator_table(field)
+    return _ParserBefore(tokens, field, AFFINE, gens).parse()
+
+
+def _sums(coefficients):
+    # signed terms over a few monomials, so that terms cancel and reappear
+    monomial = st.sampled_from(
+        ["x", "y", "x*y", "x^2*y^3", "1", "(x+y)^2", "(x-1)*(y+1)", "(2*x)^3"]
+    )
+    term = st.tuples(st.sampled_from(["+", "-"]), st.sampled_from(coefficients), monomial)
+    return st.lists(term, min_size=1, max_size=8).map(
+        lambda ts: "".join(f"{s}{c}{m}" for s, c, m in ts)
+    )
+
+
+PARSE_FIELDS = {
+    "Q": (QQ, ["", "2*", "1/2*", "3*"]),
+    "F7": (F7, ["", "2*", "1/2*", "7*", "6*"]),
+    "F9": (F9(), ["", "2*", "z1*", "(z1+1)*", "z1^2*"]),
+}
+
+
+def _parsed_or_error(parse, text, field):
+    # the terms in key order, or the error raised
+    try:
+        return list(parse(text, field).values.items())
+    except (ValueError, ArithmeticError) as e:
+        return repr(e)
+
+
+@pytest.mark.parametrize("name", sorted(PARSE_FIELDS))
+def test_parse_agrees_with_the_parser_before(name):
+    field, coefficients = PARSE_FIELDS[name]
+    aff_in = partial(parse_poly, space="affine")
+    # x cancels and comes back after y, as _dadd would put it
+    assert list(aff_in("x + y - x + x", field).values) == [(0, 1), (1, 0)]
+    fixed = ["x + y - x + x", "x*y + 1 - x*y - 1 + x*y + 1", "-x - y + x^2 + x", "(x+y)^0 - 1 + y"]
+    for text in fixed:
+        assert _parsed_or_error(aff_in, text, field) == _parsed_or_error(_parse_before, text, field)
+
+    @seed(1884)
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(text=st.one_of(_sums(coefficients), _expr_trees().map(lambda t: t[0])))
+    def check(text):
+        assert _parsed_or_error(aff_in, text, field) == _parsed_or_error(_parse_before, text, field)
+
+    check()
+
+
 class TestArithmetic:
     def test_binomial_square(self):
         x = MultiPoly.var(QQ, "x")
@@ -313,6 +395,12 @@ class TestSuitability:
 class TestGcdResultant:
     def test_coprime_pair_has_constant_gcd(self):
         assert biv_gcd(aff("y^2-x^3"), aff("y")).total_degree() == 0
+
+    @pytest.mark.parametrize("field", [QQ, F7], ids=["Q", "F7"])
+    def test_gcd_of_three_variables_is_refused(self, field):
+        # the slices are bivariate, so the certificate must not answer here
+        with pytest.raises(ValueError, match="two variables"):
+            biv_gcd(hom("X^2 - Y*Z", field), hom("Y - Z", field))
 
     def test_common_factor_degree(self):
         h = aff("x + y")
@@ -794,7 +882,8 @@ def test_coprime_pair_over_q_runs_no_exact_prs(monkeypatch):
     monkeypatch.setattr(poly, "_pseudo_rem", spy)
     g = biv_gcd(F, G)
     assert g == aff("1") and g.field is QQ
-    assert fields_seen and all(K is poly._cert_field() for K in fields_seen)
+    # two slices of the images modulo p settle it: no PRS over any field
+    assert fields_seen == []
     # the exact core, run on its own, does go through the PRS over Q
     assert poly._biv_gcd(F, G) == g and any(K is QQ for K in fields_seen)
 
@@ -862,6 +951,94 @@ def test_certificate_agrees_with_the_exact_prs():
             seen["unlucky"] += 1
         else:
             seen["certified"] += 1
+
+    check()
+    assert all(seen.values()), seen
+
+
+# ---------------------------------------------------------------------------
+# biv_gcd's two-slice certificate over finite fields
+# ---------------------------------------------------------------------------
+
+
+SLICE_FIELDS = {"F2": F2, "F3": F3, "F5": F5, "F7": F7, "F9": F9()}
+
+
+@st.composite
+def slice_pairs(draw, field):
+    """(F, G) over a finite field: random, sharing a factor in x alone, in y
+    alone or in both, sharing (x - a)(y - b) + c, whose slices at x = a and
+    at y = b are constants, or agreeing on every slice in one variable."""
+    elements = [c.value for c in field.elements()]
+    nonzero = elements[1:]
+    exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    # a constant term keeps x and y from dividing most draws
+    polys = st.tuples(
+        st.dictionaries(exps, st.sampled_from(nonzero), max_size=4), st.sampled_from(nonzero)
+    ).map(lambda tc: MultiPoly._from_values(field, AFFINE, {**tc[0], (0, 0): tc[1]}))
+
+    def raw(terms):
+        return MultiPoly._from_values(field, AFFINE, {e: c for e, c in terms.items() if c})
+
+    F, G = draw(polys), draw(polys)
+    kinds = ["random", "shared", "shared_x", "shared_y", "shared_lead", "every_slice"]
+    kind = draw(st.sampled_from(kinds))
+    # the points the certificate tries first
+    a, b = (draw(st.sampled_from(nonzero[:2])) for _ in range(2))
+    one, neg = field.raw_one, field.neg
+    if kind == "shared":
+        h = draw(polys)
+    elif kind == "shared_x":
+        h = raw({(1, 0): one, (0, 0): neg(a)})
+    elif kind == "shared_y":
+        h = raw({(0, 2): one, (0, 1): b, (0, 0): draw(st.sampled_from(elements))})
+    elif kind == "shared_lead":
+        # (x - a)(y - b) + c
+        c = draw(st.sampled_from(nonzero))
+        ab_c = field.add(field.mul(a, b), c)
+        h = raw({(1, 1): one, (1, 0): neg(b), (0, 1): neg(a), (0, 0): ab_c})
+    if kind.startswith("shared"):
+        F, G = F * h, G * h
+    elif kind == "every_slice":
+        # x^q - x vanishes on the whole field, so G(t, y) = F(t, y) for
+        # every t (or G(x, s) = F(x, s) for every s, with the roles swapped)
+        q = field.order()
+        i = draw(st.integers(0, 1))
+        terms = {(q, 0): one, (1, 0): neg(one)}
+        vanishing = raw({(e[i], e[1 - i]): c for e, c in terms.items()})
+        G = F + vanishing * MultiPoly.var(field, AFFINE[1 - i])
+    return kind, F, G
+
+
+@pytest.mark.parametrize("name", sorted(SLICE_FIELDS))
+def test_slice_certificate_agrees_with_the_exact_prs(monkeypatch, name):
+    field = SLICE_FIELDS[name]
+    seen = dict.fromkeys(["certified", "fell_back", "nonconstant"], 0)
+    # record the certificate's verdicts inside biv_gcd itself
+    verdicts, certify = [], poly._coprime_by_slices
+
+    def recording(A, B):
+        verdicts.append(certify(A, B))
+        return verdicts[-1]
+
+    monkeypatch.setattr(poly, "_coprime_by_slices", recording)
+
+    @seed(1971)
+    @settings(max_examples=120, deadline=None, database=None)
+    @given(pair=slice_pairs(field))
+    def check(pair):
+        kind, F, G = pair
+        verdicts.clear()
+        got, want = biv_gcd(F, G), poly._biv_gcd(F, G)
+        # coprime is never reported where the PRS finds a common factor
+        if want.total_degree() >= 1:
+            assert got.total_degree() >= 1, kind
+            seen["nonconstant"] += 1
+        elif verdicts == [True]:
+            seen["certified"] += 1
+        else:
+            seen["fell_back"] += 1
+        assert got == want and str(got) == str(want) and got.field is want.field
 
     check()
     assert all(seen.values()), seen
