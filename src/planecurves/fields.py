@@ -785,6 +785,9 @@ def _squarefree_decomposition(f: UniPoly):
     result = []
     g = uni_gcd(f, f.derivative())
     w = f // g
+    if w.degree == 1 and not f.field.is_finite:
+        # in characteristic 0 a squarefree part of degree 1 means f = w^n
+        return [(w, f.degree)]
     i = 1
     while w.degree >= 1:
         y = uni_gcd(w, g)
@@ -802,9 +805,10 @@ def _squarefree_decomposition(f: UniPoly):
 def _rational_roots_split(g: UniPoly):
     """Split the rational roots off a squarefree monic g over Q.
 
-    Returns (roots, residual) where residual has no rational roots.  The
-    candidates come from _padic_root_candidates; each one is kept only when
-    g vanishes at it exactly.
+    Returns (roots, residual) where residual has no rational roots.  A
+    linear g is its own candidate, -g0/g1; the candidates of a longer g come
+    from _padic_root_candidates.  Each one is kept only when g vanishes at
+    it exactly.
     """
     field = g.field
     roots = []
@@ -814,7 +818,11 @@ def _rational_roots_split(g: UniPoly):
         g = g // UniPoly(field, (0, 1), g.var)
     if g.degree < 1:
         return roots, g
-    for cand in _padic_root_candidates(g.values):
+    if g.degree == 1:
+        candidates = [-Fraction(g.values[0]) / g.values[1]]
+    else:
+        candidates = _padic_root_candidates(g.values)
+    for cand in candidates:
         root = field.scalar(cand)
         if g.eval(root).is_zero():
             roots.append(root)

@@ -1,9 +1,20 @@
 """Exact dense linear algebra: one fraction-free elimination for every domain.
 
 `echelon` is Bareiss elimination on raw values (Bareiss, Math. Comp. 22,
-1968).  Over Z and F[x] each updated entry is divided exactly by the
-previous pivot, so entries stay minors of the input and never grow into
-fractions; over a field no division is needed.  `solve_linear` runs it on
+1968; Geddes, Czapor and Labahn, Algorithms for Computer Algebra, 1992,
+section 9.3).  Over Z and F[x] the entries stay minors of the input and
+never grow into fractions.  The textbook loop rewrites every lower row at
+every step, as (p_k*a - c*b) / p_(k-1), even a row whose entry c in the
+pivot column is zero, where the step only rescales the row by
+p_k / p_(k-1).  Here such a row waits.  A row whose last update was
+against the pivot p_s (p_s = 1 before its first) holds, as step k begins,
+the textbook row times p_s / p_(k-1), so when it next meets a nonzero c
+its update is (p_k*a - c*b) / p_s on the stored values: the same minor,
+so the division is exact, and it is checked.  A pivot row is first caught
+up, times p_(k-1) and divided by its own p_s.  Over a field no division
+is needed, and each pivot row is made monic by one inverse, so that an
+update costs a - c*b; over F_p that runs on bare ints, with one reduction
+modulo p per entry.  `solve_linear` runs it on
 rows cleared to integers over Q and on the field's raw values over F_q,
 and `poly.resultant_biv` on raw coefficient tuples of F[x].  Solutions are
 canonical: free variables are zero unless the caller pins them.
@@ -15,23 +26,35 @@ import operator
 from math import lcm
 
 from .errors import InternalError
-from .fields import Field, RationalField, Scalar
+from .fields import Field, PrimeField, RationalField, Scalar
 
 
-def echelon(M, ncols, mul, sub, div=None):
+def echelon(M, ncols, mul=None, sub=None, div=None, field=None):
     """Row echelon form of the list of rows M, in place; (pivots, sign).
 
     Scans the first ncols columns; rows may be longer (an augmented right
-    hand side).  Each pivot p is the first nonzero entry at or below the
-    current rank, and every entry a right of the pivot column in a lower
-    row becomes p*a - c*b, with c that row's entry in the pivot column and
-    b the pivot row's.  div(n, d) -> (q, r), given over Z or F[x], divides
-    each updated entry by the previous pivot, which must leave no
-    remainder.  Entries at or left of a pivot in lower rows are stale.
-    Returns the (row, col) pivots and the sign of the row permutation.
+    hand side).  Each pivot is the first nonzero entry at or below the
+    current rank.  Over a domain (Z or F[x]) pass mul, sub and div(n, d) ->
+    (q, r).  A lower row whose entry c in the pivot column is zero is
+    skipped; otherwise each entry a right of the pivot column becomes
+    (p*a - c*b) / d, with p the pivot, b the pivot row's entry and d the
+    pivot of the row's last update (no division before its first), and a
+    remainder raises InternalError.  Each pivot row equals the textbook
+    Bareiss row from its pivot column on, so the last pivot of a square
+    matrix of full rank is its determinant up to the returned sign; a row
+    below the rank is a nonzero multiple of the textbook one.  Over a field
+    pass field instead: each pivot row is scaled to a leading 1 and each
+    entry becomes a - c*b.  Entries left of a row's pivot, and in lower
+    rows at or left of the last pivot column, are stale.  Returns the
+    (row, col) pivots and the sign of the row permutation.
     """
     m = len(M)
     pivots, sign, prev = [], 1, None
+    # the pivot of each row's last update, which its next one divides by
+    seen = [None] * m
+    if field is not None:
+        mul, sub, inv, one = field.mul, field.sub, field.inv, field.raw_one
+        p_int = field.p if isinstance(field, PrimeField) else None
     for col in range(ncols):
         rank = len(pivots)
         pivot = next((i for i in range(rank, m) if M[i][col]), None)
@@ -39,26 +62,47 @@ def echelon(M, ncols, mul, sub, div=None):
             continue
         if pivot != rank:
             M[rank], M[pivot] = M[pivot], M[rank]
+            seen[rank], seen[pivot] = seen[pivot], seen[rank]
             sign = -sign
-        top = M[rank]
-        p = top[col]
-        for row in M[rank + 1:]:
-            c = row[col]
-            # over a field a row with c = 0 needs no update; fraction-free,
-            # it must still be scaled by p / prev unless it is zero
-            if not c and (div is None or not any(row[col + 1:])):
-                continue
-            for j in range(col + 1, len(row)):
-                v = sub(mul(p, row[j]), mul(c, top[j]))
-                if prev is not None:
-                    v, r = div(v, prev)
-                    if r:
-                        raise InternalError("Bareiss division must be exact")
-                row[j] = v
-        if div is not None:
-            prev = p
         pivots.append((rank, col))
+        top = M[rank]
+        if field is not None:
+            if top[col] != one:
+                s = inv(top[col])
+                top[col:] = [one] + [mul(s, b) for b in top[col + 1:]]
+        elif prev is not None and seen[rank] is not prev:
+            # catch the pivot row up to the last step, unless updated there
+            new = [mul(prev, v) for v in top[col:]]
+            top[col:] = new if seen[rank] is None else _exact(div, new, seen[rank])
+        p, tail = top[col], top[col + 1:]
+        for i in range(rank + 1, m):
+            row = M[i]
+            c = row[col]
+            if not c:
+                continue
+            if field is None:
+                new = [sub(mul(p, a), mul(c, b)) for a, b in zip(row[col + 1:], tail)]
+                if seen[i] is not None:
+                    new = _exact(div, new, seen[i])
+                seen[i] = p
+            elif p_int is None:
+                new = [sub(a, mul(c, b)) for a, b in zip(row[col + 1:], tail)]
+            else:
+                new = [(a - c * b) % p_int if b else a for a, b in zip(row[col + 1:], tail)]
+            row[col + 1:] = new
+        prev = p
     return pivots, sign
+
+
+def _exact(div, values, d):
+    """The quotients of values by d, each division checked to be exact."""
+    out = []
+    for v in values:
+        q, r = div(v, d)
+        if r:
+            raise InternalError("Bareiss division must be exact")
+        out.append(q)
+    return out
 
 
 def solve_linear(rows, rhs, field: Field, free_values=None):
@@ -80,7 +124,7 @@ def solve_linear(rows, rhs, field: Field, free_values=None):
         M = [_clear_denominators(row) for row in M]
         pivots, _ = echelon(M, n, operator.mul, operator.sub, divmod)
     else:
-        pivots, _ = echelon(M, n, field.mul, field.sub)
+        pivots, _ = echelon(M, n, field=field)
     if any(M[i][n] for i in range(len(pivots), m)):
         return None
 

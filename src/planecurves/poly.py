@@ -832,9 +832,11 @@ class _Parser:
     """Recursive descent over the token list.
 
     Every rule returns a dict {exponent tuple: raw value of the field}.  A
-    number is coerced once, where it is read; a product of atoms such as
-    123*X^2*Y*Z^3 multiplies one-term dicts, so it stays one term, and the
-    MultiPoly is built once, from the whole expression.
+    number is coerced once, where it is read; a product of one-term factors
+    such as 123*X^2*Y*Z^3 multiplies their coefficients and adds their
+    exponents, so it stays one term (_dmul multiplies the sums in
+    parentheses), and the MultiPoly is built once, from the whole
+    expression.
     """
 
     def __init__(self, tokens, field, variables, gens):
@@ -884,6 +886,7 @@ class _Parser:
             op = self.take()[0]
 
     def term(self):
+        mul = self.field.mul
         acc = self.factor()
         while True:
             kind = self.peek()[0]
@@ -891,7 +894,14 @@ class _Parser:
                 self.take()
             elif kind not in ("num", "name", "("):
                 return acc
-            acc = _dmul(self.field, acc, self.factor())
+            other = self.factor()
+            if len(acc) == 1 and len(other) == 1:
+                # a product of one-term factors stays one term
+                [(ea, ca)], [(eb, cb)] = acc.items(), other.items()
+                c = mul(ca, cb)
+                acc = {tuple([i + j for i, j in zip(ea, eb)]): c} if c else {}
+            else:
+                acc = _dmul(self.field, acc, other)
 
     def factor(self):
         base = self.atom()

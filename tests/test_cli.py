@@ -427,6 +427,36 @@ def test_gcd_paths_under_python_O(argv, code, text):
     assert text in proc.stdout + proc.stderr
 
 
+# deg H = 5 > deg F + deg G = 4, so the system has free columns, and the
+# canonical solution (free columns zero) is not the (A, B) that built H
+FREE_COLUMNS_H = "1/2*X^5-3/5*X^4*Z-X^3*Y^2-X^3*Y*Z+3/5*X*Y*Z^3+Y^3*Z^2"
+WRONG_DIVISOR = (
+    "import operator\n"
+    "from planecurves.linalg import echelon\n"
+    "echelon([[1, 2, 3], [4, 5, 6], [7, 8, 10]], 3, operator.mul, operator.sub,\n"
+    "        lambda a, b: divmod(a, 2 * b))\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv,code,text",
+    [
+        (["-c", WRONG_DIVISOR], 1, "InternalError: Bareiss division must be exact"),
+        (
+            ["-m", "planecurves", "noether-solve", "1/2*X^2-Y*Z", "Y^2+3/5*X*Z", FREE_COLUMNS_H],
+            0,
+            "Solved: A = X^3-3/5*X*Z^2-Y^2*Z, B = -X^3+1/2*X^2*Z",
+        ),
+    ],
+    ids=["wrong-divisor", "free-columns-q"],
+)
+def test_elimination_under_python_O(argv, code, text):
+    # every Bareiss division stays checked when -O strips asserts
+    proc = subprocess.run([sys.executable, "-O", *argv], capture_output=True, text=True)
+    assert proc.returncode == code
+    assert text in proc.stdout + proc.stderr
+
+
 @pytest.mark.parametrize(
     "argv",
     [

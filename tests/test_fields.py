@@ -697,6 +697,104 @@ def test_rational_roots_use_no_random_stream(monkeypatch):
     assert [str(g) for g, _m in factors] == ["t-2", "t-3", "t^2+3"]
 
 
+def squarefree_decomposition_before(f):
+    """Yun's loop over Q run to the end, without reading off f = w^n."""
+    result = []
+    g = uni_gcd(f, f.derivative())
+    w = f // g
+    i = 1
+    while w.degree >= 1:
+        y = uni_gcd(w, g)
+        z = w // y
+        if z.degree >= 1:
+            result.append((z, i))
+        w, g = y, g // y
+        i += 1
+    return result
+
+
+def rational_roots_split_before(g):
+    """The rational roots of g, a linear g's as well, by p-adic candidates."""
+    roots = []
+    while g.coeff(0).is_zero() and g.degree >= 1:
+        roots.append(QQ.zero())
+        g = g // T(QQ, 0, 1)
+    if g.degree < 1:
+        return roots, g
+    for cand in fields._padic_root_candidates(g.values):
+        root = QQ.scalar(cand)
+        if g.eval(root).is_zero():
+            roots.append(root)
+            g = g // UniPoly(QQ, (-root, QQ.one()), g.var)
+    return roots, g
+
+
+def uni_factor_before(f):
+    """uni_factor over Q before the linear cases were read off."""
+    unit = f.lc()
+    if f.degree < 1:
+        return unit, []
+    if f.degree == 1:
+        return unit, [(f.monic(), 1)]
+    f = f.monic()
+    out = []
+    for g, m in squarefree_decomposition_before(f):
+        roots, residual = rational_roots_split_before(g)
+        out.extend((T(QQ, -r, 1), m) for r in roots)
+        if residual.degree >= 1:
+            out.append((residual, m))
+    out.sort(key=fields._factor_key)
+    return unit, out
+
+
+rational_linear = st.fractions(-20, 20, max_denominator=6).map(lambda a: T(QQ, -a, 1))
+# no rational roots: t^2 + b t + c with b^2 < 4c, and t^2 - q, t^3 - q for
+# a prime q
+rational_irreducible = st.one_of(
+    st.tuples(st.integers(-4, 4), st.integers(5, 9)).map(lambda bc: T(QQ, bc[1], bc[0], 1)),
+    st.sampled_from([2, 3, 5, 7]).map(lambda q: T(QQ, -q, 0, 1)),
+    st.sampled_from([2, 3, 5]).map(lambda q: T(QQ, -q, 0, 0, 1)),
+)
+
+
+def test_uni_factor_over_q_agrees_with_the_path_before():
+    seen = {"one root to a power": 0, "linear squarefree part": 0, "irreducible": 0}
+
+    @seed(2026)
+    @settings(max_examples=120, deadline=None, database=None)
+    @given(
+        parts=st.lists(
+            st.tuples(st.one_of(rational_linear, rational_irreducible), st.integers(1, 4)),
+            min_size=1,
+            max_size=4,
+        ),
+        unit=st.sampled_from([1, -1, Fraction(2, 3), 35]),
+    )
+    def check(parts, unit):
+        f = T(QQ, unit)
+        for g, m in parts:
+            f = f * g ** m
+        got = uni_factor(f)
+        want = uni_factor_before(f)
+        assert got[0] == want[0]
+        assert [(str(g), m) for g, m in got[1]] == [(str(g), m) for g, m in want[1]]
+        assert got[1] == want[1]
+        squarefree = [g for g, _m in squarefree_decomposition_before(f.monic())]
+        seen["one root to a power"] += len(squarefree) == 1 and squarefree[0].degree == 1
+        seen["linear squarefree part"] += any(g.degree == 1 for g in squarefree)
+        seen["irreducible"] += any(g.degree >= 2 for g, _m in got[1])
+
+    check()
+    assert all(seen.values()), seen
+
+
+def test_a_linear_squarefree_part_is_read_off_only_in_characteristic_0():
+    # over F_5, (t-2)^5 has derivative 0, so f / gcd(f, f') = t - 1 is linear
+    # although f is no power of it
+    f = T(F5, 4, 1) * T(F5, 3, 1) ** 5
+    assert [(str(g), m) for g, m in uni_factor(f)[1]] == [("t+3", 5), ("t+4", 1)]
+
+
 def test_good_prime_search_ends_on_non_squarefree_input():
     # t^2 - 2t + 1 = (t - 1)^2 is not squarefree modulo any prime
     with pytest.raises(InternalError):

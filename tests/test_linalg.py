@@ -1,15 +1,30 @@
+import copy
 import operator
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from planecurves import linalg
 from planecurves.errors import InternalError
-from planecurves.fields import PrimeField, RationalField, extend_field, find_irreducible
+from planecurves.fields import (
+    PrimeField,
+    RationalField,
+    UniPoly,
+    _pdivmod,
+    _pmul,
+    _psub,
+    _trim,
+    extend_field,
+    find_irreducible,
+)
 from planecurves.linalg import echelon, solve_linear
+from planecurves.noether import solve_af_bg
+from planecurves.poly import AFFINE, PROJECTIVE, MultiPoly, biv_coeffs, resultant_biv
 
-from .helpers import F7, F9, QQ
+from .helpers import F5, F7, F9, QQ
 
 
 def q(*vals):
@@ -194,3 +209,223 @@ def test_last_pivot_is_the_signed_determinant():
     assert pivots == [(0, 0), (1, 1), (2, 2)]
     assert sign == -1
     assert sign * M[2][2] == 3
+
+
+# ---- the lazy elimination against the textbook Bareiss loop ----
+
+
+def echelon_eager(M, ncols, mul, sub, div=None):
+    """Textbook Bareiss: every lower row is rewritten at every step, also a
+    row whose entry in the pivot column is zero, which is only rescaled."""
+    m = len(M)
+    pivots, sign, prev = [], 1, None
+    for col in range(ncols):
+        rank = len(pivots)
+        pivot = next((i for i in range(rank, m) if M[i][col]), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            M[rank], M[pivot] = M[pivot], M[rank]
+            sign = -sign
+        top = M[rank]
+        p = top[col]
+        for row in M[rank + 1:]:
+            c = row[col]
+            if not c and (div is None or not any(row[col + 1:])):
+                continue
+            for j in range(col + 1, len(row)):
+                v = sub(mul(p, row[j]), mul(c, top[j]))
+                if prev is not None:
+                    v, r = div(v, prev)
+                    if r:
+                        raise InternalError("Bareiss division must be exact")
+                row[j] = v
+        if div is not None:
+            prev = p
+        pivots.append((rank, col))
+    return pivots, sign
+
+
+def counting(div):
+    """div wrapped to count its calls in .calls."""
+
+    def counted(a, b):
+        counted.calls += 1
+        return div(a, b)
+
+    counted.calls = 0
+    return counted
+
+
+def assert_same_elimination(lazy, eager, pivots, mul):
+    """Pivot rows equal from their pivot column on; each row below the rank
+    a nonzero factor away from the eager one right of the last pivot."""
+    for i, col in pivots:
+        assert lazy[i][col:] == eager[i][col:]
+    start = pivots[-1][1] + 1 if pivots else 0
+    for i in range(len(pivots), len(lazy)):
+        a, b = lazy[i][start:], eager[i][start:]
+        assert [bool(v) for v in a] == [bool(v) for v in b]
+        assert all(mul(x, w) == mul(v, y) for x, y in zip(a, b) for v, w in zip(a, b))
+
+
+@st.composite
+def sparse_int_matrices(draw):
+    """Z matrices, two thirds zeros, sometimes augmented, sometimes with a
+    row that combines two others."""
+    m, n = draw(st.integers(1, 7)), draw(st.integers(1, 6))
+    width = n + draw(st.integers(0, 1))
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-9, 9))
+    rows = [draw(st.lists(entry, min_size=width, max_size=width)) for _ in range(m)]
+    if m >= 3 and draw(st.booleans()):
+        i, j, k = draw(st.permutations(range(m)))[:3]
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows[k] = [a * x + b * y for x, y in zip(rows[i], rows[j])]
+    return rows, n
+
+
+def test_lazy_elimination_agrees_with_the_eager_loop_over_z():
+    seen = {"swap": 0, "rank deficient": 0, "fewer divisions": 0}
+
+    @seed(1968)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(case=sparse_int_matrices())
+    def check(case):
+        rows, n = case
+        lazy, eager = copy.deepcopy(rows), copy.deepcopy(rows)
+        d_lazy, d_eager = counting(divmod), counting(divmod)
+        got = echelon(lazy, n, operator.mul, operator.sub, d_lazy)
+        want = echelon_eager(eager, n, operator.mul, operator.sub, d_eager)
+        assert got == want
+        assert_same_elimination(lazy, eager, got[0], operator.mul)
+        seen["swap"] += got[1] < 0
+        seen["rank deficient"] += len(got[0]) < len(rows)
+        seen["fewer divisions"] += d_lazy.calls < d_eager.calls
+
+    check()
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("field", [F5, F7], ids=["F5", "F7"])
+def test_lazy_elimination_agrees_with_the_eager_loop_on_sylvester_matrices(field):
+    ops = (partial(_pmul, field), partial(_psub, field), partial(_pdivmod, field))
+    coeff = st.lists(st.integers(0, field.p - 1), max_size=3).map(_trim)
+    seen = {"full rank": 0, "rank deficient": 0, "fewer divisions": 0}
+
+    @seed(1968)
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(a=st.lists(coeff, min_size=1, max_size=4), b=st.lists(coeff, min_size=1, max_size=4))
+    def check(a, b):
+        # the Sylvester matrix of two polynomials in y over F_p[x], leading
+        # coefficient first, zero coefficients allowed anywhere
+        m, n = len(a) - 1, len(b) - 1
+        rows = [[()] * i + a + [()] * (n - 1 - i) for i in range(n)]
+        rows += [[()] * i + b + [()] * (m - 1 - i) for i in range(m)]
+        lazy, eager = copy.deepcopy(rows), copy.deepcopy(rows)
+        d_lazy, d_eager = counting(ops[2]), counting(ops[2])
+        got = echelon(lazy, m + n, ops[0], ops[1], d_lazy)
+        want = echelon_eager(eager, m + n, ops[0], ops[1], d_eager)
+        assert got == want
+        assert_same_elimination(lazy, eager, got[0], ops[0])
+        full = len(got[0]) == m + n
+        seen["full rank" if full else "rank deficient"] += 1
+        seen["fewer divisions"] += d_lazy.calls < d_eager.calls
+
+    check()
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("name", ["F7", "F9"])
+def test_field_pivot_rows_are_monic(name):
+    field = LINALG_FIELDS[name]
+
+    @seed(1968)
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(data=st.data())
+    def check(data):
+        m, n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+        rows = [
+            [v.value for v in data.draw(st.lists(elements(field), min_size=n + 1, max_size=n + 1))]
+            for _ in range(m)
+        ]
+        lazy, eager = copy.deepcopy(rows), copy.deepcopy(rows)
+        got = echelon(lazy, n, field=field)
+        assert got == echelon_eager(eager, n, field.mul, field.sub)
+        for i, col in got[0]:
+            s = field.inv(eager[i][col])
+            assert lazy[i][col:] == [field.mul(s, v) for v in eager[i][col:]]
+        start = got[0][-1][1] + 1 if got[0] else 0
+        for i in range(len(got[0]), m):
+            assert [bool(v) for v in lazy[i][start:]] == [bool(v) for v in eager[i][start:]]
+
+    check()
+
+
+def laplace_det(M, one, zero):
+    """Determinant by expansion along the first row."""
+    if not M:
+        return one
+    total = zero
+    for j, a in enumerate(M[0]):
+        if a.is_zero():
+            continue
+        term = a * laplace_det([row[:j] + row[j + 1:] for row in M[1:]], one, zero)
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["Q", "F7"])
+def test_resultant_is_the_laplace_determinant_of_the_sylvester_matrix(field):
+    coeff = st.integers(-3, 3) if field is QQ else st.integers(0, 6)
+    exps = st.tuples(st.integers(0, 2), st.integers(0, 3))
+    poly = st.dictionaries(exps, coeff, min_size=1, max_size=5).map(
+        lambda d: MultiPoly(field, AFFINE, d)
+    )
+    seen = {"nonzero": 0, "zero": 0}
+
+    @seed(1968)
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(F=poly, G=poly, main=st.sampled_from(AFFINE))
+    def check(F, G, main):
+        if F.is_zero() or G.is_zero():
+            return
+        co = AFFINE[1 - AFFINE.index(main)]
+        A, B = biv_coeffs(F, main), biv_coeffs(G, main)
+        m, n = len(A) - 1, len(B) - 1
+        zero, one = UniPoly.zero(field, co), UniPoly(field, (1,), co)
+        rows = [[zero] * i + A[::-1] + [zero] * (n - 1 - i) for i in range(n)]
+        rows += [[zero] * i + B[::-1] + [zero] * (m - 1 - i) for i in range(m)]
+        R = resultant_biv(F, G, main)
+        assert R == laplace_det(rows, one, zero)
+        seen["zero" if R.is_zero() else "nonzero"] += 1
+
+    check()
+    assert all(seen.values()), seen
+
+
+def test_lazy_elimination_skips_most_rescaling_divisions(monkeypatch):
+    # a cofactor-sized system over Q: H = A F + B G with 12-digit
+    # coefficients, deg F = 3, deg G = 4, deg H = 6
+    rng = random.Random(20261019)
+
+    def form(d):
+        terms = {(i, j, d - i - j): rng.choice((-1, 1)) * rng.randrange(10**11, 10**12)
+                 for i in range(d + 1) for j in range(d + 1 - i)}
+        return MultiPoly(QQ, PROJECTIVE, terms)
+
+    F, G = form(3), form(4)
+    H = form(3) * F + form(2) * G
+    systems = []
+
+    def recording(M, ncols, *args, **kwargs):
+        systems.append((copy.deepcopy(M), ncols))
+        return echelon(M, ncols, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "echelon", recording)
+    assert solve_af_bg(F, G, H).status == "Solved"
+    [(M, n)] = systems
+    lazy, eager = copy.deepcopy(M), copy.deepcopy(M)
+    d_lazy, d_eager = counting(divmod), counting(divmod)
+    got = echelon(lazy, n, operator.mul, operator.sub, d_lazy)
+    assert got == echelon_eager(eager, n, operator.mul, operator.sub, d_eager)
+    assert d_lazy.calls <= 0.6 * d_eager.calls, (d_lazy.calls, d_eager.calls)
