@@ -4,10 +4,15 @@ Each field owns the raw values of its elements and the arithmetic on them:
 over Q an int for an integral value and a Fraction otherwise, an int in
 [0, p) over F_p, and on an extension level a tuple of base raw values, low
 degree first and trimmed, nesting like the tower.  Raw zeros are falsy, all
-other raw values truthy.  Scalar (a field and a raw value) and UniPoly (a
-field and the trimmed tuple of its coefficients' raw values) are the API
-boundary: same-field arithmetic calls the field's raw operation, and the
-univariate kernels loop on raw value tuples and wrap their result once.
+other raw values truthy.  Every division goes through one raw operation,
+divider(b), the function a -> a / b: a loop that divides by one b computes
+one inverse, and over Q an integral quotient comes back as an int, so
+integer input stays on ints through monic gcds, polynomial quotients,
+scalar division and the solver's back substitution.  Scalar (a field and a
+raw value) and UniPoly (a field and the trimmed tuple of its coefficients'
+raw values) are the API boundary: same-field arithmetic calls the field's
+raw operation, and the univariate kernels loop on raw value tuples and
+wrap their result once.
 Each field stores the fields below it in its tower, `bases`, so a tower
 query is a lookup.  Mixed-field operations embed along the unique tower
 inclusion when one exists and raise otherwise, so a wrong-field bug
@@ -43,7 +48,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from random import Random
 
 from .errors import (
@@ -132,8 +137,8 @@ def _pdivmod(F, a, b):
     db = len(b) - 1
     if len(a) - 1 < db:
         return (), tuple(a)
-    # a monic divisor needs no inverse
-    inv_lead = None if b[-1] == F.raw_one else F.inv(b[-1])
+    # a monic divisor needs no division
+    div = None if b[-1] == F.raw_one else F.divider(b[-1])
     mul, sub = F.mul, F.sub
     rem = list(a)
     quo = [F.raw_zero] * (len(rem) - db)
@@ -141,7 +146,7 @@ def _pdivmod(F, a, b):
         c = rem[top]
         if not c:
             continue
-        q = c if inv_lead is None else mul(c, inv_lead)
+        q = c if div is None else div(c)
         quo[top - db] = q
         for j in range(db):
             rem[top - db + j] = sub(rem[top - db + j], mul(q, b[j]))
@@ -166,8 +171,8 @@ def _power(mul, one, base, e: int):
 def _pmonic(F, a) -> tuple:
     if a[-1] == F.raw_one:
         return tuple(a)
-    inv, mul = F.inv(a[-1]), F.mul
-    return tuple([mul(inv, c) for c in a])
+    div = F.divider(a[-1])
+    return tuple([div(c) for c in a])
 
 
 def _poly_str(F, values, var: str) -> str:
@@ -197,12 +202,21 @@ class Field:
     Each kind defines characteristic(), order() (None for an infinite
     field), describe() and, when finite, elements() in canonical order and
     random_scalar(rng).  On raw values it has add, sub, neg, mul, inv,
-    element_str and hash_value, the constants raw_zero and raw_one, and
-    raw(n) for an int or a Fraction n.  `bases`, set once at construction,
-    holds the fields strictly below it in its tower, nearest first.
+    divider, element_str and hash_value, the constants raw_zero and
+    raw_one, and raw(n) for an int or a Fraction n.  `bases`, set once at
+    construction, holds the fields strictly below it in its tower, nearest
+    first.
     """
 
     bases = ()
+
+    def divider(self, b):
+        """The function a -> a / b on raw values, for one nonzero raw b.
+
+        Every division goes through it, and a loop that divides by one b
+        computes one inverse.  This default multiplies by that inverse.
+        """
+        return partial(self.mul, self.inv(b))
 
     def scalar(self, value) -> "Scalar":
         """Coerce an int, a Fraction, or a scalar of a field in the tower."""
@@ -238,8 +252,10 @@ class Field:
 
 class RationalField(Field):
     """Q.  Integral raw values are ints, so integer inputs compute on ints
-    and pay no Fraction normalisation; inv returns a Fraction.  A Fraction
-    with denominator 1 equals, hashes and prints like its int."""
+    and pay no Fraction normalisation.  Sums and products of ints are ints,
+    and divider returns an int whenever a quotient is integral, so integers
+    stay ints through every division; inv alone returns a Fraction.  A
+    Fraction with denominator 1 equals, hashes and prints like its int."""
 
     raw_zero = 0
     raw_one = 1
@@ -258,6 +274,10 @@ class RationalField(Field):
         n = Fraction(n)
         return n.numerator if n.denominator == 1 else n
 
+    @staticmethod
+    def divider(b):
+        return partial(_rational_quotient, b)
+
     def characteristic(self):
         return 0
 
@@ -272,6 +292,14 @@ class RationalField(Field):
 
     def __hash__(self):
         return hash("Q")
+
+
+def _rational_quotient(b, a):
+    """a / b over Q: an int when b divides a, else a Fraction."""
+    if type(a) is int and type(b) is int and not a % b:
+        return a // b
+    q = Fraction(a, b)
+    return q.numerator if q.denominator == 1 else q
 
 
 QQ = RationalField()
@@ -374,8 +402,8 @@ class ExtensionField(Field):
             r0, r1 = r1, r
             s0, s1 = s1, _psub(B, s0, _pmul(B, q, s1))
         # r0 is a nonzero constant: the minpoly is irreducible
-        c, mul = B.inv(r0[0]), B.mul
-        return tuple([mul(c, v) for v in s0])
+        div = B.divider(r0[0])
+        return tuple([div(v) for v in s0])
 
     def element_str(self, a):
         return _poly_str(self.base, a, self.gen_name)
@@ -532,19 +560,20 @@ class Scalar:
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
-        if not self.value:
-            raise DivisionByZero("inverse of zero in " + self.field.describe())
-        return Scalar(self.field, self.field.inv(self.value))
+        return self.field.one() / self
 
     def __truediv__(self, other):
         p = self._pair(other)
         if p is None:
             return NotImplemented
         a, b = p
-        return a * b.inverse()
+        if not b.value:
+            raise DivisionByZero("inverse of zero in " + b.field.describe())
+        return Scalar(a.field, a.field.divider(b.value)(a.value))
 
     def __rtruediv__(self, other):
-        return self.inverse() * other
+        p = self._pair(other)
+        return NotImplemented if p is None else p[1] / p[0]
 
     def __pow__(self, e: int):
         if e < 0:
@@ -819,7 +848,7 @@ def _rational_roots_split(g: UniPoly):
     if g.degree < 1:
         return roots, g
     if g.degree == 1:
-        candidates = [-Fraction(g.values[0]) / g.values[1]]
+        candidates = [field.divider(g.values[1])(field.neg(g.values[0]))]
     else:
         candidates = _padic_root_candidates(g.values)
     for cand in candidates:
@@ -845,10 +874,7 @@ def _padic_root_candidates(values) -> list:
     |a_n*a_0| comes from no rational root and is dropped; the others are
     only candidates, for the caller's exact check.
     """
-    den = math.lcm(*[c.denominator for c in values])
-    a = [int(c * den) for c in values]
-    content = math.gcd(*a)
-    a = [c // content for c in a]
+    a = _coprime_ints(values)
     da = [k * c for k, c in enumerate(a)][1:]
     p = _good_prime(a, da)
     ap = [c % p for c in a]
@@ -866,8 +892,17 @@ def _padic_root_candidates(values) -> list:
         s = a[-1] * r % m
         s = s - m if 2 * s > m else s
         if abs(s) <= bound:
-            out.append(Fraction(s, a[-1]))
+            out.append(QQ.divider(a[-1])(s))
     return out
+
+
+def _coprime_ints(values) -> list:
+    """The rationals in values times the one positive constant that makes
+    them coprime ints."""
+    den = math.lcm(*[c.denominator for c in values])
+    a = [c.numerator * (den // c.denominator) for c in values]
+    content = math.gcd(*a)
+    return [c // content for c in a]
 
 
 def _int_eval(a, r: int) -> int:

@@ -12,7 +12,9 @@ route is trusted alone.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import islice
+from math import gcd
 
 from .blowup import (
     DEFAULT_MAX_DEPTH,
@@ -28,7 +30,15 @@ from .errors import (
     UnresolvedTree,
     ZeroPolynomial,
 )
-from .fields import RationalField, UniPoly, _joined, is_irreducible
+from .fields import (
+    RationalField,
+    Scalar,
+    UniPoly,
+    _coprime_ints,
+    _join,
+    _joined,
+    is_irreducible,
+)
 from .poly import (
     MultiPoly,
     PROJECTIVE,
@@ -110,10 +120,19 @@ def _fulton(F: MultiPoly, G: MultiPoly) -> int:
     restriction of higher degree s is cut down by (b/a) x^(s-r) times the
     other one (Fulton, Algebraic Curves, section 3.3).  Only the
     intersection axioms are used; no shear, determinant or field growth.
+    Over Q the denominators are cleared once and each cut runs on ints,
+    as a'*g - b'*x^(s-r)*f with a', b' the cofactors of gcd(a, b), and the
+    result is divided by its content: a nonzero constant is a unit of the
+    local ring, so I_0 does not change, and the coefficients do not grow
+    into fractions.
     """
     K = F.field
-    sub, mul, neg = K.sub, K.mul, K.neg
     f, g = dict(F.values), dict(G.values)
+    if isinstance(K, RationalField):
+        f, g = (dict(zip(h, _coprime_ints(list(h.values())))) for h in (f, g))
+        cut = _cut_integral
+    else:
+        cut = partial(_cut, K)
     total = 0
     while True:
         if not f or not g:
@@ -132,14 +151,37 @@ def _fulton(F: MultiPoly, G: MultiPoly) -> int:
             g = {(i, j - 1): c for (i, j), c in g.items()}
             continue
         r, s = max(fx), max(gx)
-        q = mul(gx[s], K.inv(fx[r]))
-        for (i, j), c in f.items():
-            key = (i + s - r, j)
-            v = sub(g[key], mul(q, c)) if key in g else neg(mul(q, c))
-            if v:
-                g[key] = v
-            else:
-                del g[key]
+        g = cut(f, g, s - r, fx[r], gx[s])
+
+
+def _cut(K, f: dict, g: dict, k: int, a, b) -> dict:
+    """g - (b/a)*x^k*f over the field K, in place."""
+    sub, mul, neg = K.sub, K.mul, K.neg
+    q = K.divider(a)(b)
+    for (i, j), c in f.items():
+        key = (i + k, j)
+        v = sub(g[key], mul(q, c)) if key in g else neg(mul(q, c))
+        if v:
+            g[key] = v
+        else:
+            del g[key]
+    return g
+
+
+def _cut_integral(f: dict, g: dict, k: int, a: int, b: int) -> dict:
+    """(a'*g - b'*x^k*f) / content on ints, a' = a/gcd(a, b), b' = b/gcd(a, b)."""
+    d = gcd(a, b)
+    a, b = a // d, b // d
+    g = {e: a * c for e, c in g.items()}
+    for (i, j), c in f.items():
+        key = (i + k, j)
+        v = g.get(key, 0) - b * c
+        if v:
+            g[key] = v
+        else:
+            del g[key]
+    content = gcd(*g.values())
+    return g if content == 1 else {e: c // content for e, c in g.items()}
 
 
 def intersection_oracle(F: MultiPoly, G: MultiPoly) -> int:
@@ -241,8 +283,9 @@ def _localize(F: MultiPoly, coords):
     # translate maps F into the join of its field and the point's
     for chart, idx, others in (("Z", 2, (0, 1)), ("Y", 1, (0, 2)), ("X", 0, (1, 2))):
         if not coords[idx].is_zero():
-            inv = coords[idx].inverse()
-            a, b = coords[others[0]] * inv, coords[others[1]] * inv
+            field = _join(*coords)
+            div = field.divider(field.embed(coords[idx]).value)
+            a, b = (Scalar(field, div(field.embed(coords[k]).value)) for k in others)
             return translate(dehomogenize(F, chart), a, b), chart
     raise ValueError("projective point has no nonzero coordinate")
 

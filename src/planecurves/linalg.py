@@ -53,7 +53,7 @@ def echelon(M, ncols, mul=None, sub=None, div=None, field=None):
     # the pivot of each row's last update, which its next one divides by
     seen = [None] * m
     if field is not None:
-        mul, sub, inv, one = field.mul, field.sub, field.inv, field.raw_one
+        mul, sub, one = field.mul, field.sub, field.raw_one
         p_int = field.p if isinstance(field, PrimeField) else None
     for col in range(ncols):
         rank = len(pivots)
@@ -68,8 +68,8 @@ def echelon(M, ncols, mul=None, sub=None, div=None, field=None):
         top = M[rank]
         if field is not None:
             if top[col] != one:
-                s = inv(top[col])
-                top[col:] = [one] + [mul(s, b) for b in top[col + 1:]]
+                by_pivot = field.divider(top[col])
+                top[col:] = [one] + [by_pivot(b) for b in top[col + 1:]]
         elif prev is not None and seen[rank] is not prev:
             # catch the pivot row up to the last step, unless updated there
             new = [mul(prev, v) for v in top[col:]]
@@ -118,8 +118,10 @@ def solve_linear(rows, rhs, field: Field, free_values=None):
             raise ValueError("ragged matrix")
     if len(rhs) != m:
         raise ValueError("rhs length mismatch")
-    M = [[field.scalar(c).value for c in row] + [field.scalar(b).value]
-         for row, b in zip(rows, rhs)]
+    # a Scalar of this field is read as it is; anything else is coerced
+    scalar = field.scalar
+    M = [[c.value if type(c) is Scalar and c.field is field else scalar(c).value for c in row]
+         + [scalar(b).value] for row, b in zip(rows, rhs)]
     if isinstance(field, RationalField):
         M = [_clear_denominators(row) for row in M]
         pivots, _ = echelon(M, n, operator.mul, operator.sub, divmod)
@@ -134,16 +136,16 @@ def solve_linear(rows, rhs, field: Field, free_values=None):
     for j in range(n):
         if j not in pivot_cols and free_values.get(j) is not None:
             x[j] = field.scalar(free_values[j]).value
-    # over Q the entries are ints, and field.inv turns each quotient into a
-    # Fraction
-    sub, mul, inv = field.sub, field.mul, field.inv
+    # over Q the entries are ints, and field.divider returns an int for
+    # each quotient that is integral and a Fraction only for the others
+    sub, mul = field.sub, field.mul
     for i, col in reversed(pivots):
         row = M[i]
         acc = row[n]
         for j in range(col + 1, n):
             if row[j]:
                 acc = sub(acc, mul(row[j], x[j]))
-        x[col] = mul(acc, inv(row[col]))
+        x[col] = field.divider(row[col])(acc)
     return [Scalar(field, v) for v in x]
 
 

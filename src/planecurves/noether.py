@@ -66,8 +66,8 @@ class ProjPoint:
         pivot = next((c for c in coords if not c.is_zero()), None)
         if pivot is None:
             raise ValueError("all coordinates are zero")
-        inv = pivot.inverse()
-        self.coords = tuple(c * inv for c in coords)
+        div = field.divider(pivot.value)
+        self.coords = tuple(Scalar(field, div(c.value)) for c in coords)
         self.field = field
 
     def __eq__(self, other):

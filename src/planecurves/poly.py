@@ -683,7 +683,10 @@ def _normalize_biv(F: MultiPoly) -> MultiPoly:
     if F.is_zero():
         return F
     lead = F.values[min(F.values, key=lambda e: (-sum(e), tuple(-k for k in e)))]
-    return F if lead == F.field.raw_one else F * Scalar(F.field, F.field.inv(lead))
+    if lead == F.field.raw_one:
+        return F
+    div = F.field.divider(lead)
+    return MultiPoly._from_values(F.field, F.variables, {e: div(c) for e, c in F.values.items()})
 
 
 def squarefree_defect(F: MultiPoly) -> MultiPoly | None:
@@ -828,14 +831,25 @@ def _dpow(F, a: dict, e: int, unit: tuple) -> dict:
     return _power(partial(_dmul, F), {unit: F.raw_one}, a, e)
 
 
+def _exponent(tokens, pos):
+    """(e, the position after it) for the '^' at tokens[pos]."""
+    kind, e = tokens[pos + 1]
+    if kind != "num":
+        raise ValueError("exponent must be a nonnegative integer")
+    return e, pos + 2
+
+
 class _Parser:
     """Recursive descent over the token list.
 
     Every rule returns a dict {exponent tuple: raw value of the field}.  A
-    number is coerced once, where it is read; a product of one-term factors
-    such as 123*X^2*Y*Z^3 multiplies their coefficients and adds their
-    exponents, so it stays one term (_dmul multiplies the sums in
-    parentheses), and the MultiPoly is built once, from the whole
+    term reads each run such as 123*X^2*Y*Z^3 in one loop over the tokens:
+    a number (coerced once, where it is read, and over Q an int stays an
+    int) multiplies one coefficient and a variable adds to one exponent
+    list.  A fraction a/b, a tower generator and a parenthesised sum go
+    through factor(); a one-term result joins the run, and _dmul multiplies
+    the others, so a term is its one coefficient and exponents times the
+    product of its sums.  The MultiPoly is built once, from the whole
     expression.
     """
 
@@ -846,10 +860,13 @@ class _Parser:
         self.variables = variables
         self.gens = gens
         self.unit = (0,) * len(variables)
-        self.varmap = {}
-        for v in variables:
-            self.varmap[v.lower()] = v
-            self.varmap[v.upper()] = v
+        # each spelling of a variable -> its place in the exponent tuple; a
+        # generator's name means the generator
+        self.index = {}
+        for i, v in enumerate(variables):
+            for name in (v.lower(), v.upper()):
+                if name not in gens:
+                    self.index[name] = i
 
     def peek(self):
         return self.tokens[self.pos]
@@ -886,31 +903,52 @@ class _Parser:
             op = self.take()[0]
 
     def term(self):
-        mul = self.field.mul
-        acc = self.factor()
+        field, tokens, index = self.field, self.tokens, self.index
+        mul = field.mul
+        # the run's coefficient and exponents, and the product of the sums
+        coeff, exps, sums = field.raw_one, [0] * len(self.variables), None
+        pos = self.pos
         while True:
-            kind = self.peek()[0]
-            if kind == "*":
-                self.take()
-            elif kind not in ("num", "name", "("):
-                return acc
-            other = self.factor()
-            if len(acc) == 1 and len(other) == 1:
-                # a product of one-term factors stays one term
-                [(ea, ca)], [(eb, cb)] = acc.items(), other.items()
-                c = mul(ca, cb)
-                acc = {tuple([i + j for i, j in zip(ea, eb)]): c} if c else {}
+            kind, val = tokens[pos]
+            if kind == "num" and tokens[pos + 1][0] != "/" or kind == "name" and val in index:
+                pos += 1
+                e = 1
+                if tokens[pos][0] == "^":
+                    e, pos = _exponent(tokens, pos)
+                if kind == "name":
+                    exps[index[val]] += e
+                elif e == 1:
+                    coeff = mul(coeff, field.raw(val))
+                else:
+                    coeff = mul(coeff, _power(mul, field.raw_one, field.raw(val), e))
             else:
-                acc = _dmul(self.field, acc, other)
+                self.pos = pos
+                other = self.factor()
+                pos = self.pos
+                if len(other) == 1:
+                    [(e, c)] = other.items()
+                    coeff = mul(coeff, c)
+                    exps = [i + j for i, j in zip(exps, e)]
+                else:
+                    sums = other if sums is None else _dmul(field, sums, other)
+            kind = tokens[pos][0]
+            if kind == "*":
+                pos += 1
+            elif kind not in ("num", "name", "("):
+                break
+        self.pos = pos
+        if not coeff:
+            return {}
+        if sums is None:
+            return {tuple(exps): coeff}
+        # a one-term factor shifts the keys of a product and keeps their order
+        return {tuple([i + j for i, j in zip(e, exps)]): mul(coeff, c) for e, c in sums.items()}
 
     def factor(self):
         base = self.atom()
         if self.peek()[0] == "^":
-            self.take()
-            kind, val = self.take()
-            if kind != "num":
-                raise ValueError("exponent must be a nonnegative integer")
-            base = _dpow(self.field, base, val, self.unit)
+            e, self.pos = _exponent(self.tokens, self.pos)
+            base = _dpow(self.field, base, e, self.unit)
         return base
 
     def constant(self, value):
@@ -930,11 +968,11 @@ class _Parser:
         if kind == "name":
             if val in self.gens:
                 return {self.unit: self.gens[val]}
-            v = self.varmap.get(val)
-            if v is None:
+            i = self.index.get(val)
+            if i is None:
                 raise ValueError(f"unknown symbol {val!r} for variables {self.variables}")
             exps = [0] * len(self.variables)
-            exps[self.variables.index(v)] = 1
+            exps[i] = 1
             return {tuple(exps): self.field.raw_one}
         if kind == "(":
             inner = self.expr()

@@ -2,6 +2,7 @@
 agreement with the joint-tree sum and the resultant order on random pairs."""
 
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, reject, seed, settings
@@ -11,8 +12,8 @@ from planecurves import blowup
 from planecurves.blowup import joint_tree
 from planecurves.errors import CommonComponent, NonRationalPoint
 from planecurves.fields import UniPoly, uni_gcd
-from planecurves.invariants import intersection_multiplicity, intersection_oracle
-from planecurves.poly import AFFINE, MultiPoly, parse_poly, resultant_biv
+from planecurves.invariants import _fulton, intersection_multiplicity, intersection_oracle
+from planecurves.poly import AFFINE, MultiPoly, biv_gcd, parse_poly, resultant_biv
 
 from .helpers import F5, F9, QQ, corpus, field_by_name
 
@@ -140,3 +141,78 @@ def test_fulton_equals_tree_sum_and_resultant_order(name):
     check()
     assert seen["tree"] >= 40, seen
     assert seen["resultant"] >= 5, seen
+
+
+# ---- the integer step over Q against the field step it replaced ----
+
+
+def _fulton_before(F, G):
+    """invariants._fulton before Q ran on ints, kept as the reference: every
+    cut is g - (b/a)*x^(s-r)*f on the field's raw values."""
+    K = F.field
+    sub, mul, neg = K.sub, K.mul, K.neg
+    f, g = dict(F.values), dict(G.values)
+    total = 0
+    while True:
+        if not f or not g:
+            raise CommonComponent("curves share a component")
+        if (0, 0) in f or (0, 0) in g:
+            return total
+        fx = {i: c for (i, j), c in f.items() if j == 0}
+        gx = {i: c for (i, j), c in g.items() if j == 0}
+        if not fx or (gx and max(fx) > max(gx)):
+            f, g, fx, gx = g, f, gx, fx
+        if not gx:
+            if not fx:
+                raise CommonComponent("curves share the component y")
+            total += min(fx)
+            g = {(i, j - 1): c for (i, j), c in g.items()}
+            continue
+        r, s = max(fx), max(gx)
+        q = mul(gx[s], K.inv(fx[r]))
+        for (i, j), c in f.items():
+            key = (i + s - r, j)
+            v = sub(g[key], mul(q, c)) if key in g else neg(mul(q, c))
+            if v:
+                g[key] = v
+            else:
+                del g[key]
+
+
+WIDE_Q = [QQ.scalar(c) for c in (-7, -2, 1, 3, 10**12 + 39, Fraction(-5, 6), Fraction(9, 4))]
+
+
+@pytest.mark.parametrize("name", ["Q", "F_5"])
+def test_fulton_agrees_with_the_field_step_before(name):
+    field, coeffs = (QQ, WIDE_Q) if name == "Q" else FIELDS[name]
+    values = []
+
+    @seed(2203)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(curves_through_origin(field, coeffs), curves_through_origin(field, coeffs))
+    def check(F, G):
+        # _fulton is defined for coprime curves; on a common component it
+        # need not end
+        if biv_gcd(F, G).total_degree() >= 1:
+            reject()
+        values.append(_fulton_before(F, G))
+        assert _fulton(F, G) == values[-1]
+
+    check()
+    assert len(values) >= 40 and max(values) >= 4, values
+
+
+def test_fulton_over_q_runs_on_ints(monkeypatch):
+    # the stress pair's shape, smaller: no Fraction is made on integer input
+    F = parse_poly("(y^3-3*x^2+2*x^3)*(y-3*x^3+2*x^4)", QQ, space="affine")
+    G = parse_poly("(y^2-x^7+x^8)*(y-x^2)+x^9", QQ, space="affine")
+    made, new = [], Fraction.__new__
+
+    def spy(cls, *a, **k):
+        made.append(a)
+        return new(cls, *a, **k)
+
+    want = _fulton_before(F, G)
+    monkeypatch.setattr(Fraction, "__new__", spy)
+    assert _fulton(F, G) == want
+    assert made == []

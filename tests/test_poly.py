@@ -172,9 +172,27 @@ def test_parse_agrees_with_multipoly_arithmetic(tree, field):
 
 
 class _ParserBefore(poly._Parser):
-    """The parser before its sums ran in place, kept as the reference: every
-    + or - copies the accumulator through _dadd, and every power multiplies
-    through _dmul."""
+    """The parser before its sums ran in place and before its terms read
+    runs, kept as the reference: every + or - copies the accumulator through
+    _dadd, every power multiplies through _dmul, and a term multiplies its
+    factors one factor() call at a time."""
+
+    def term(self):
+        mul = self.field.mul
+        acc = self.factor()
+        while True:
+            kind = self.peek()[0]
+            if kind == "*":
+                self.take()
+            elif kind not in ("num", "name", "("):
+                return acc
+            other = self.factor()
+            if len(acc) == 1 and len(other) == 1:
+                [(ea, ca)], [(eb, cb)] = acc.items(), other.items()
+                c = mul(ca, cb)
+                acc = {tuple([i + j for i, j in zip(ea, eb)]): c} if c else {}
+            else:
+                acc = poly._dmul(self.field, acc, other)
 
     def expr(self):
         F = self.field
@@ -250,6 +268,77 @@ def test_parse_agrees_with_the_parser_before(name):
         assert _parsed_or_error(aff_in, text, field) == _parsed_or_error(_parse_before, text, field)
 
     check()
+
+
+F4 = extend_field(F2, find_irreducible(F2, 2))
+
+RUN_FIELDS = {"Q": QQ, "F7": F7, "F4": F4, "F9": F9()}
+
+RUN_CASES = [
+    # tower generators, alone, in runs and raised to powers
+    ("F4", "z1*x^2 + (z1+1)*y + z1^2*x*y + x*z1*y^2*z1"),
+    ("F4", "z1 x z1^3 y^2 - x (z1 + x)^2 z1"),
+    ("F9", "z1*x^2*2 + 2*z1^3*y - (z1+1)^2*x*y + z1^8"),
+    ("F9", "x z1 y (x + z1) z1^2 (y - 1) 2"),
+    # a fraction inside a run
+    ("Q", "3/4*x^2"),
+    ("Q", "3/4*x^2*y - 2/3*x*3/2 + x*4*3/4"),
+    ("F7", "3/4*x^2 + 1/2 x 2"),
+    # juxtaposed factors
+    ("Q", "2x^2y"),
+    ("Q", "2x^2y 3x - 6x^3y + 2 3 x 4"),
+    ("F7", "2x^2y 4y^3 2^3"),
+    # a parenthesised factor mid-run
+    ("Q", "2*(x+1)*y^3"),
+    ("Q", "x*(y+1)*2*(x-1)*y^2 - 3(x+y)^2x(x-y)y"),
+    ("F9", "2*(x+z1)*y^3*z1*(y+1)"),
+    # zero coefficients
+    ("Q", "0*x^2+x"),
+    ("Q", "x*0*(x+1) + y - 0 + 0^0*x + 0^2*y + 2^0"),
+    ("F7", "7*x^2 + x + 14*(x+1)*y + x 7 y"),
+    # malformed runs
+    ("Q", "x^y"),
+    ("Q", "x^"),
+    ("Q", "x*"),
+    ("Q", "2*x*y*"),
+    ("Q", "2^x"),
+    ("Q", "x^2^3"),
+    ("Q", "x**y"),
+    ("Q", "2*/3"),
+    ("F9", "z1^"),
+    ("F9", "z1*"),
+]
+
+
+@pytest.mark.parametrize("name, text", RUN_CASES)
+def test_parse_runs_agree_with_the_parser_before(name, text):
+    field = RUN_FIELDS[name]
+    aff_in = partial(parse_poly, space="affine")
+    assert _parsed_or_error(aff_in, text, field) == _parsed_or_error(_parse_before, text, field)
+
+
+@seed(1885)
+@settings(max_examples=120, deadline=None, database=None)
+@given(
+    name=st.sampled_from(sorted(RUN_FIELDS)),
+    pieces=st.lists(
+        st.sampled_from(
+            ["x", "y", "2", "0", "7", "12", "3/4", "z1", "(x+1)", "(y-x)", "^2", "^0", "^",
+             "*", "+", "-", " "]
+        ),
+        min_size=1,
+        max_size=10,
+    ),
+)
+def test_parse_token_soups_agree_with_the_parser_before(name, pieces):
+    # the two parsers on the same tokens, without parse_poly's name checks,
+    # so that a name such as y12 reaches both
+    def parse_now(text, field):
+        tokens, gens = poly._tokenize(text), poly._generator_table(field)
+        return poly._Parser(tokens, field, AFFINE, gens).parse()
+
+    field, text = RUN_FIELDS[name], "".join(pieces)
+    assert _parsed_or_error(parse_now, text, field) == _parsed_or_error(_parse_before, text, field)
 
 
 class TestArithmetic:
