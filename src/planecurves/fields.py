@@ -1112,10 +1112,11 @@ def _split_factors(field: Field, factors):
     Over Q a factor of degree >= 2 raises NonRationalPoint.  Over a finite
     field F_q the first nonlinear factor g is adjoined as K = F_q[z]/(g), and
     its roots in K are the Frobenius images z^(q^i), i < deg g, so g is never
-    factored again.  The other nonlinear factors are split over K one by one,
-    and the loop repeats until every factor is linear.  Monic factorization
-    is unique, so each level sees the same factors as factoring their
-    product over it, and the tower and the roots are the same.
+    factored again.  Every other factor h is irreducible over F_q, so over K
+    it splits into gcd(deg h, deg g) factors of degree deg h / gcd, found by
+    one equal-degree split; the loop repeats until every factor is linear.
+    Monic factorization is unique, so each level sees the same factors as
+    factoring their product over it, and the tower and the roots are the same.
     """
     while True:
         factors = sorted(factors, key=_factor_key)
@@ -1134,14 +1135,11 @@ def _split_factors(field: Field, factors):
         if images[-1] ** q != z:
             raise InternalError(f"Frobenius orbit of {field.gen_name} does not close at {g.degree}")
         split = [(UniPoly(field, (-r, field.one()), g.var), m) for r in images]
+        rng = Random(DEFAULT_FACTOR_SEED)
         for i, (h, mh) in enumerate(factors):
-            if i == k:
-                continue
-            if h.degree >= 2:
-                _, parts = uni_factor(h.map_field(field))
-                split.extend((part, mh * mp) for part, mp in parts)
-            else:
-                split.append((h.map_field(field), mh))
+            if i != k:
+                d = h.degree // math.gcd(h.degree, g.degree)
+                split.extend((part, mh) for part in _equal_degree(h.map_field(field), d, rng))
         factors = split
     roots = [(-g.coeff(0), m) for g, m in factors]
     roots.sort(key=lambda rm: str(rm[0]))

@@ -12,7 +12,7 @@ route is trusted alone.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import partial, reduce
 from itertools import islice
 from math import gcd
 
@@ -25,6 +25,8 @@ from .blowup import (
 )
 from .errors import (
     CommonComponent,
+    IncompatibleFields,
+    InternalError,
     NegativeGenus,
     Reducible,
     UnresolvedTree,
@@ -37,7 +39,10 @@ from .fields import (
     _coprime_ints,
     _join,
     _joined,
+    _padd,
+    _power,
     is_irreducible,
+    join_fields,
 )
 from .poly import (
     MultiPoly,
@@ -128,6 +133,10 @@ def _fulton(F: MultiPoly, G: MultiPoly) -> int:
     """
     K = F.field
     f, g = dict(F.values), dict(G.values)
+    # total + I_0(f, g) stays I_0(F, G) <= deg F * deg G for coprime curves,
+    # and each y-split adds at least 1, so a larger total means a shared
+    # component that no restriction shows
+    bound = F.total_degree() * G.total_degree()
     if isinstance(K, RationalField):
         f, g = (dict(zip(h, _coprime_ints(list(h.values())))) for h in (f, g))
         cut = _cut_integral
@@ -148,6 +157,8 @@ def _fulton(F: MultiPoly, G: MultiPoly) -> int:
                 raise CommonComponent("curves share the component y")
             # G = y*H: I(F, G) = I(F, y) + I(F, H)
             total += min(fx)
+            if total > bound:
+                raise CommonComponent("curves share a component")
             g = {(i, j - 1): c for (i, j), c in g.items()}
             continue
         r, s = max(fx), max(gx)
@@ -290,6 +301,72 @@ def _localize(F: MultiPoly, coords):
     raise ValueError("projective point has no nonzero coordinate")
 
 
+def _orbit_reps(coords_list, base, complete=False):
+    """For each projective point, the index of the first listed point of
+    its Frobenius orbit over the finite field base.
+
+    A field automorphism fixing the curves maps common points to common
+    points and keeps every local number (Fulton, Algebraic Curves, 3.3), so
+    a point may reuse the local result of an earlier conjugate.  The
+    Frobenius image of a point raises its coordinates to the power
+    q = |base|; it is computed by _frobenius on raw values in the top field
+    of the points' tower, once each point is scaled to a first nonzero
+    coordinate of 1.  When every point lies in base (always over Q), and
+    for points outside one tower over base or with no nonzero coordinate,
+    every point is its own representative.  With complete=True, an orbit
+    that the list does not hold whole raises InternalError.
+    """
+    reps = list(range(len(coords_list)))
+    try:
+        top = reduce(join_fields, [c.field for coords in coords_list for c in coords], base)
+    except IncompatibleFields:
+        return reps
+    if top == base:
+        return reps
+    keys = []
+    for coords in coords_list:
+        raw = [top.embed(c).value for c in coords]
+        pivot = next((v for v in raw if v), None)
+        keys.append(None if pivot is None else tuple(map(top.divider(pivot), raw)))
+    listed = set(keys)
+    frobenius = _frobenius(top, base)
+    first = {}
+    for i, key in enumerate(keys):
+        if key in first:
+            reps[i] = first[key]
+        elif key is not None:
+            orbit = [key]
+            while (image := tuple(map(frobenius, orbit[-1]))) != key:
+                orbit.append(image)
+            if complete and not listed.issuperset(orbit):
+                raise InternalError(f"a conjugate of point {i} is missing from the point list")
+            first.update(dict.fromkeys(orbit, i))
+    return reps
+
+
+def _frobenius(field, base):
+    """The raw map v -> v^q on field, q = |base|, as a linear map level by
+    level: it fixes base, and above it sends sum c_i z^i to
+    sum frob(c_i) w^i, with the powers of w = z^q computed once per level."""
+    if field == base:
+        return lambda v: v
+    below, B = _frobenius(field.base, base), field.base
+    w = _power(field.mul, field.raw_one, (B.raw_zero, B.raw_one), base.order())
+    powers = [field.raw_one]
+    while len(powers) < field.degree:
+        powers.append(field.mul(powers[-1], w))
+
+    def frob(v):
+        out = ()
+        for c, wi in zip(v, powers):
+            c = below(c)
+            if c:
+                out = _padd(B, out, [B.mul(c, x) for x in wi])
+        return out
+
+    return frob
+
+
 def _full_degree_fibers(F: MultiPoly, n: int):
     # fibers of the first affine restriction whose main-variable degree is n,
     # if any chart allows it: n + 1 rows in that variable
@@ -363,9 +440,13 @@ def _genus_and_deltas(F: MultiPoly, singular_points, assume_irreducible: bool, m
         raise ValueError("genus needs degree at least 1")
     if not assume_irreducible:
         _certify_irreducible(F)
+    points = [tuple(getattr(p, "coords", p)) for p in singular_points]
     deltas = []
-    for p in singular_points:
-        coords = tuple(getattr(p, "coords", p))
+    # a delta is an invariant of the point, so a conjugate copies it
+    for coords, i in zip(points, _orbit_reps(points, F.field)):
+        if i < len(deltas):
+            deltas.append(deltas[i])
+            continue
         local, _ = _localize(F, coords)
         if not local.constant_term().is_zero():
             raise ValueError(f"point {[str(c) for c in coords]} is not on the curve")

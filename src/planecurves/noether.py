@@ -12,6 +12,15 @@ multiplicity inequality r_H >= r_F + r_G - 1 at each infinitely near
 point, while solve_af_bg sets up the linear system on coefficients of A
 and B directly and solves it exactly.  Agreement of the two halves on
 both positive and negative instances is what the test suite leans on.
+
+Local results are invariants of a point: Frobenius over the base field
+fixes F, G and H, maps common points to common points and keeps every
+local number (Fulton, Algebraic Curves, section 3.3).  So bezout_check and
+check_condition compute once per Frobenius orbit, at its first listed
+point, and each later conjugate shares that report, rebuilt with its own
+point and field, whenever the report's rows show no sibling order (at most
+one distinct row per depth); sibling order follows the text of the roots,
+which Frobenius does not keep, so any other conjugate is computed afresh.
 """
 
 from __future__ import annotations
@@ -37,7 +46,7 @@ from .fields import (
     roots_with_extension,
     uni_gcd,
 )
-from .invariants import _intersection_multiplicity, _localize
+from .invariants import IntersectionReport, _intersection_multiplicity, _localize, _orbit_reps
 from .linalg import solve_linear
 from .poly import (
     MultiPoly,
@@ -328,12 +337,16 @@ def check_condition(
             raise ZeroPolynomial("check_condition needs nonzero curves")
         if P.variables != PROJECTIVE or not P.is_homogeneous():
             raise ValueError("check_condition expects homogeneous polynomials in X, Y, Z")
-    _, (F, G, H) = _joined(F, G, H)
+    fld, (F, G, H) = _joined(F, G, H)
     report_points = []
-    all_ok = True
     # find_common_points tests F and G for a common component, so the
     # local trees skip the gcd
-    for p in find_common_points(F, G):
+    points = find_common_points(F, G)
+    for p, i in zip(points, _orbit_reps([p.coords for p in points], fld, complete=True)):
+        if i < len(report_points) and _orderless(report_points[i].entries):
+            r = report_points[i]
+            report_points.append(PointCondition(p, r.chart, r.ok, r.entries, r.failure_depth))
+            continue
         fL, chart = _localize(F, p.coords)
         gL, _ = _localize(G, p.coords)
         hL, _ = _localize(H, p.coords)
@@ -349,9 +362,14 @@ def check_condition(
             if margin < 0 and failure_depth is None:
                 failure_depth = node.depth
         ok = failure_depth is None
-        all_ok = all_ok and ok
         report_points.append(PointCondition(p, chart, ok, entries, failure_depth))
-    return ConditionReport(all_ok, report_points)
+    return ConditionReport(all(pc.ok for pc in report_points), report_points)
+
+
+def _orderless(rows):
+    """True when rows of (depth, ...) show no sibling order: at most one
+    distinct row per depth, so every conjugate point lists the same rows."""
+    return len({row[0] for row in rows}) == len(set(rows))
 
 
 class NoetherCertificate:
@@ -466,21 +484,30 @@ def bezout_check(
     """Sum local intersection numbers over all common points of F and G.
 
     Each local number is computed through a joint tree and cross-checked
-    against the Fulton oracle; the total is compared with
-    deg F * deg G.  Any mismatch survives into the report rather than
-    being patched over.
+    against the Fulton oracle at the first listed point of each Frobenius
+    orbit; a later conjugate shares that report, with its own point and
+    field, unless the contributions show a sibling order.  The total is
+    compared with deg F * deg G.  Any mismatch survives into the report
+    rather than being patched over.
     """
     if F.is_zero() or G.is_zero():
         raise ZeroPolynomial("Bezout with the zero curve")
-    _, (F, G) = _joined(F, G)
+    fld, (F, G) = _joined(F, G)
     entries = []
-    total = 0
     # find_common_points tests F and G for a common component, so the
     # local numbers skip the gcd
-    for p in find_common_points(F, G):
-        fL, chart = _localize(F, p.coords)
-        gL, _ = _localize(G, p.coords)
-        rep = _intersection_multiplicity(fL, gL, max_depth)
+    points = find_common_points(F, G)
+    for p, i in zip(points, _orbit_reps([p.coords for p in points], fld, complete=True)):
+        if i < len(entries) and _orderless(entries[i][2].contributions):
+            _, chart, rep = entries[i]
+            origin = (p.field.zero(), p.field.zero())
+            rep = IntersectionReport(
+                origin, p.field, rep.contributions, rep.noether_sum, rep.oracle_value
+            )
+        else:
+            fL, chart = _localize(F, p.coords)
+            gL, _ = _localize(G, p.coords)
+            rep = _intersection_multiplicity(fL, gL, max_depth)
         entries.append((p, chart, rep))
-        total += rep.noether_sum
+    total = sum(rep.noether_sum for _, _, rep in entries)
     return BezoutReport(total, F.total_degree() * G.total_degree(), entries)

@@ -275,6 +275,35 @@ def refactor_roots(f):
         f = f.map_field(field)
 
 
+def split_by_full_factoring(field, factors):
+    """_split_factors as it factored each other nonlinear factor in full,
+    with uni_factor, over every new level; kept as the reference."""
+    while True:
+        factors = sorted(factors, key=fields._factor_key)
+        k = next((i for i, (g, _) in enumerate(factors) if g.degree >= 2), None)
+        if k is None:
+            break
+        g, m = factors[k]
+        q = field.order()
+        field = extend_field(field, g)
+        images = [field.generator()]
+        while len(images) < g.degree:
+            images.append(images[-1] ** q)
+        split = [(UniPoly(field, (-r, field.one()), g.var), m) for r in images]
+        for i, (h, mh) in enumerate(factors):
+            if i == k:
+                continue
+            if h.degree >= 2:
+                _, parts = uni_factor(h.map_field(field))
+                split.extend((part, mh * mp) for part, mp in parts)
+            else:
+                split.append((h.map_field(field), mh))
+        factors = split
+    roots = [(-g.coeff(0), m) for g, m in factors]
+    roots.sort(key=lambda rm: str(rm[0]))
+    return field, roots
+
+
 # field, degrees of the drawn irreducibles.  A quartic over F2 or F3 splits
 # into two quadratics over a quadratic extension, which puts the order of
 # the remaining nonlinear factors to the test.  The degrees keep every tower
@@ -352,6 +381,28 @@ class TestFrobeniusRoots:
         lifted = g.map_field(ext)
         for r, _ in roots:
             assert lifted.eval(r).is_zero()
+
+    @pytest.mark.parametrize("name", sorted(DIFF_FIELDS))
+    def test_split_factors_agrees_with_full_factoring(self, name):
+        field, irreducibles = monic_irreducibles(name)
+        several = []
+
+        @seed(2323)
+        @settings(max_examples=25, deadline=None, database=None)
+        @given(data=st.data())
+        def check(data):
+            picks = data.draw(
+                st.lists(st.sampled_from(irreducibles), min_size=1, max_size=4, unique_by=str)
+            )
+            factors = [(g, data.draw(st.integers(1, 3))) for g in picks]
+            ext, roots = fields._split_factors(field, factors)
+            ref_ext, ref_roots = split_by_full_factoring(field, factors)
+            assert ext.describe() == ref_ext.describe()
+            assert [(str(r), m) for r, m in roots] == [(str(r), m) for r, m in ref_roots]
+            several.append(sum(g.degree >= 2 for g in picks) >= 2)
+
+        check()
+        assert any(several)
 
     @pytest.mark.parametrize("field", [QQ, F7, F9()], ids=["Q", "F7", "F9"])
     def test_linear_factor_is_its_own_monic(self, field):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from planecurves import noether
+from planecurves import invariants, noether
+from planecurves.blowup import DEFAULT_MAX_DEPTH, _joint_tree, resolve_tree
 from planecurves.cli import main
 from planecurves.errors import (
     CommonComponent,
@@ -24,11 +25,27 @@ from planecurves.noether import (
     find_singular_points,
     solve_af_bg,
 )
-from planecurves.fields import Scalar, join_fields
+from planecurves.fields import (
+    Scalar,
+    UniPoly,
+    _joined,
+    _power,
+    extend_field,
+    find_irreducible,
+    join_fields,
+)
+from planecurves.invariants import (
+    _frobenius,
+    _genus_and_deltas,
+    _intersection_multiplicity,
+    _localize,
+    _orbit_reps,
+    delta_invariant,
+)
 from planecurves.linalg import solve_linear
 from planecurves.poly import PROJECTIVE, MultiPoly, parse_poly
 
-from .helpers import F5, F7, F9, F11, QQ, corpus, field_by_name, hom
+from .helpers import F2, F3, F5, F7, F9, F11, QQ, corpus, field_by_name, hom
 
 DATA = corpus()
 
@@ -406,3 +423,188 @@ def test_the_condition_implies_a_solution(field):
 
     check()
     assert held
+
+
+# ---------------------------------------------------------------------------
+# one local computation per Frobenius orbit
+# ---------------------------------------------------------------------------
+
+
+def _bezout_per_point(F, G, max_depth=DEFAULT_MAX_DEPTH):
+    """bezout_check computing every common point, kept as the reference."""
+    if F.is_zero() or G.is_zero():
+        raise ZeroPolynomial("Bezout with the zero curve")
+    _, (F, G) = _joined(F, G)
+    entries = []
+    total = 0
+    for p in find_common_points(F, G):
+        fL, chart = _localize(F, p.coords)
+        gL, _ = _localize(G, p.coords)
+        rep = _intersection_multiplicity(fL, gL, max_depth)
+        entries.append((p, chart, rep))
+        total += rep.noether_sum
+    return noether.BezoutReport(total, F.total_degree() * G.total_degree(), entries)
+
+
+def _condition_per_point(F, G, H, max_depth=DEFAULT_MAX_DEPTH):
+    """check_condition computing every common point, kept as the reference."""
+    for P in (F, G, H):
+        if P.is_zero():
+            raise ZeroPolynomial("check_condition needs nonzero curves")
+    _, (F, G, H) = _joined(F, G, H)
+    points = []
+    for p in find_common_points(F, G):
+        fL, chart = _localize(F, p.coords)
+        gL, _ = _localize(G, p.coords)
+        hL, _ = _localize(H, p.coords)
+        jt = _joint_tree([fL, gL, hL], max_depth, ("F", "G", "H"), witness=True)
+        entries = []
+        failure_depth = None
+        for node in jt.nodes():
+            rf, rg, rh = node.rs
+            margin = rh - (rf + rg - 1)
+            entries.append((node.depth, rf, rg, rh, margin))
+            if margin < 0 and failure_depth is None:
+                failure_depth = node.depth
+        ok = failure_depth is None
+        points.append(noether.PointCondition(p, chart, ok, entries, failure_depth))
+    return noether.ConditionReport(all(pc.ok for pc in points), points)
+
+
+def _agrees_with_reference(live, reference):
+    """Same JSON as the reference, or the same error class."""
+    try:
+        want = reference().to_json()
+    except CurveError as err:
+        with pytest.raises(type(err)):
+            live()
+        return
+    assert live().to_json() == want
+
+
+def _spy_orderless(monkeypatch):
+    """Count the copies (True) and recomputations (False) at later conjugates."""
+    taken = {True: 0, False: 0}
+    orderless = noether._orderless
+
+    def spy(rows):
+        taken[orderless(rows)] += 1
+        return orderless(rows)
+
+    monkeypatch.setattr(noether, "_orderless", spy)
+    return taken
+
+
+ORBIT_FIELDS = {"F2": F2, "F3": F3, "F5": F5, "F7": F7, "F9": F9()}
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_FIELDS))
+def test_orbit_reuse_matches_the_per_point_loop(monkeypatch, name):
+    field = ORBIT_FIELDS[name]
+    taken = _spy_orderless(monkeypatch)
+
+    @seed(2323)
+    @settings(max_examples=12, deadline=None, database=None)
+    @given(data=st.data())
+    def check(data):
+        c, d = data.draw(st.integers(1, 3)), data.draw(st.integers(2, 3))
+        F, G = data.draw(_forms(field, c)), data.draw(_forms(field, d))
+        H = data.draw(_forms(field, data.draw(st.integers(1, c + d))))
+        _agrees_with_reference(lambda: bezout_check(F, G), lambda: _bezout_per_point(F, G))
+        _agrees_with_reference(
+            lambda: check_condition(F, G, H), lambda: _condition_per_point(F, G, H)
+        )
+
+    check()
+    assert taken[True] and taken[False], taken
+
+
+@pytest.mark.parametrize("p, degrees", [(2, (2, 3)), (3, (2, 2)), (5, (3,)), (7, (2,))])
+def test_frobenius_by_levels_is_the_qth_power(p, degrees):
+    field, levels = ORBIT_FIELDS[f"F{p}"], []
+    for d in degrees:
+        levels.append(field)
+        field = extend_field(field, find_irreducible(field, d))
+    for base in levels:
+        frobenius, q = _frobenius(field, base), base.order()
+        for s in field.elements():
+            assert frobenius(s.value) == _power(field.mul, field.raw_one, s.value, q)
+
+
+# a cubic pair over F_3 whose Frobenius orbits span two tower levels
+SPLIT_LEVELS = ("X^3+2*X^2*Y+2*X^2*Z+2*X*Z^2+Y^3+Y*Z^2+Z^3", "2*X^3+2*X*Y*Z+2*Y^3")
+
+
+def test_conjugates_on_different_levels_keep_their_own_field(monkeypatch):
+    F, G = (hom(t, F3) for t in SPLIT_LEVELS)
+    points = find_common_points(F, G)
+    reps = _orbit_reps([p.coords for p in points], F3, complete=True)
+    assert any(
+        points[i].field != points[j].field for j, i in enumerate(reps) if i < j
+    )
+    taken = _spy_orderless(monkeypatch)
+    assert bezout_check(F, G).to_json() == _bezout_per_point(F, G).to_json()
+    H = hom("X^2*Z+Y^3", F3)
+    assert check_condition(F, G, H).to_json() == _condition_per_point(F, G, H).to_json()
+    assert taken[True] == len(points) - len(set(reps))
+
+
+def test_two_rows_at_one_depth_are_computed_again(monkeypatch):
+    # F and G meet at [0 : 1 : 0] and at the conjugate pair [+-i : -1 : 1]
+    # over F_49; each witness tree has one child for F and one for G
+    F, G, H = hom("Y*Z-X^2", F7), hom("X^2+Z^2", F7), hom("Y^2+X*Z", F7)
+    taken = _spy_orderless(monkeypatch)
+    report = check_condition(F, G, H)
+    assert report.to_json() == _condition_per_point(F, G, H).to_json()
+    assert taken == {True: 0, False: 1}
+    depth1 = [e for e in report.points[-1].entries if e[0] == 1]
+    assert len(set(depth1)) == 2
+
+
+def test_a_missing_conjugate_is_an_internal_error(monkeypatch):
+    F, G, H = hom("Y*Z-X^2", F7), hom("X^2+Z^2", F7), hom("Y^2+X*Z", F7)
+    points = find_common_points(F, G)
+    reps = _orbit_reps([p.coords for p in points], F7, complete=True)
+    conjugate = next(j for j, i in enumerate(reps) if i < j)
+    partial = points[:conjugate] + points[conjugate + 1:]
+    monkeypatch.setattr(noether, "find_common_points", lambda *a: partial)
+    with pytest.raises(InternalError):
+        bezout_check(F, G)
+    with pytest.raises(InternalError):
+        check_condition(F, G, H)
+
+
+def test_conjugate_singular_points_share_one_resolution(monkeypatch):
+    # y^2 = x*(x^2+1)^2 over F_7: nodes at the conjugate pair x = +-i, y = 0,
+    # and a triple point at [0 : 1 : 0]
+    F = hom("Y^2*Z^3-X*(X^2+Z^2)^2", F7)
+    points = find_singular_points(F)
+    want = [
+        delta_invariant(resolve_tree(_localize(F, p.coords)[0])).delta for p in points
+    ]
+    trees = []
+
+    def counting(*a, **k):
+        trees.append(1)
+        return resolve_tree(*a, **k)
+
+    monkeypatch.setattr(invariants, "resolve_tree", counting)
+    assert _genus_and_deltas(F, points, True, DEFAULT_MAX_DEPTH) == (0, want)
+    assert want == [1, 1, 4] and len(trees) == 2
+    # a list without the first conjugate computes the second: no earlier conjugate
+    trees.clear()
+    assert _genus_and_deltas(F, points[1:], True, DEFAULT_MAX_DEPTH) == (1, [1, 4])
+    assert len(trees) == 2
+
+
+def test_points_from_two_towers_are_each_computed():
+    # the conjugate nodes [1 : 0 : +-i] given over two different copies of
+    # F_49 share no tower, so neither can reuse the other's delta
+    F = hom("Y^2*Z^3-X*(X^2+Z^2)^2", F7)
+    points = []
+    for c0, c1 in ((1, 0), (3, 1)):  # t^2 + 1 and t^2 + t + 3
+        K = extend_field(F7, UniPoly(F7, [F7.scalar(c0), F7.scalar(c1), F7.one()]))
+        i = next(s for s in K.elements() if s * s == -K.one())
+        points.append((K.one(), K.zero(), i if not points else -i))
+    assert _orbit_reps(points, F7) == [0, 1]
+    assert _genus_and_deltas(F, points, True, DEFAULT_MAX_DEPTH) == (4, [1, 1])

@@ -1,6 +1,8 @@
 """Fulton's oracle on its own: independent of the blow-up code, and in
 agreement with the joint-tree sum and the resultant order on random pairs."""
 
+import os
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, reject, seed, settings
 from hypothesis import strategies as st
 
+import planecurves
 from planecurves import blowup
 from planecurves.blowup import joint_tree
 from planecurves.errors import CommonComponent, NonRationalPoint
@@ -216,3 +219,33 @@ def test_fulton_over_q_runs_on_ints(monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", spy)
     assert _fulton(F, G) == want
     assert made == []
+
+
+FULTON_SHARED = """
+import sys
+from planecurves.errors import CommonComponent
+from planecurves.fields import PrimeField, RationalField
+from planecurves.invariants import _fulton
+from planecurves.poly import parse_poly
+K = RationalField() if sys.argv[1] == "q" else PrimeField(int(sys.argv[1][2:]))
+F, G = (parse_poly(t, K, space="affine") for t in sys.argv[2:])
+try:
+    _fulton(F, G)
+except CommonComponent:
+    print("CommonComponent")
+"""
+
+
+@pytest.mark.parametrize("name", ["q", "p:5"])
+def test_fulton_stops_on_a_shared_component_off_y(name):
+    # the pair shares x, so no restriction to y = 0 ever vanishes for good;
+    # a child process with a timeout turns an endless loop into a failure
+    src = os.path.dirname(os.path.dirname(os.path.abspath(planecurves.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", FULTON_SHARED, name, "x*y-x^2", "x*y+x^2+x^3"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert (proc.returncode, proc.stdout.strip()) == (0, "CommonComponent"), proc.stderr
