@@ -18,7 +18,7 @@ import sys
 import traceback
 
 from . import fields as _fields
-from .blowup import appendix_sequence, resolve_tree, to_dot
+from .blowup import DEFAULT_MAX_DEPTH, appendix_sequence, resolve_tree, to_dot
 from .errors import (
     CurveError,
     DepthCapExceeded,
@@ -57,7 +57,7 @@ def _build_parser() -> _Parser:
         for poly in polys:
             sp.add_argument(poly, help=f"polynomial {poly}")
         sp.add_argument("--field", default="q", help="q for rationals, p:N for F_N")
-        sp.add_argument("--max-depth", type=int, default=48, dest="max_depth")
+        sp.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH, dest="max_depth")
         sp.add_argument("--seed", type=int, default=None, help="factorization seed")
         sp.add_argument("--json", action="store_true", dest="as_json")
         for arg, kwargs in extra.items():

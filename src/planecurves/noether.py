@@ -269,8 +269,6 @@ def find_singular_points(F: MultiPoly):
         P, Q = system[i], system[j]
         if P.is_zero() or Q.is_zero():
             continue
-        if P.total_degree() < 1 or Q.total_degree() < 1:
-            continue
         try:
             cands = find_common_points(P, Q)
             break

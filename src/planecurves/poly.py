@@ -842,15 +842,14 @@ def _exponent(tokens, pos):
 class _Parser:
     """Recursive descent over the token list.
 
-    Every rule returns a dict {exponent tuple: raw value of the field}.  A
-    term reads each run such as 123*X^2*Y*Z^3 in one loop over the tokens:
-    a number (coerced once, where it is read, and over Q an int stays an
-    int) multiplies one coefficient and a variable adds to one exponent
-    list.  A fraction a/b, a tower generator and a parenthesised sum go
-    through factor(); a one-term result joins the run, and _dmul multiplies
-    the others, so a term is its one coefficient and exponents times the
-    product of its sums.  The MultiPoly is built once, from the whole
-    expression.
+    expr() and term() return a dict {exponent tuple: raw value of the
+    field}.  A term is one loop over the tokens that reads each factor
+    once, with its optional ^e: a variable adds to one exponent list; a
+    number (coerced once, where it is read, and over Q an int stays an int),
+    a fraction a/b or a tower generator multiplies one coefficient; a
+    parenthesised sum is read by expr(), joins the run when it is one term,
+    and otherwise _dmul multiplies it into the product of the term's sums.
+    The MultiPoly is built once, from the whole expression.
     """
 
     def __init__(self, tokens, field, variables, gens):
@@ -903,34 +902,53 @@ class _Parser:
             op = self.take()[0]
 
     def term(self):
-        field, tokens, index = self.field, self.tokens, self.index
+        field, tokens, index, gens = self.field, self.tokens, self.index, self.gens
         mul = field.mul
         # the run's coefficient and exponents, and the product of the sums
         coeff, exps, sums = field.raw_one, [0] * len(self.variables), None
         pos = self.pos
         while True:
             kind, val = tokens[pos]
-            if kind == "num" and tokens[pos + 1][0] != "/" or kind == "name" and val in index:
-                pos += 1
+            pos += 1
+            if kind == "name" and val in index:
                 e = 1
                 if tokens[pos][0] == "^":
                     e, pos = _exponent(tokens, pos)
+                exps[index[val]] += e
+            elif kind == "num" or kind == "name" and val in gens:
                 if kind == "name":
-                    exps[index[val]] += e
-                elif e == 1:
-                    coeff = mul(coeff, field.raw(val))
+                    c = gens[val]
+                elif tokens[pos][0] == "/":
+                    k2, v2 = tokens[pos + 1]
+                    if k2 != "num" or v2 == 0:
+                        raise ValueError("malformed rational coefficient")
+                    c, pos = field.raw(Fraction(val, v2)), pos + 2
                 else:
-                    coeff = mul(coeff, _power(mul, field.raw_one, field.raw(val), e))
-            else:
+                    c = field.raw(val)
+                if tokens[pos][0] == "^":
+                    e, pos = _exponent(tokens, pos)
+                    c = _power(mul, field.raw_one, c, e)
+                coeff = mul(coeff, c)
+            elif kind == "(":
                 self.pos = pos
-                other = self.factor()
+                other = self.expr()
                 pos = self.pos
+                if tokens[pos][0] != ")":
+                    raise ValueError("unbalanced parenthesis")
+                pos += 1
+                if tokens[pos][0] == "^":
+                    e, pos = _exponent(tokens, pos)
+                    other = _dpow(field, other, e, self.unit)
                 if len(other) == 1:
                     [(e, c)] = other.items()
                     coeff = mul(coeff, c)
                     exps = [i + j for i, j in zip(exps, e)]
                 else:
                     sums = other if sums is None else _dmul(field, sums, other)
+            elif kind == "name":
+                raise ValueError(f"unknown symbol {val!r} for variables {self.variables}")
+            else:
+                raise ValueError(f"unexpected token {val!r}")
             kind = tokens[pos][0]
             if kind == "*":
                 pos += 1
@@ -943,43 +961,6 @@ class _Parser:
             return {tuple(exps): coeff}
         # a one-term factor shifts the keys of a product and keeps their order
         return {tuple([i + j for i, j in zip(e, exps)]): mul(coeff, c) for e, c in sums.items()}
-
-    def factor(self):
-        base = self.atom()
-        if self.peek()[0] == "^":
-            e, self.pos = _exponent(self.tokens, self.pos)
-            base = _dpow(self.field, base, e, self.unit)
-        return base
-
-    def constant(self, value):
-        v = self.field.raw(value)
-        return {self.unit: v} if v else {}
-
-    def atom(self):
-        kind, val = self.take()
-        if kind == "num":
-            if self.peek()[0] == "/":
-                self.take()
-                k2, v2 = self.take()
-                if k2 != "num" or v2 == 0:
-                    raise ValueError("malformed rational coefficient")
-                return self.constant(Fraction(val, v2))
-            return self.constant(val)
-        if kind == "name":
-            if val in self.gens:
-                return {self.unit: self.gens[val]}
-            i = self.index.get(val)
-            if i is None:
-                raise ValueError(f"unknown symbol {val!r} for variables {self.variables}")
-            exps = [0] * len(self.variables)
-            exps[i] = 1
-            return {tuple(exps): self.field.raw_one}
-        if kind == "(":
-            inner = self.expr()
-            if self.take()[0] != ")":
-                raise ValueError("unbalanced parenthesis")
-            return inner
-        raise ValueError(f"unexpected token {val!r}")
 
 
 def parse_poly(text: str, field: Field, space: str = "auto") -> MultiPoly:

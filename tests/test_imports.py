@@ -1,4 +1,5 @@
-"""No module of the package imports a name it never uses."""
+"""No module of the package imports a name it never uses, and none defines
+a private helper that nothing in the package names."""
 
 import ast
 import pathlib
@@ -62,3 +63,73 @@ def test_the_check_finds_unused_imports():
 )
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def unnamed_definitions(sources: dict) -> list:
+    """Definitions in `sources` {module name: source} that no source names.
+
+    A definition is a private module-level function or class, a _method of
+    any class, or any method of a private class that has no base class;
+    dunder methods are exempt.  A name is read off a Name, an attribute or
+    an import; the def statement itself names nothing.
+    """
+    named, defined = set(), []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not _is_dunder(node.name):
+                    defined.append((module, node.name, node.name, node.lineno))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+            elif isinstance(node, ast.ClassDef):
+                every = node.name.startswith("_") and not node.bases
+                for sub in node.body:
+                    if not isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        continue
+                    if (every or sub.name.startswith("_")) and not _is_dunder(sub.name):
+                        defined.append((module, f"{node.name}.{sub.name}", sub.name, sub.lineno))
+    return sorted(
+        f"{module}: {label} (line {line})"
+        for module, label, name, line in defined
+        if name not in named
+    )
+
+
+def test_the_check_finds_unnamed_definitions():
+    sources = {
+        "a": (
+            "def _used(): return 1\n"
+            "def _dead(): return 2\n"
+            "def public(): return _used() + _Reader().read()\n"
+            "class _Reader:\n"
+            "    def __init__(self): self.n = 0\n"
+            "    def read(self): return self._next()\n"
+            "    def _next(self): return self.n\n"
+            "    def atom(self): return 0\n"
+            "class _Error(ValueError):\n"
+            "    def describe(self): return 'kept: the class has a base'\n"
+            "    def _hint(self): return ''\n"
+        ),
+        "b": "from .a import _Error\nclass Public:\n    def _helper(self): pass\n",
+    }
+    assert unnamed_definitions(sources) == [
+        "a: _Error._hint (line 11)",
+        "a: _Reader.atom (line 8)",
+        "a: _dead (line 2)",
+        "b: Public._helper (line 3)",
+    ]
+
+
+def test_no_unnamed_definitions():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unnamed_definitions(sources) == []

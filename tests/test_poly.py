@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from planecurves import poly
 from planecurves.cli import main
-from planecurves.errors import NotSuitable, ZeroPolynomial
+from planecurves.errors import DivisionByZero, NotSuitable, ZeroPolynomial
 from planecurves.fields import Scalar, UniPoly, extend_field, find_irreducible, join_fields, uni_gcd
 from planecurves.poly import (
     AFFINE,
@@ -83,6 +83,21 @@ MESSAGES = [
     ("x^y", "exponent must be a nonnegative integer"),
     ("x$y", "unexpected character '$' in polynomial"),
     ("3/0*x", "malformed rational coefficient"),
+    ("2/", "malformed rational coefficient"),
+    ("2/x", "malformed rational coefficient"),
+    ("0/0", "malformed rational coefficient"),
+    ("^2", "unexpected token '^'"),
+    (")", "unexpected token ')'"),
+    ("()", "unexpected token ')'"),
+    ("*x", "unexpected token '*'"),
+    ("x**2", "unexpected token '*'"),
+    ("--x", "unexpected token '-'"),
+    ("(", "unexpected token None"),
+    ("x(", "unexpected token None"),
+    ("x-", "unexpected token None"),
+    ("x^", "exponent must be a nonnegative integer"),
+    ("(x+y)^", "exponent must be a nonnegative integer"),
+    ("2/3/4", "trailing input near token '/'"),
     ("x)", "trailing input near token ')'"),
     ("y^2 - W", "unknown variable 'W'"),
     ("x + Y", "mixed upper and lower case variables"),
@@ -95,6 +110,12 @@ def test_parse_error_messages(bad, message):
     with pytest.raises(ValueError) as err:
         parse_poly(bad, QQ, space="affine")
     assert str(err.value) == message
+
+
+def test_parse_fraction_whose_denominator_vanishes_in_the_field():
+    with pytest.raises(DivisionByZero) as err:
+        parse_poly("1/7*x", F7, space="affine")
+    assert str(err.value) == "denominator divisible by 7"
 
 
 def test_parse_builds_no_intermediate_polynomials(monkeypatch):
@@ -175,7 +196,8 @@ class _ParserBefore(poly._Parser):
     """The parser before its sums ran in place and before its terms read
     runs, kept as the reference: every + or - copies the accumulator through
     _dadd, every power multiplies through _dmul, and a term multiplies its
-    factors one factor() call at a time."""
+    factors one factor() call at a time, each read by atom() into a dict of
+    its own."""
 
     def term(self):
         mul = self.field.mul
@@ -218,6 +240,36 @@ class _ParserBefore(poly._Parser):
             F = self.field
             base = poly._power(partial(poly._dmul, F), {self.unit: F.raw_one}, base, val)
         return base
+
+    def constant(self, value):
+        v = self.field.raw(value)
+        return {self.unit: v} if v else {}
+
+    def atom(self):
+        kind, val = self.take()
+        if kind == "num":
+            if self.peek()[0] == "/":
+                self.take()
+                k2, v2 = self.take()
+                if k2 != "num" or v2 == 0:
+                    raise ValueError("malformed rational coefficient")
+                return self.constant(Fraction(val, v2))
+            return self.constant(val)
+        if kind == "name":
+            if val in self.gens:
+                return {self.unit: self.gens[val]}
+            i = self.index.get(val)
+            if i is None:
+                raise ValueError(f"unknown symbol {val!r} for variables {self.variables}")
+            exps = [0] * len(self.variables)
+            exps[i] = 1
+            return {tuple(exps): self.field.raw_one}
+        if kind == "(":
+            inner = self.expr()
+            if self.take()[0] != ")":
+                raise ValueError("unbalanced parenthesis")
+            return inner
+        raise ValueError(f"unexpected token {val!r}")
 
 
 def _parse_before(text, field):
@@ -324,7 +376,7 @@ def test_parse_runs_agree_with_the_parser_before(name, text):
     pieces=st.lists(
         st.sampled_from(
             ["x", "y", "2", "0", "7", "12", "3/4", "z1", "(x+1)", "(y-x)", "^2", "^0", "^",
-             "*", "+", "-", " "]
+             "*", "+", "-", " ", "/", "(", ")", "/0", "1/7"]
         ),
         min_size=1,
         max_size=10,
