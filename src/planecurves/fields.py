@@ -22,11 +22,17 @@ _joined maps polynomials into the join of their fields, the one join.
 The univariate layer (UniPoly) provides division, gcd, and factorization.
 One Euclid loop on raw tuples, _pgcd, makes each remainder monic before it
 divides; it serves uni_gcd and the contents of poly.biv_gcd alike, and one
-square-and-multiply, _power, serves every power.  Over a finite field
-factorization is complete: squarefree decomposition, then distinct-degree
-splitting, then equal-degree splitting with a seeded deterministic random
-stream; a squarefree f is irreducible when its first distinct-degree factor
-has degree deg f.  Over Q only rational roots are split off;
+square-and-multiply, _power, serves every power.  Factorization first
+takes the root at 0 off: f = t^k * g with g(0) != 0 gives the factor t to
+the k, read off the coefficients, and only g goes on to the gcds.  Yun's
+squarefree decomposition reads g = w^n off at once when its squarefree
+part w = g / gcd(g, g') is linear, in characteristic 0 and below the
+characteristic p, where no multiplicity is a multiple of p.  Over a finite
+field factorization is complete: squarefree decomposition, then
+distinct-degree splitting, then equal-degree splitting with a seeded
+deterministic random stream, made only when a block has to be split; a
+squarefree f is irreducible when its first distinct-degree factor has
+degree deg f.  Over Q only rational roots are split off;
 a residual factor of degree >= 2 is returned whole and callers that need
 an actual point raise NonRationalPoint.  The rational roots of a squarefree
 factor come from its roots modulo the first good prime p (one that keeps
@@ -809,13 +815,16 @@ def _squarefree_decomposition(f: UniPoly):
 
     In characteristic 0 the loop consumes f.  Over a finite field of
     characteristic p what it leaves is a p-th power (all of f when f' = 0);
-    its p-th root is decomposed in turn, multiplicities times p.
+    its p-th root is decomposed in turn, multiplicities times p.  Below p
+    no multiplicity is a multiple of p, so there, as in characteristic 0,
+    w = f / gcd(f, f') is the squarefree part of f, and when it is linear
+    f = w^n is read off without the loop.
     """
     result = []
     g = uni_gcd(f, f.derivative())
     w = f // g
-    if w.degree == 1 and not f.field.is_finite:
-        # in characteristic 0 a squarefree part of degree 1 means f = w^n
+    p = f.field.characteristic()
+    if w.degree == 1 and (not p or f.degree < p):
         return [(w, f.degree)]
     i = 1
     while w.degree >= 1:
@@ -825,30 +834,24 @@ def _squarefree_decomposition(f: UniPoly):
             result.append((z, i))
         w, g = y, g // y
         i += 1
-    if f.field.is_finite and g.degree >= 1:
-        p = f.field.characteristic()
+    if p and g.degree >= 1:
         result.extend((h, p * m) for h, m in _squarefree_decomposition(_pth_root(g)))
     return result
 
 
 def _rational_roots_split(g: UniPoly):
-    """Split the rational roots off a squarefree monic g over Q.
+    """Split the rational roots off a squarefree monic g over Q with
+    g(0) != 0 unless g is linear.
 
     Returns (roots, residual) where residual has no rational roots.  A
-    linear g is its own candidate, -g0/g1; the candidates of a longer g come
+    linear g is its own candidate, -g0; the candidates of a longer g come
     from _padic_root_candidates.  Each one is kept only when g vanishes at
     it exactly.
     """
     field = g.field
     roots = []
-    # strip the root at 0 first
-    while g.coeff(0).is_zero() and g.degree >= 1:
-        roots.append(field.zero())
-        g = g // UniPoly(field, (0, 1), g.var)
-    if g.degree < 1:
-        return roots, g
     if g.degree == 1:
-        candidates = [field.divider(g.values[1])(field.neg(g.values[0]))]
+        candidates = [field.neg(g.values[0])]
     else:
         candidates = _padic_root_candidates(g.values)
     for cand in candidates:
@@ -1022,19 +1025,26 @@ def uni_factor(f: UniPoly, seed=None):
         return unit, []
     if f.degree == 1:
         return unit, [(f.monic(), 1)]
-    f = f.monic()
-    out = []
-    if isinstance(f.field, RationalField):
-        for g, m in _squarefree_decomposition(f):
+    F = f.field
+    # f = t^k * g with g(0) != 0: t^k comes off before any gcd
+    k = next(i for i, v in enumerate(f.values) if v)
+    out = [(UniPoly.x(F, f.var), k)] if k else []
+    f = UniPoly._from_values(F, _pmonic(F, f.values[k:]), f.var)
+    parts = _squarefree_decomposition(f) if f.degree >= 1 else []
+    if isinstance(F, RationalField):
+        for g, m in parts:
             roots, residual = _rational_roots_split(g)
             for r in roots:
-                out.append((UniPoly(f.field, (-r, f.field.one()), f.var), m))
+                out.append((UniPoly(F, (-r, F.one()), f.var), m))
             if residual.degree >= 1:
                 out.append((residual, m))
     else:
-        rng = Random(DEFAULT_FACTOR_SEED if seed is None else seed)
-        for g, m in _squarefree_decomposition(f):
+        # a new Random costs about 6 us, so only a block to split makes one
+        rng = None
+        for g, m in parts:
             for h, d in _distinct_degree(g):
+                if h.degree > d:
+                    rng = rng or Random(DEFAULT_FACTOR_SEED if seed is None else seed)
                 for irr in _equal_degree(h, d, rng):
                     out.append((irr.monic(), m))
     out.sort(key=_factor_key)
@@ -1044,10 +1054,13 @@ def uni_factor(f: UniPoly, seed=None):
 def is_irreducible(f: UniPoly) -> bool:
     """Squarefree, and over a finite field one distinct-degree factor of
     full degree; over Q, for degree <= 3, squarefree with no rational root."""
-    if f.is_zero() or f.degree < 1:
+    if f.degree < 1:
         return False
     if f.degree == 1:
         return True
+    if not f.values[0]:
+        # t divides f, of degree >= 2
+        return False
     rational = isinstance(f.field, RationalField)
     if rational and f.degree > 3:
         raise ValueError("irreducibility over Q is only certified up to degree 3")

@@ -435,16 +435,28 @@ def make_suitable_many(polys):
     """One shear making every polynomial in the list suitable at once.
 
     Returns (sheared polys, lam, field), lam zero when no shear was needed.
-    Over a finite field the tower is extended when no element of the
-    current field works; over Q a working integer always exists.
+    Each tangent cone is read once: the coefficients of x^i*y^(r-i) in a
+    polynomial of multiplicity r are the coefficients of lam^i in a
+    univariate cone, whose value at lam is that of the lowest form at
+    (lam, 1).  When every cone has a nonzero constant term (every
+    polynomial has its y^r term) lam is zero at once; otherwise the cones
+    are evaluated by Horner's rule at each candidate.  Over a finite field
+    the tower is extended when no element of the current field works; over
+    Q a working integer always exists.
     """
     field, polys = _joined(*polys)
+    cones = []
     for p in polys:
         if p.is_zero():
             raise ZeroPolynomial("cannot shear the zero polynomial")
-    forms = [p.lowest_form() for p in polys]
-    x, y = polys[0].variables
-    one = field.one()
+        r = p.min_total_degree()
+        cone = [field.raw_zero] * (r + 1)
+        for e, c in p.values.items():
+            if e[0] + e[1] == r:
+                cone[e[0]] = c
+        cones.append(UniPoly._from_values(field, _trim(cone), "t"))
+    if all(cone.values[0] for cone in cones):
+        return polys, field.zero(), field
     # over Q the forms vanish at fewer integers than their degrees add up
     # to, so a shear lies among the first limit candidates
     limit = sum(int(p.total_degree()) for p in polys) + 3
@@ -453,13 +465,12 @@ def make_suitable_many(polys):
         return islice(_shear_candidates(fld), None if fld.is_finite else limit)
 
     def fits(lam):
-        return all(not L.evaluate({x: lam, y: one}).is_zero() for L in forms)
+        return all(cone.eval(lam) for cone in cones)
 
     lam, field = _first_fit(field, candidates, fits)
     if lam is None:
         raise NotSuitable("no rational shear found; impossible")
-    if not lam.is_zero():
-        polys = [shear(p.map_field(field), lam) for p in polys]
+    polys = [shear(p.map_field(field), lam) for p in polys]
     return polys, lam, field
 
 
@@ -471,8 +482,6 @@ def make_suitable(F: MultiPoly):
     """
     if F.is_zero():
         raise ZeroPolynomial("cannot make the zero polynomial suitable")
-    if is_suitable(F):
-        return F, F.field.zero()
     sheared, lam, _ = make_suitable_many([F])
     return sheared[0], lam
 

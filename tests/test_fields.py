@@ -5,6 +5,7 @@ import gc
 import itertools
 import math
 import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -717,11 +718,15 @@ def test_rational_roots_match_trial_division():
         for g, m in factors:
             product = product * g ** m
         assert product == f
-        # the splitter itself, on the squarefree part
+        # the splitter itself, on the squarefree part without the factor t:
+        # it takes g(0) != 0, as uni_factor divides t^k off first
         g = (f // uni_gcd(f, f.derivative())).monic()
-        roots, residual = fields._rational_roots_split(g)
-        assert {r.value for r in roots} == want and len(roots) == len(want)
-        assert residual.degree == g.degree - len(want)
+        nonzero = want - {0}
+        if 0 in want:
+            g = g // T(QQ, 0, 1)
+        roots, residual = fields._rational_roots_split(g) if g.degree >= 1 else ([], g)
+        assert {r.value for r in roots} == nonzero and len(roots) == len(nonzero)
+        assert residual.degree == g.degree - len(nonzero)
         seen["big"] += max(abs(c.numerator) for c in f.values) >= 10 ** 10
         seen["repeated"] += any(m > 1 for _g, m in factors)
         seen["root at 0"] += 0 in want
@@ -844,6 +849,190 @@ def test_a_linear_squarefree_part_is_read_off_only_in_characteristic_0():
     # although f is no power of it
     f = T(F5, 4, 1) * T(F5, 3, 1) ** 5
     assert [(str(g), m) for g, m in uni_factor(f)[1]] == [("t+3", 5), ("t+4", 1)]
+
+
+def squarefree_decomposition_gcd_first(f):
+    """_squarefree_decomposition as it was when f = w^n was read off in
+    characteristic 0 only; kept as the reference."""
+    result = []
+    g = uni_gcd(f, f.derivative())
+    w = f // g
+    if w.degree == 1 and not f.field.is_finite:
+        return [(w, f.degree)]
+    i = 1
+    while w.degree >= 1:
+        y = uni_gcd(w, g)
+        z = w // y
+        if z.degree >= 1:
+            result.append((z, i))
+        w, g = y, g // y
+        i += 1
+    if f.field.is_finite and g.degree >= 1:
+        p = f.field.characteristic()
+        result.extend(
+            (h, p * m) for h, m in squarefree_decomposition_gcd_first(fields._pth_root(g))
+        )
+    return result
+
+
+def rational_roots_split_gcd_first(g):
+    """_rational_roots_split as it was when it stripped the root at 0 itself."""
+    roots = []
+    while g.coeff(0).is_zero() and g.degree >= 1:
+        roots.append(QQ.zero())
+        g = g // T(QQ, 0, 1)
+    if g.degree < 1:
+        return roots, g
+    if g.degree == 1:
+        candidates = [QQ.divider(g.values[1])(QQ.neg(g.values[0]))]
+    else:
+        candidates = fields._padic_root_candidates(g.values)
+    for cand in candidates:
+        root = QQ.scalar(cand)
+        if g.eval(root).is_zero():
+            roots.append(root)
+            g = g // UniPoly(QQ, (-root, QQ.one()), g.var)
+    return roots, g
+
+
+def uni_factor_gcd_first(f, seed=None):
+    """uni_factor as it was before t^k came off first: every monic f of
+    degree >= 2 went through Yun's gcd loop whole, and over F_q the random
+    stream was made on every call; kept as the reference."""
+    unit = f.lc()
+    if f.degree < 1:
+        return unit, []
+    if f.degree == 1:
+        return unit, [(f.monic(), 1)]
+    f = f.monic()
+    out = []
+    if isinstance(f.field, RationalField):
+        for g, m in squarefree_decomposition_gcd_first(f):
+            roots, residual = rational_roots_split_gcd_first(g)
+            for r in roots:
+                out.append((UniPoly(f.field, (-r, f.field.one()), f.var), m))
+            if residual.degree >= 1:
+                out.append((residual, m))
+    else:
+        rng = random.Random(fields.DEFAULT_FACTOR_SEED if seed is None else seed)
+        for g, m in squarefree_decomposition_gcd_first(f):
+            for h, d in fields._distinct_degree(g):
+                for irr in fields._equal_degree(h, d, rng):
+                    out.append((irr.monic(), m))
+    out.sort(key=fields._factor_key)
+    return unit, out
+
+
+def _same_factors(f):
+    got, want = uni_factor(f), uni_factor_gcd_first(f)
+    assert got[0] == want[0]
+    assert [(str(g), m) for g, m in got[1]] == [(str(g), m) for g, m in want[1]]
+    assert [(g.field, g.values, m) for g, m in got[1]] == [
+        (g.field, g.values, m) for g, m in want[1]
+    ]
+
+
+FACTOR_FIELDS = {
+    "Q": QQ, "F2": F2, "F3": F3, "F5": F5, "F7": F7, "F9": F9(), "F101": PrimeField(101)
+}
+
+
+@st.composite
+def monomial_times(draw, field):
+    """c * t^k * g with g a product of up to three small polynomials, each
+    to a power, and k from 0 to 4."""
+    if field.is_finite:
+        coeff = st.sampled_from(list(field.elements()))
+    else:
+        coeff = st.integers(-5, 5).map(field.scalar)
+    f = T(field, draw(coeff.filter(bool))) * T(field, 0, 1) ** draw(st.integers(0, 4))
+    for _ in range(draw(st.integers(0, 3))):
+        g = T(field, *draw(st.lists(coeff, min_size=2, max_size=4)))
+        if g.degree >= 1:
+            f = f * g ** draw(st.integers(1, 3))
+    return f
+
+
+@st.composite
+def linear_powers(draw, field):
+    """(t - a)^n with n below the characteristic (at most 12), times a unit."""
+    p = field.characteristic()
+    a = draw(st.sampled_from(list(field.elements())))
+    unit = draw(st.sampled_from(list(field.elements())).filter(bool))
+    return T(field, unit) * T(field, -a, 1) ** draw(st.integers(1, min(p - 1, 12)))
+
+
+@pytest.mark.parametrize("name", sorted(FACTOR_FIELDS))
+def test_uni_factor_agrees_with_the_gcd_loop_first(name):
+    K = FACTOR_FIELDS[name]
+    inputs = monomial_times(K)
+    if K.is_finite:
+        inputs = st.one_of(inputs, linear_powers(K))
+    seen = {"t^k": 0, "t^k alone": 0, "g": 0}
+
+    @seed(2525)
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(f=inputs)
+    def check(f):
+        _same_factors(f)
+        k = next(i for i, v in enumerate(f.values) if v)
+        seen["t^k"] += k >= 1
+        seen["t^k alone"] += k >= 1 and f.degree == k
+        seen["g"] += f.degree > k
+
+    check()
+    assert all(seen.values()), seen
+
+
+# (f, does the f = w^n shortcut read f off?): the shortcut runs when
+# deg f is below the characteristic, so no multiplicity is a multiple of p
+BOUNDARY = {
+    "(t+1)^4 over F3": (T(F3, 1, 1) ** 4, False),
+    "t^3*(t+1)^2 over F2": (T(F2, 0, 1) ** 3 * T(F2, 1, 1) ** 2, False),
+    "(t+2)^5 over F5, f' = 0": (T(F5, 2, 1) ** 5, False),
+    "(t+2)^4 over F5": (T(F5, 2, 1) ** 4, True),
+    "3*(t-3)^6 over F7": (T(F7, 3) * T(F7, -3, 1) ** 6, True),
+    "(t+1)^7 over F7": (T(F7, 1, 1) ** 7, False),
+    "2*t^2*(t+1)^2 over F3": (T(F3, 0, 0, 2) * T(F3, 1, 1) ** 2, True),
+    "(t+2)^5*(t+4) over F5": (T(F5, 2, 1) ** 5 * T(F5, 4, 1), False),
+}
+
+
+@pytest.mark.parametrize("label", sorted(BOUNDARY))
+def test_uni_factor_at_the_characteristic_boundary(monkeypatch, label):
+    f, shortcut = BOUNDARY[label]
+    _same_factors(f)
+    gcds = []
+    original = fields.uni_gcd
+
+    def counting(a, b):
+        gcds.append(1)
+        return original(a, b)
+
+    # the shortcut stops at gcd(f, f'); Yun's loop and the p-th root
+    # recursion take more
+    monkeypatch.setattr(fields, "uni_gcd", counting)
+    uni_factor(f)
+    assert (len(gcds) == 1) is shortcut, len(gcds)
+
+
+def test_uni_factor_makes_the_random_stream_only_to_split(monkeypatch):
+    made = []
+    original = fields.Random
+
+    def counting(*a):
+        made.append(a)
+        return original(*a)
+
+    monkeypatch.setattr(fields, "Random", counting)
+    F101 = FACTOR_FIELDS["F101"]
+    # no block to split: t^k, one linear factor to a power, one
+    # irreducible of each degree
+    for f in (T(F101, 0, 0, 0, 0, 7), T(F101, 5, 1) ** 9, T(F7, 3, 1) * T(F7, 1, 0, 1)):
+        uni_factor(f)
+    assert made == []
+    assert [str(g) for g, _m in uni_factor(T(F7, 1, 1) * T(F7, 2, 1))[1]] == ["t+1", "t+2"]
+    assert len(made) == 1
 
 
 def test_good_prime_search_ends_on_non_squarefree_input():

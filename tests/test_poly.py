@@ -3,6 +3,7 @@
 import gc
 from fractions import Fraction
 from functools import partial
+from itertools import islice
 
 import pytest
 from hypothesis import given, seed, settings
@@ -531,6 +532,107 @@ class TestSuitability:
     def test_suitability_of_zero_raises(self):
         with pytest.raises(ZeroPolynomial):
             is_suitable(MultiPoly.zero(QQ))
+
+
+def make_suitable_many_before(polys):
+    """make_suitable_many as it was before each tangent cone was read once:
+    every lowest form built whole and evaluated at (lam, 1) by
+    MultiPoly.evaluate, candidate after candidate; kept as the reference."""
+    field, polys = poly._joined(*polys)
+    for p in polys:
+        if p.is_zero():
+            raise ZeroPolynomial("cannot shear the zero polynomial")
+    forms = [p.lowest_form() for p in polys]
+    x, y = polys[0].variables
+    one = field.one()
+    limit = sum(int(p.total_degree()) for p in polys) + 3
+
+    def candidates(fld):
+        return islice(poly._shear_candidates(fld), None if fld.is_finite else limit)
+
+    def fits(lam):
+        return all(not L.evaluate({x: lam, y: one}).is_zero() for L in forms)
+
+    lam, field = poly._first_fit(field, candidates, fits)
+    if lam is None:
+        raise NotSuitable("no rational shear found; impossible")
+    if not lam.is_zero():
+        polys = [shear(p.map_field(field), lam) for p in polys]
+    return polys, lam, field
+
+
+SUITABLE_FIELDS = {"Q": QQ, "F2": F2, "F5": F5, "F7": F7, "F9": F9()}
+
+
+def _lines(field, slopes):
+    """The product of the lines x + c*y over the slopes c."""
+    x, y = (MultiPoly.var(field, v) for v in AFFINE)
+    form = MultiPoly.constant(field, 1)
+    for c in slopes:
+        form = form * (x + y * c)
+    return form
+
+
+@st.composite
+def cone_polys(draw, field):
+    """Mostly a polynomial whose lowest form is y^a times lines x + c*y with
+    slopes c drawn from the field (from -3..3 over Q), under terms of higher
+    degree; one time in four any nonzero small polynomial."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(small_polys(field).filter(lambda p: not p.is_zero()))
+    slopes = list(field.elements()) if field.is_finite else [field.scalar(k) for k in range(-3, 4)]
+    y = MultiPoly.var(field, "y")
+    lines = _lines(field, draw(st.lists(st.sampled_from(slopes), max_size=4)))
+    form = y ** draw(st.integers(0, 2)) * lines
+    r = form.total_degree()
+    above = {e: c for e, c in draw(small_polys(field)).values.items() if sum(e) > r}
+    return form + MultiPoly._from_values(field, AFFINE, above)
+
+
+def _same_suitable(polys):
+    sheared, lam, field = make_suitable_many(polys)
+    want_sheared, want_lam, want_field = make_suitable_many_before(polys)
+    assert field == want_field and field.describe() == want_field.describe()
+    assert lam.field == want_lam.field and lam == want_lam and str(lam) == str(want_lam)
+    assert [(p.field, p.variables, p.values) for p in sheared] == [
+        (p.field, p.variables, p.values) for p in want_sheared
+    ]
+    return lam, field
+
+
+@pytest.mark.parametrize("name", sorted(SUITABLE_FIELDS))
+def test_make_suitable_many_agrees_with_the_forms_before(name):
+    K = SUITABLE_FIELDS[name]
+    seen = {"no shear": 0, "shear": 0}
+
+    @seed(2525)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(polys=st.lists(cone_polys(K), min_size=1, max_size=3))
+    def check(polys):
+        lam, _field = _same_suitable(polys)
+        seen["shear" if lam else "no shear"] += 1
+
+    check()
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("name", ["F2", "F5", "F7", "F9"])
+def test_make_suitable_many_extends_the_field_as_before(name):
+    # lines through every slope of the field, spread over three curves, so
+    # that every candidate fails and the tower grows a quadratic level
+    K = SUITABLE_FIELDS[name]
+    slopes = list(K.elements())
+    x = MultiPoly.var(K, "x")
+    polys = [_lines(K, slopes[i::3]) + x ** (len(slopes) + 1) for i in range(3)]
+    lam, field = _same_suitable(polys)
+    assert field.order() == K.order() ** 2 and lam
+
+
+def test_make_suitable_many_refuses_zero_as_before():
+    polys = [aff("x^2 - y"), MultiPoly.zero(QQ)]
+    for suit in (make_suitable_many, make_suitable_many_before):
+        with pytest.raises(ZeroPolynomial):
+            suit(polys)
 
 
 class TestGcdResultant:
