@@ -29,17 +29,17 @@ squarefree decomposition reads g = w^n off at once when its squarefree
 part w = g / gcd(g, g') is linear, in characteristic 0 and below the
 characteristic p, where no multiplicity is a multiple of p.  Over a finite
 field factorization is complete: squarefree decomposition, then
-distinct-degree splitting, then equal-degree splitting with a seeded
-deterministic random stream, made only when a block has to be split; a
-squarefree f is irreducible when its first distinct-degree factor has
-degree deg f.  Over Q only rational roots are split off;
-a residual factor of degree >= 2 is returned whole and callers that need
-an actual point raise NonRationalPoint.  The rational roots of a squarefree
-factor come from its roots modulo the first good prime p (one that keeps
-the leading coefficient and squarefreeness), lifted p-adically by Newton's
-iteration past twice |leading * constant coefficient| and read back as
-rationals; only a candidate at which the factor vanishes exactly is kept.
-This needs no random choice and no divisor of any coefficient.
+distinct-degree splitting, then equal-degree splitting in one
+Cantor-Zassenhaus loop with a seeded deterministic random stream, made only
+when a block has to be split; a squarefree f is irreducible when its first
+distinct-degree factor has degree deg f.  Over Q only rational roots are
+split off; a residual factor of degree >= 2 is returned whole and callers
+that need an actual point raise NonRationalPoint.  The rational roots of a
+squarefree factor come from its roots modulo the first good prime p (one
+that keeps the leading coefficient and squarefreeness), lifted p-adically
+by Newton's iteration past twice |leading * constant coefficient| and read
+back as rationals; only a candidate at which the factor vanishes exactly
+is kept.  This needs no random choice and no divisor of any coefficient.
 
 Roots come from a list of factors, split by one loop, _split_factors:
 roots_with_extension hands it the factorization of one polynomial, and a
@@ -47,6 +47,10 @@ witness node in blowup the merged factors of its drivers' fibers.  Over a
 finite field, adjoining an irreducible factor g of degree d over F_q gives
 its d roots for free as the Frobenius images z^(q^i) of the new generator
 z, so only the other nonlinear factors are split again over the extension.
+Every equal-degree split, there and in uni_factor, reads the |K|-th power
+map of its field K off the Frobenius over the level below K (over K
+itself when K is a prime field), _frobenius, so no power runs with the
+order of an extension as exponent.
 """
 
 from __future__ import annotations
@@ -66,40 +70,11 @@ from .errors import (
     UnsupportedExtension,
     ZeroPolynomial,
 )
+from .integers import _coprime_ints, _int_eval, _is_prime
 
 DEFAULT_FACTOR_SEED = 0
 
 NEG_INF = float("-inf")
-
-
-# Miller-Rabin with the first 13 primes as bases decides primality exactly
-# below PSI_13 (Sorenson and Webster, Math. Comp. 86, 2017)
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-PSI_13 = 3317044064679887385961981
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; ValueError at or above PSI_13."""
-    if n >= PSI_13:
-        raise ValueError(f"primality is decided only below {PSI_13}, got {n}")
-    if n < 2:
-        return False
-    for a in _MR_BASES:
-        if n % a == 0:
-            return n == a
-    s = ((n - 1) & -(n - 1)).bit_length() - 1
-    d = (n - 1) >> s
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _trim(cs) -> tuple:
@@ -899,22 +874,6 @@ def _padic_root_candidates(values) -> list:
     return out
 
 
-def _coprime_ints(values) -> list:
-    """The rationals in values times the one positive constant that makes
-    them coprime ints."""
-    den = math.lcm(*[c.denominator for c in values])
-    a = [c.numerator * (den // c.denominator) for c in values]
-    content = math.gcd(*a)
-    return [c // content for c in a]
-
-
-def _int_eval(a, r: int) -> int:
-    acc = 0
-    for c in reversed(a):
-        acc = acc * r + c
-    return acc
-
-
 def _good_prime(a, da) -> int:
     """The first prime p not dividing a[-1] such that the integer polynomial
     a (derivative da) stays squarefree modulo p.
@@ -973,34 +932,53 @@ def _distinct_degree(f: UniPoly):
 
 
 def _equal_degree(f: UniPoly, d: int, rng: Random):
-    """Cantor-Zassenhaus split of a product of degree-d irreducibles."""
-    if f.degree == d:
+    """Cantor-Zassenhaus split of a monic f, a product of distinct degree-d
+    irreducibles over its field K (Cantor and Zassenhaus, Math. Comp. 36,
+    1981), in one loop.
+
+    Each round draws u and computes w once modulo f: u^((|K|^d - 1)/2),
+    which is 0 or +-1 modulo each factor, or in characteristic 2 the trace
+    of u to F_2, which is 0 or 1.  Every part P is refined by
+    gcd(w - 1 mod P, P) (gcd(w mod P, P) in characteristic 2).  w is read
+    off the Frobenius Phi(v) = v^q of K[t]/(f), with q = |k| for the level
+    k below K (k = K over a prime field), which _frobenius gives as a
+    linear map: the norm prod_{i<s} Phi^i(u), or the trace, over the
+    s = d*[K:k] steps of Phi that make up the |K|^d-th power, then its
+    ((q - 1)/2)-th power, or the trace over the log2 q squarings down to
+    F_2.  So no power runs with exponent |K| (von zur Gathen and Shoup,
+    Comput. Complexity 2, 1992).  Monic factorization is unique, so the
+    parts are the same whichever u split them.
+    """
+    F, n = f.field, len(f.values) - 1
+    if n == d:
         return [f]
-    field = f.field
-    q = field.order()
-    p = field.characteristic()
-    n = int(f.degree)
-    one = UniPoly(field, (field.one(),), f.var)
-    while True:
-        h = UniPoly(field, [field.random_scalar(rng) for _ in range(n)], f.var)
-        if h.degree < 1:
-            continue
-        g = uni_gcd(h, f)
-        if 1 <= g.degree < f.degree:
-            return _equal_degree(g, d, rng) + _equal_degree(f // g, d, rng)
-        if p == 2:
-            k = q.bit_length() - 1  # q = 2^k
-            acc = h % f
-            cur = h % f
-            for _ in range(k * d - 1):
-                cur = cur.pow_mod(2, f)
-                acc = (acc + cur) % f
-            g = uni_gcd(acc, f)
+    # K[t]/(f) as a ring: ExtensionField's arithmetic needs an irreducible
+    # modulus only for inv
+    R = ExtensionField(F, f, f.var)
+    k, s = (F.base, d * F.degree) if isinstance(F, ExtensionField) else (F, d)
+    q = k.order()
+    # with s = 1 no step of Phi is taken
+    phi = _frobenius(R, k) if s > 1 else None
+    char2 = F.characteristic() == 2
+    parts = [f.values]
+    while len(parts) < n // d:
+        w = cur = _trim([F.random_scalar(rng).value for _ in range(n)])
+        for _ in range(s - 1):
+            cur = phi(cur)
+            w = R.add(w, cur) if char2 else R.mul(w, cur)
+        if char2:
+            cur = w
+            for _ in range(q.bit_length() - 2):
+                cur = R.mul(cur, cur)
+                w = R.add(w, cur)
         else:
-            w = h.pow_mod((q ** d - 1) // 2, f)
-            g = uni_gcd(w - one, f)
-        if 1 <= g.degree < f.degree:
-            return _equal_degree(g, d, rng) + _equal_degree(f // g, d, rng)
+            w = R.sub(_power(R.mul, R.raw_one, w, (q - 1) // 2), R.raw_one)
+        split = []
+        for P in parts:
+            g = _pgcd(F, _pdivmod(F, w, P)[1], P) if len(P) > d + 1 else P
+            split += [g, _pdivmod(F, P, g)[0]] if 1 < len(g) < len(P) else [P]
+        parts = split
+    return [UniPoly._from_values(F, P, f.var) for P in parts]
 
 
 def _factor_key(fm):
@@ -1157,3 +1135,27 @@ def _split_factors(field: Field, factors):
     roots = [(-g.coeff(0), m) for g, m in factors]
     roots.sort(key=lambda rm: str(rm[0]))
     return field, roots
+
+
+def _frobenius(field, base):
+    """The raw map v -> v^q on field, q = |base|, as a linear map level by
+    level: it fixes base, and above it sends sum c_i z^i to
+    sum frob(c_i) w^i, with the powers of w = z^q computed once per level.
+    A top level may be a ring K[t]/(f), as in _equal_degree."""
+    if field == base:
+        return lambda v: v
+    below, B = _frobenius(field.base, base), field.base
+    w = _power(field.mul, field.raw_one, (B.raw_zero, B.raw_one), base.order())
+    powers = [field.raw_one]
+    while len(powers) < field.degree:
+        powers.append(field.mul(powers[-1], w))
+
+    def frob(v):
+        out = ()
+        for c, wi in zip(v, powers):
+            c = below(c)
+            if c:
+                out = _padd(B, out, [B.mul(c, x) for x in wi])
+        return out
+
+    return frob

@@ -36,14 +36,13 @@ from .fields import (
     RationalField,
     Scalar,
     UniPoly,
-    _coprime_ints,
+    _frobenius,
     _join,
     _joined,
-    _padd,
-    _power,
     is_irreducible,
     join_fields,
 )
+from .integers import _coprime_ints
 from .poly import (
     MultiPoly,
     PROJECTIVE,
@@ -342,29 +341,6 @@ def _orbit_reps(coords_list, base, complete=False):
                 raise InternalError(f"a conjugate of point {i} is missing from the point list")
             first.update(dict.fromkeys(orbit, i))
     return reps
-
-
-def _frobenius(field, base):
-    """The raw map v -> v^q on field, q = |base|, as a linear map level by
-    level: it fixes base, and above it sends sum c_i z^i to
-    sum frob(c_i) w^i, with the powers of w = z^q computed once per level."""
-    if field == base:
-        return lambda v: v
-    below, B = _frobenius(field.base, base), field.base
-    w = _power(field.mul, field.raw_one, (B.raw_zero, B.raw_one), base.order())
-    powers = [field.raw_one]
-    while len(powers) < field.degree:
-        powers.append(field.mul(powers[-1], w))
-
-    def frob(v):
-        out = ()
-        for c, wi in zip(v, powers):
-            c = below(c)
-            if c:
-                out = _padd(B, out, [B.mul(c, x) for x in wi])
-        return out
-
-    return frob
 
 
 def _full_degree_fibers(F: MultiPoly, n: int):

@@ -3,8 +3,14 @@
 Common points of two coprime projective curves come from eliminating Z by
 a resultant after moving [0:0:1] off both curves, factoring the resulting
 binary form into directions, and intersecting the two fibers over each
-direction.  Field extensions are threaded sequentially, so every point
-lives somewhere along a single tower and points can be compared.
+direction.  The shifted curves have constant Z-leading coefficients, so
+the resultant vanishes exactly when they share a component, and that is
+the coprimality test: no gcd runs.  Frobenius over the field of the shift
+maps directions, fibers and their common roots to conjugate ones, so only
+the first listed direction of each orbit intersects its fibers, and its
+conjugates take the Frobenius images of its roots.  Field extensions are
+threaded sequentially, so every point lives somewhere along a single tower
+and points can be compared.
 
 The AF+BG machinery has two independent halves: check_condition walks
 joint blow-up trees at every common point of F and G and verifies the
@@ -40,6 +46,7 @@ from .fields import (
     RationalField,
     Scalar,
     UniPoly,
+    _frobenius,
     _join,
     _joined,
     _trim,
@@ -106,12 +113,18 @@ def _strip_var(F: MultiPoly, idx: int):
     return MultiPoly._from_values(F.field, F.variables, values), k
 
 
-def _assert_coprime_forms(F: MultiPoly, G: MultiPoly):
-    """Raise CommonComponent when two forms share a nonconstant factor."""
-    Fh, kF = _strip_var(F, 2)
-    Gh, kG = _strip_var(G, 2)
+def _strip_z(F: MultiPoly, G: MultiPoly):
+    """(F', kF, G', kG) with F = Z^kF * F' and G = Z^kG * G', where Z
+    divides neither F' nor G'; CommonComponent when Z divides both."""
+    (Fh, kF), (Gh, kG) = _strip_var(F, 2), _strip_var(G, 2)
     if kF >= 1 and kG >= 1:
         raise CommonComponent("curves share the component Z")
+    return Fh, kF, Gh, kG
+
+
+def _assert_coprime_forms(F: MultiPoly, G: MultiPoly):
+    """Raise CommonComponent when two forms share a nonconstant factor."""
+    Fh, _, Gh, _ = _strip_z(F, G)
     if Fh.total_degree() >= 1 and Gh.total_degree() >= 1:
         if biv_gcd(dehomogenize(Fh, "Z"), dehomogenize(Gh, "Z")).total_degree() >= 1:
             raise CommonComponent("curves share a component")
@@ -184,17 +197,14 @@ def find_common_points(F: MultiPoly, G: MultiPoly):
     if F.total_degree() < 1 or G.total_degree() < 1:
         raise ValueError("curves must have degree at least 1")
     fld, (F, G) = _joined(F, G)
-    _assert_coprime_forms(F, G)
-
+    # a component other than Z shared by the forms shows as a zero resultant
+    Fh, kF, Gh, kG = _strip_z(F, G)
     points = []
 
     def add(raw):
         p = ProjPoint(raw)
         if not any(p == q for q in points):
             points.append(p)
-
-    Fh, kF = _strip_var(F, 2)
-    Gh, kG = _strip_var(G, 2)
 
     # the component Z = 0 of one input meets the other in its directions
     if Fh.total_degree() >= 1 and Gh.total_degree() >= 1:
@@ -211,7 +221,16 @@ def find_common_points(F: MultiPoly, G: MultiPoly):
 
 
 def _common_points_core(F: MultiPoly, G: MultiPoly, fld: Field, add):
-    """Z-free coprime forms: eliminate Z, factor directions, intersect fibers."""
+    """Z-free forms: eliminate Z, factor directions, intersect fibers.
+
+    CommonComponent when the forms share a component.  Frobenius over the
+    field of the shift (a, b) fixes the shifted forms, so it maps the fibers
+    over a direction [1 : t] to those over [1 : t^q] and their common roots
+    to the common roots there: only the first listed direction of each
+    orbit computes its fibers, their gcd and its roots, and each conjugate
+    takes the images of those roots, in the text order of
+    roots_with_extension.
+    """
     n, m = F.total_degree(), G.total_degree()
 
     # move [0:0:1] off both curves so the Z-leading coefficients are constants
@@ -230,15 +249,33 @@ def _common_points_core(F: MultiPoly, G: MultiPoly, fld: Field, add):
     # X = 1 leaves (Y, Z) as the bivariate pair (t, Z)
     Ft, Gt = (dehomogenize(P, "X").rename(("t", "Z")) for P in (Fp, Gp))
     R1 = resultant_biv(Ft, Gt, main="Z")
+    # the Z-leading coefficients are nonzero constants, so R1 vanishes
+    # exactly when the forms share a component
     if R1.is_zero():
-        raise InternalError("resultant of coprime forms vanished")
+        raise CommonComponent("curves share a component")
+    base = fld
     directions, fld = _directions(R1, n * m, fld)
+    frob = _frobenius(fld, base)
+    # the roots over each conjugate direction still to come, by its t
+    images = {}
     for x0, y0 in directions:
-        h = uni_gcd(_z_fiber(Fp, x0, y0), _z_fiber(Gp, x0, y0))
-        if h.degree < 1:
-            raise InternalError("no common point over a root of the resultant")
-        fld, roots = roots_with_extension(h.map_field(fld))
-        for z0, _ in roots:
+        roots = images.pop(y0.value, None)
+        if roots is None:
+            h = uni_gcd(_z_fiber(Fp, x0, y0), _z_fiber(Gp, x0, y0))
+            if h.degree < 1:
+                raise InternalError("no common point over a root of the resultant")
+            fld, roots = roots_with_extension(h.map_field(fld))
+            roots = [z for z, _ in roots]
+            t = frob(y0.value)
+            if t != y0.value:
+                sigma = _frobenius(fld, base)
+                values = [z.value for z in roots]
+                while t != y0.value:
+                    values = [sigma(v) for v in values]
+                    images[t] = sorted([Scalar(fld, v) for v in values], key=str)
+                    t = frob(t)
+        for z0 in roots:
+            z0 = fld.embed(z0)
             add((x0 + a * z0, y0 + b * z0, z0))
     return fld
 

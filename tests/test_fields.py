@@ -13,6 +13,7 @@ from hypothesis import Phase, given, seed, settings
 from hypothesis import strategies as st
 
 import planecurves.fields as fields
+import planecurves.integers as integers
 import planecurves.poly as poly
 from planecurves.errors import (
     DivisionByZero,
@@ -1082,7 +1083,7 @@ def _trial_division(n):
 
 
 def test_is_prime_agrees_with_trial_division():
-    assert [n for n in range(200_000) if fields._is_prime(n)] == [
+    assert [n for n in range(200_000) if integers._is_prime(n)] == [
         n for n in range(200_000) if _trial_division(n)
     ]
 
@@ -1099,16 +1100,16 @@ def test_is_prime_agrees_with_trial_division():
     ],
 )
 def test_is_prime_on_large_inputs(n, prime):
-    assert fields._is_prime(n) is prime
+    assert integers._is_prime(n) is prime
 
 
 def test_is_prime_refuses_inputs_past_its_bound():
-    assert fields.PSI_13 == 3317044064679887385961981
-    fields._is_prime(fields.PSI_13 - 1)
+    assert integers.PSI_13 == 3317044064679887385961981
+    integers._is_prime(integers.PSI_13 - 1)
     with pytest.raises(ValueError, match="primality is decided only below"):
-        fields._is_prime(fields.PSI_13)
+        integers._is_prime(integers.PSI_13)
     with pytest.raises(ValueError):
-        PrimeField(fields.PSI_13 + 2)
+        PrimeField(integers.PSI_13 + 2)
 
 
 def _product_order(K):
@@ -1150,7 +1151,7 @@ def rabin_is_irreducible(f):
             w = w.pow_mod(q, f)
         return w
 
-    for ell in (d for d in range(2, n + 1) if n % d == 0 and fields._is_prime(d)):
+    for ell in (d for d in range(2, n + 1) if n % d == 0 and integers._is_prime(d)):
         if uni_gcd(x_power_q_tower(n // ell) - x, f).degree >= 1:
             return False
     return (x_power_q_tower(n) - x % f).is_zero()
@@ -1360,3 +1361,128 @@ def test_a_dropped_tower_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def equal_degree_plain_power(f, d, rng):
+    """_equal_degree as it split before the Frobenius of the level below:
+    Cantor-Zassenhaus with plain powers over f's own field, recursing on
+    both parts; kept as the reference."""
+    if f.degree == d:
+        return [f]
+    field = f.field
+    q = field.order()
+    p = field.characteristic()
+    n = int(f.degree)
+    one = UniPoly(field, (field.one(),), f.var)
+    while True:
+        h = UniPoly(field, [field.random_scalar(rng) for _ in range(n)], f.var)
+        if h.degree < 1:
+            continue
+        g = uni_gcd(h, f)
+        if 1 <= g.degree < f.degree:
+            return equal_degree_plain_power(g, d, rng) + equal_degree_plain_power(f // g, d, rng)
+        if p == 2:
+            k = q.bit_length() - 1  # q = 2^k
+            acc = h % f
+            cur = h % f
+            for _ in range(k * d - 1):
+                cur = cur.pow_mod(2, f)
+                acc = (acc + cur) % f
+            g = uni_gcd(acc, f)
+        else:
+            w = h.pow_mod((q ** d - 1) // 2, f)
+            g = uni_gcd(w - one, f)
+        if 1 <= g.degree < f.degree:
+            return equal_degree_plain_power(g, d, rng) + equal_degree_plain_power(f // g, d, rng)
+
+
+SPLIT_FIELDS = {
+    "F2": lambda: F2,
+    "F3": lambda: F3,
+    "F4": lambda: _tower(F2, (2,))[-1],
+    "F5": lambda: F5,
+    "F7": lambda: F7,
+    "F9": F9,
+    "F64 over F4": lambda: _tower(F2, (2, 3))[-1],
+}
+
+
+@st.composite
+def factor_products(draw, field):
+    """A product of one to three monic factors of degree 1 to 4, with
+    coefficients in the level below field (when there is one) or in field."""
+    below = draw(st.booleans()) and isinstance(field, ExtensionField)
+    coeff = st.sampled_from(list((field.base if below else field).elements()))
+    f = T(field, 1)
+    for _ in range(draw(st.integers(1, 3))):
+        lower = draw(st.lists(coeff, min_size=1, max_size=4))
+        f = f * UniPoly(field, lower + [1])
+    return f
+
+
+def _roots_text(f):
+    field, roots = roots_with_extension(f)
+    return field.describe(), [(str(r), m) for r, m in roots]
+
+
+@pytest.mark.parametrize("name", SPLIT_FIELDS)
+def test_roots_agree_with_plain_power_splitting(monkeypatch, name):
+    field = SPLIT_FIELDS[name]()
+    seen = {"from the level below": 0, "from its own field": 0, "d > 1": 0}
+    split = fields._equal_degree
+
+    def spy(f, d, rng):
+        if f.degree > d:
+            F = f.field
+            below = isinstance(F, ExtensionField) and all(len(c) <= 1 for c in f.values)
+            seen["from the level below" if below else "from its own field"] += 1
+            seen["d > 1"] += d > 1
+        return split(f, d, rng)
+
+    @seed(2626)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(f=factor_products(field))
+    def check(f):
+        with monkeypatch.context() as m:
+            m.setattr(fields, "_equal_degree", equal_degree_plain_power)
+            want = _roots_text(f)
+        with monkeypatch.context() as m:
+            m.setattr(fields, "_equal_degree", spy)
+            assert _roots_text(f) == want
+
+    check()
+    if name == "F2":
+        # F_2 has one irreducible quadratic and two cubics, so a block of
+        # distinct factors over F_2 itself is rare; the fixed cases below
+        # split one
+        del seen["from its own field"]
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize(
+    "field, factors, call",
+    [
+        # an irreducible quartic over F_2 splits into two quadratics over F_4
+        (F2, [(1, 1, 1), (1, 1, 0, 0, 1)], (2, 4, 2)),
+        # and over F_3, over F_9
+        (F3, [(1, 0, 1), (1, 0, 1, 1, 1)], (3, 4, 2)),
+        # the two irreducible cubics over F_2 split over F_2 itself
+        (F2, [(1, 1, 0, 1), (1, 0, 1, 1)], (2, 6, 3)),
+    ],
+    ids=["F2 quartic", "F3 quartic", "F2 cubics"],
+)
+def test_fixed_splits_agree_with_plain_power(monkeypatch, field, factors, call):
+    calls = []
+    split = fields._equal_degree
+
+    def spy(f, d, rng):
+        calls.append((f.field.characteristic(), int(f.degree), d))
+        return split(f, d, rng)
+
+    f = functools.reduce(operator.mul, [T(field, *c) for c in factors])
+    with monkeypatch.context() as m:
+        m.setattr(fields, "_equal_degree", equal_degree_plain_power)
+        want = _roots_text(f)
+    monkeypatch.setattr(fields, "_equal_degree", spy)
+    assert _roots_text(f) == want
+    assert call in calls

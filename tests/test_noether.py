@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from planecurves import invariants, noether
@@ -19,6 +19,9 @@ from planecurves.errors import (
 )
 from planecurves.noether import (
     ProjPoint,
+    _directions,
+    _pair_candidates,
+    _z_fiber,
     bezout_check,
     check_condition,
     find_common_points,
@@ -26,16 +29,19 @@ from planecurves.noether import (
     solve_af_bg,
 )
 from planecurves.fields import (
+    PrimeField,
     Scalar,
     UniPoly,
+    _frobenius,
     _joined,
     _power,
     extend_field,
     find_irreducible,
     join_fields,
+    roots_with_extension,
+    uni_gcd,
 )
 from planecurves.invariants import (
-    _frobenius,
     _genus_and_deltas,
     _intersection_multiplicity,
     _localize,
@@ -43,7 +49,15 @@ from planecurves.invariants import (
     delta_invariant,
 )
 from planecurves.linalg import solve_linear
-from planecurves.poly import PROJECTIVE, MultiPoly, parse_poly
+from planecurves.poly import (
+    PROJECTIVE,
+    MultiPoly,
+    _first_fit,
+    add_multiples,
+    dehomogenize,
+    parse_poly,
+    resultant_biv,
+)
 
 from .helpers import F2, F3, F5, F7, F9, F11, QQ, corpus, field_by_name, hom
 
@@ -608,3 +622,214 @@ def test_points_from_two_towers_are_each_computed():
         points.append((K.one(), K.zero(), i if not points else -i))
     assert _orbit_reps(points, F7) == [0, 1]
     assert _genus_and_deltas(F, points, True, DEFAULT_MAX_DEPTH) == (4, [1, 1])
+
+
+def _core_per_direction(F, G, fld, add):
+    """noether._common_points_core as it was before orbits of directions:
+    every direction computes its own fibers, their gcd and its roots; kept
+    as the reference."""
+    n, m = F.total_degree(), G.total_degree()
+    one = fld.one()
+
+    def off_both(ab):
+        point = {"X": ab[0], "Y": ab[1], "Z": one}
+        return not F.evaluate(point).is_zero() and not G.evaluate(point).is_zero()
+
+    (a, b), fld = _first_fit(fld, lambda k: _pair_candidates(k, (F, G)), off_both)
+    Fp, Gp = (add_multiples(P, (0, a, 2), (1, b, 2)) for P in (F, G))
+    Ft, Gt = (dehomogenize(P, "X").rename(("t", "Z")) for P in (Fp, Gp))
+    R1 = resultant_biv(Ft, Gt, main="Z")
+    if R1.is_zero():
+        raise CommonComponent("curves share a component")
+    directions, fld = _directions(R1, n * m, fld)
+    for x0, y0 in directions:
+        h = uni_gcd(_z_fiber(Fp, x0, y0), _z_fiber(Gp, x0, y0))
+        fld, roots = roots_with_extension(h.map_field(fld))
+        for z0, _ in roots:
+            add((x0 + a * z0, y0 + b * z0, z0))
+    return fld
+
+
+def _points_json(F, G):
+    return [p.to_json() for p in find_common_points(F, G)]
+
+
+def _per_direction_json(monkeypatch, F, G):
+    with monkeypatch.context() as m:
+        m.setattr(noether, "_common_points_core", _core_per_direction)
+        return _points_json(F, G)
+
+
+def _spy_fibers(monkeypatch):
+    """Count the fiber gcds, and keep (base, directions) of each _directions call."""
+    seen = {"gcds": 0, "directions": []}
+    gcd, directions = noether.uni_gcd, noether._directions
+
+    def gcd_spy(*args):
+        seen["gcds"] += 1
+        return gcd(*args)
+
+    def directions_spy(u, deg, fld):
+        out = directions(u, deg, fld)
+        seen["directions"].append((fld, out[0]))
+        return out
+
+    monkeypatch.setattr(noether, "uni_gcd", gcd_spy)
+    monkeypatch.setattr(noether, "_directions", directions_spy)
+    return seen
+
+
+def _orbits(base, directions):
+    """The Frobenius orbits over base of the directions [x : y], by text."""
+    q, orbits = base.order(), set()
+    for x0, y0 in directions:
+        orbit, y = {(str(x0), str(y0))}, y0 ** q
+        while y != y0:
+            orbit.add((str(x0), str(y)))
+            y = y ** q
+        orbits.add(frozenset(orbit))
+    return orbits
+
+
+def _one_fiber_per_orbit(monkeypatch, F, G):
+    """find_common_points against the per-direction loop; returns the number
+    of directions and of fiber gcds, which must be one per orbit."""
+    want = _per_direction_json(monkeypatch, F, G)
+    with monkeypatch.context() as m:
+        seen = _spy_fibers(m)
+        assert _points_json(F, G) == want
+    if not seen["gcds"]:
+        return 0, 0
+    # the core's _directions runs first; the line Z = 0 may add a second
+    base, directions = seen["directions"][0]
+    assert seen["gcds"] == len(_orbits(base, directions))
+    return len(directions), seen["gcds"]
+
+
+COMMON_POINT_FIELDS = {
+    "F2": F2, "F3": F3, "F4": extend_field(F2, find_irreducible(F2, 2)), "F5": F5, "F7": F7,
+    "F9": F9(), "F11": F11, "F13": PrimeField(13),
+}
+
+
+@pytest.mark.parametrize("name", COMMON_POINT_FIELDS)
+def test_one_fiber_per_orbit_matches_the_per_direction_loop(monkeypatch, name):
+    field = COMMON_POINT_FIELDS[name]
+    totals = [0, 0]
+
+    @seed(2626)
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(data=st.data())
+    def check(data):
+        F = data.draw(_forms(field, data.draw(st.integers(1, 3))))
+        G = data.draw(_forms(field, data.draw(st.integers(1, 3))))
+        assume(not F.is_zero() and not G.is_zero())
+        try:
+            want = _per_direction_json(monkeypatch, F, G)
+        except CurveError as err:
+            with pytest.raises(type(err)):
+                find_common_points(F, G)
+            return
+        for i, k in enumerate(_one_fiber_per_orbit(monkeypatch, F, G)):
+            totals[i] += k
+        assert _points_json(F, G) == want
+
+    check()
+    # some direction was a conjugate, and took no fiber gcd
+    assert totals[0] > totals[1] > 0, totals
+
+
+@pytest.mark.parametrize(
+    "F, G, field, base, adjoins",
+    [
+        # the directions lie in F_4, and the fiber over a representative
+        # adjoins a level above it, where its conjugate's roots are mapped
+        ("X*Y+Z^2", "X*Z^2+X^3+X*Y^2+Y^2*Z", F2, "F2", True),
+        # every point of F_2^2 lies on X*(X+Z), so _first_fit adjoins F_4 and
+        # the orbits are those over F_4, of length 3 in F_64, not 6
+        ("X^2+X*Z", "X^2*Z^2+Y^3*Z+Y*Z^3", F2, "F2[z1]/(z1^2+z1+1)", False),
+        # the points (+-i, +-i*i) meet the conjugate directions y = +-i*x
+        # two at a time; Frobenius swaps the two roots of each fiber, so the
+        # images are put back in text order
+        ("Y^2+2*X^2+Z^2", "X^2+Z^2", F3, "F3", False),
+    ],
+    ids=["adjoins", "shift over F4", "two roots"],
+)
+def test_conjugate_directions_map_their_representatives_roots(
+    monkeypatch, F, G, field, base, adjoins
+):
+    F, G = hom(F, field), hom(G, field)
+    directions, gcds = _one_fiber_per_orbit(monkeypatch, F, G)
+    assert directions > gcds
+    seen, fibers, bases = _spy_fibers(monkeypatch), [], set()
+    z_fiber, roots, frobenius = noether._z_fiber, noether.roots_with_extension, noether._frobenius
+
+    def fiber_spy(P, x0, y0):
+        fibers.append([y0, False])
+        return z_fiber(P, x0, y0)
+
+    def roots_spy(h):
+        fld, out = roots(h)
+        if fibers:
+            fibers[-1][1] = fld is not h.field
+        return fld, out
+
+    def frobenius_spy(fld, below):
+        bases.add(below.describe())
+        return frobenius(fld, below)
+
+    monkeypatch.setattr(noether, "_z_fiber", fiber_spy)
+    monkeypatch.setattr(noether, "roots_with_extension", roots_spy)
+    monkeypatch.setattr(noether, "_frobenius", frobenius_spy)
+    find_common_points(F, G)
+    K = seen["directions"][0][0]
+    assert K.describe() == base and bases == {base}
+    assert any(new and y0 ** K.order() != y0 for y0, new in fibers) == adjoins
+
+
+@pytest.mark.parametrize(
+    "F, G, field, message, shift_fields",
+    [
+        ("(X+Y-Z)*X", "(X+Y-Z)*Y", QQ, "curves share a component", ["Q"]),
+        # every point of F_2^2 lies on X*(X+Z): _first_fit adjoins F_4 first
+        ("X*(X+Z)", "X*Y+X*Z", F2, "curves share a component", ["F2[z1]/(z1^2+z1+1)"]),
+        ("Z*X", "Z*(Y+X)", QQ, "curves share the component Z", []),
+    ],
+    ids=["Q", "F2", "Z"],
+)
+def test_a_shared_component_raises_without_a_gcd(
+    monkeypatch, F, G, field, message, shift_fields
+):
+    gcds, shifts = [], []
+    first_fit = noether._first_fit
+
+    def spy(*args):
+        ab, fld = first_fit(*args)
+        shifts.append(fld.describe())
+        return ab, fld
+
+    monkeypatch.setattr(noether, "biv_gcd", lambda *a: gcds.append(a))
+    monkeypatch.setattr(noether, "_first_fit", spy)
+    with pytest.raises(CommonComponent, match=f"^{message}$"):
+        find_common_points(hom(F, field), hom(G, field))
+    assert gcds == [] and shifts == shift_fields
+
+
+def test_singular_points_pass_over_a_pair_with_a_shared_component(monkeypatch):
+    # F_X = 2*X*Y^2 and F_Y = 2*X^2*Y share X*Y; F_X and F_Z = 4*Z^3 do not
+    F = hom("X^2*Y^2+Z^4")
+    outcomes = []
+    common = noether.find_common_points
+
+    def spy(P, Q):
+        try:
+            points = common(P, Q)
+        except CommonComponent as err:
+            outcomes.append(str(err))
+            raise
+        outcomes.append(len(points))
+        return points
+
+    monkeypatch.setattr(noether, "find_common_points", spy)
+    assert find_singular_points(F) == [qpt(1, 0, 0), qpt(0, 1, 0)]
+    assert outcomes == ["curves share a component", 2]

@@ -2,14 +2,17 @@
 """Compare the output of two checkouts on every benchmark workload call.
 
     python3 tools/same_output.py OTHER_CHECKOUT [--seeds 1 2 3]
-        [--workloads corpus local_deep proj_tower cofactor]
+        [--workloads corpus local_deep proj_tower cofactor] [--calls FILE]
 
 The call lists come from this checkout's perfbench/workloads.py, loaded by
-path and only read, as tests/test_workloads.py loads it.  Each distinct
-argv runs once through planecurves.cli.main in a fresh interpreter per
-checkout, with that checkout's src on the path, and the script lists every
-call whose (exit code, stdout, stderr) differs.  Exit code 0 when every
-call matches, 1 otherwise.
+path and only read, as tests/test_workloads.py loads it, followed by the
+argv lists in the JSON file given with --calls, if any (a list of lists of
+strings, such as ["bezout", "X^2-Y*Z", "Y^2-X*Z", "--field", "p:7"]);
+`--workloads` with no names leaves only those.  Each distinct argv runs
+once through planecurves.cli.main in a fresh interpreter per checkout,
+with that checkout's src on the path, and the script lists every call
+whose (exit code, stdout, stderr) differs.  Exit code 0 when every call
+matches, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -91,7 +94,8 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=description)
     ap.add_argument("other", nargs="?", help="the checkout to compare this one with")
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=WORKLOADS)
+    ap.add_argument("--workloads", nargs="*", choices=WORKLOADS, default=WORKLOADS)
+    ap.add_argument("--calls", help="a JSON file of argv lists to compare as well")
     ap.add_argument("--run-calls", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.run_calls:
@@ -100,6 +104,16 @@ def main(argv=None):
     if args.other is None:
         ap.error("the other checkout is required")
     argvs = call_lists(args.seeds, args.workloads)
+    if args.calls:
+        with open(args.calls) as f:
+            extra = json.load(f)
+        if not (isinstance(extra, list) and all(
+            isinstance(argv, list) and all(isinstance(a, str) for a in argv) for argv in extra
+        )):
+            ap.error(f"{args.calls} does not hold a list of argv lists")
+        for argv in extra:
+            if argv not in argvs:
+                argvs.append(argv)
     ours, theirs = run_checkout(ROOT, argvs), run_checkout(args.other, argvs)
     labels = ("exit code", "stdout", "stderr")
     differ = 0
@@ -108,8 +122,9 @@ def main(argv=None):
             differ += 1
             which = ", ".join(lab for lab, x, y in zip(labels, a, b) if x != y)
             print(f"differs in {which}: {' '.join(argv)}")
+    sources = " ".join(args.workloads + ([args.calls] if args.calls else []))
     print(f"{differ} of {len(argvs)} distinct calls differ "
-          f"(seeds {' '.join(map(str, args.seeds))}; {' '.join(args.workloads)})")
+          f"(seeds {' '.join(map(str, args.seeds))}; {sources})")
     return 1 if differ else 0
 
 
