@@ -1,4 +1,5 @@
-"""Exact dense linear algebra: one fraction-free elimination for every domain.
+"""Exact linear algebra: one elimination for every domain, and the prime
+that certificates modulo p share.
 
 `echelon` is Bareiss elimination on raw values (Bareiss, Math. Comp. 22,
 1968; Geddes, Czapor and Labahn, Algorithms for Computer Algebra, 1992,
@@ -13,20 +14,37 @@ its update is (p_k*a - c*b) / p_s on the stored values: the same minor,
 so the division is exact, and it is checked.  A pivot row is first caught
 up, times p_(k-1) and divided by its own p_s.  Over a field no division
 is needed, and each pivot row is made monic by one inverse, so that an
-update costs a - c*b; over F_p that runs on bare ints, with one reduction
-modulo p per entry.  `solve_linear` runs it on
-rows cleared to integers over Q and on the field's raw values over F_q,
-and `poly.resultant_biv` on raw coefficient tuples of F[x].  Solutions are
-canonical: free variables are zero unless the caller pins them.
+update is a - c*b, and only in the columns where the pivot row b is
+nonzero; over F_p that runs on bare ints, with one reduction modulo p per
+touched entry.
+
+`solve_linear` runs it on the field's raw values over F_q.  Over Q it
+clears each row to integers and first eliminates modulo CERT_PRIME, only
+to choose rows: when n independent rows turn up there, Bareiss runs on
+those n alone and every row is checked exactly against the solution;
+otherwise on all of them.  `poly.resultant_biv` runs it on raw coefficient
+tuples of F[x].  Solutions are canonical: free variables are zero unless
+the caller pins them.
 """
 
 from __future__ import annotations
 
 import operator
+from functools import cache
 from math import lcm
 
 from .errors import InternalError
 from .fields import Field, PrimeField, RationalField, Scalar
+
+# the prime of every computation modulo p over Q: biv_gcd's coprimality
+# certificate and solve_linear's choice of rows
+CERT_PRIME = 2**31 - 1
+
+
+@cache
+def _cert_field() -> PrimeField:
+    # built once, on first use: every image mod p lives in this one field
+    return PrimeField(CERT_PRIME)
 
 
 def echelon(M, ncols, mul=None, sub=None, div=None, field=None):
@@ -34,19 +52,21 @@ def echelon(M, ncols, mul=None, sub=None, div=None, field=None):
 
     Scans the first ncols columns; rows may be longer (an augmented right
     hand side).  Each pivot is the first nonzero entry at or below the
-    current rank.  Over a domain (Z or F[x]) pass mul, sub and div(n, d) ->
-    (q, r).  A lower row whose entry c in the pivot column is zero is
-    skipped; otherwise each entry a right of the pivot column becomes
-    (p*a - c*b) / d, with p the pivot, b the pivot row's entry and d the
-    pivot of the row's last update (no division before its first), and a
-    remainder raises InternalError.  Each pivot row equals the textbook
-    Bareiss row from its pivot column on, so the last pivot of a square
-    matrix of full rank is its determinant up to the returned sign; a row
-    below the rank is a nonzero multiple of the textbook one.  Over a field
-    pass field instead: each pivot row is scaled to a leading 1 and each
-    entry becomes a - c*b.  Entries left of a row's pivot, and in lower
-    rows at or left of the last pivot column, are stale.  Returns the
-    (row, col) pivots and the sign of the row permutation.
+    current rank.  Rows are swapped and updated in place, so each list in M
+    stays the same row of the input.  Over a domain (Z or F[x]) pass mul,
+    sub and div(n, d) -> (q, r).  A lower row whose entry c in the pivot
+    column is zero is skipped; otherwise each entry a right of the pivot
+    column becomes (p*a - c*b) / d, with p the pivot, b the pivot row's
+    entry and d the pivot of the row's last update (no division before its
+    first), and a remainder raises InternalError.  Each pivot row equals
+    the textbook Bareiss row from its pivot column on, so the last pivot of
+    a square matrix of full rank is its determinant up to the returned
+    sign; a row below the rank is a nonzero multiple of the textbook one.
+    Over a field pass field instead: each pivot row is scaled to a leading
+    1 and each entry a becomes a - c*b where b is nonzero, the others stay
+    as they are.  Entries left of a row's pivot, and in lower rows at or
+    left of the last pivot column, are stale.  Returns the (row, col)
+    pivots and the sign of the row permutation.
     """
     m = len(M)
     pivots, sign, prev = [], 1, None
@@ -69,8 +89,21 @@ def echelon(M, ncols, mul=None, sub=None, div=None, field=None):
         if field is not None:
             if top[col] != one:
                 by_pivot = field.divider(top[col])
-                top[col:] = [one] + [by_pivot(b) for b in top[col + 1:]]
-        elif prev is not None and seen[rank] is not prev:
+                top[col:] = [one] + [by_pivot(b) if b else b for b in top[col + 1:]]
+            # the columns an update changes: those where the pivot row is nonzero
+            support = [(j, b) for j, b in enumerate(top[col + 1:], col + 1) if b]
+            for row in M[rank + 1:]:
+                c = row[col]
+                if not c:
+                    continue
+                if p_int is None:
+                    for j, b in support:
+                        row[j] = sub(row[j], mul(c, b))
+                else:
+                    for j, b in support:
+                        row[j] = (row[j] - c * b) % p_int
+            continue
+        if prev is not None and seen[rank] is not prev:
             # catch the pivot row up to the last step, unless updated there
             new = [mul(prev, v) for v in top[col:]]
             top[col:] = new if seen[rank] is None else _exact(div, new, seen[rank])
@@ -80,15 +113,10 @@ def echelon(M, ncols, mul=None, sub=None, div=None, field=None):
             c = row[col]
             if not c:
                 continue
-            if field is None:
-                new = [sub(mul(p, a), mul(c, b)) for a, b in zip(row[col + 1:], tail)]
-                if seen[i] is not None:
-                    new = _exact(div, new, seen[i])
-                seen[i] = p
-            elif p_int is None:
-                new = [sub(a, mul(c, b)) for a, b in zip(row[col + 1:], tail)]
-            else:
-                new = [(a - c * b) % p_int if b else a for a, b in zip(row[col + 1:], tail)]
+            new = [sub(mul(p, a), mul(c, b)) for a, b in zip(row[col + 1:], tail)]
+            if seen[i] is not None:
+                new = _exact(div, new, seen[i])
+            seen[i] = p
             row[col + 1:] = new
         prev = p
     return pivots, sign
@@ -110,6 +138,15 @@ def solve_linear(rows, rhs, field: Field, free_values=None):
 
     free_values maps column index -> Scalar for non-pivot columns (entries
     for pivot columns are ignored).  Default: all free variables zero.
+
+    Over Q the rows are cleared to integers and reduced modulo CERT_PRIME.
+    When elimination there finds a pivot in each of the n columns, the n
+    rows that gave them have a minor that is nonzero mod p, so nonzero over
+    Z: they are independent, and the solution is unique if there is one.
+    Bareiss solves those n rows alone, and the solution is returned only if
+    every one of the m rows holds exactly, None otherwise.  With fewer
+    pivots mod p (rank below n, or p divides every n-minor) all m rows are
+    eliminated over Z, and pinned free columns keep their meaning.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
@@ -124,6 +161,9 @@ def solve_linear(rows, rhs, field: Field, free_values=None):
          + [scalar(b).value] for row, b in zip(rows, rhs)]
     if isinstance(field, RationalField):
         M = [_clear_denominators(row) for row in M]
+        chosen = _independent_rows(M, n)
+        if chosen is not None:
+            return _solve_square(M, chosen, n, field)
         pivots, _ = echelon(M, n, operator.mul, operator.sub, divmod)
     else:
         pivots, _ = echelon(M, n, field=field)
@@ -136,8 +176,15 @@ def solve_linear(rows, rhs, field: Field, free_values=None):
     for j in range(n):
         if j not in pivot_cols and free_values.get(j) is not None:
             x[j] = field.scalar(free_values[j]).value
+    _back_substitute(M, pivots, x, field)
+    return [Scalar(field, v) for v in x]
+
+
+def _back_substitute(M, pivots, x, field):
+    """Fill x's pivot columns from the echelon rows, last pivot first."""
     # over Q the entries are ints, and field.divider returns an int for
     # each quotient that is integral and a Fraction only for the others
+    n = len(x)
     sub, mul = field.sub, field.mul
     for i, col in reversed(pivots):
         row = M[i]
@@ -146,6 +193,37 @@ def solve_linear(rows, rhs, field: Field, free_values=None):
             if row[j]:
                 acc = sub(acc, mul(row[j], x[j]))
         x[col] = field.divider(row[col])(acc)
+
+
+def _independent_rows(M, n):
+    """The indices, in order, of n rows of the integer rows M (n columns
+    and a right hand side) that are independent modulo CERT_PRIME, or None
+    when elimination there finds fewer than n pivots."""
+    Fp = _cert_field()
+    p = Fp.p
+    R = [[v % p for v in row[:n]] for row in M]
+    index = {id(row): i for i, row in enumerate(R)}
+    pivots, _ = echelon(R, n, field=Fp)
+    if len(pivots) < n:
+        return None
+    return sorted(index[id(R[i])] for i, _ in pivots)
+
+
+def _solve_square(M, chosen, n, field):
+    """Bareiss on the chosen n independent rows of the integer rows M, then
+    an exact check of every row; the solution as Scalars, or None when a
+    row fails, so that the system has no solution."""
+    S = [list(M[i]) for i in chosen]
+    pivots, _ = echelon(S, n, operator.mul, operator.sub, divmod)
+    if len(pivots) < n:
+        raise InternalError("rows independent modulo p must be independent over Q")
+    x = [field.raw_zero] * n
+    _back_substitute(S, pivots, x, field)
+    den = lcm(*[v.denominator for v in x])
+    X = [v.numerator * (den // v.denominator) for v in x]
+    for row in M:
+        if sum(map(operator.mul, row, X)) != row[n] * den:
+            return None
     return [Scalar(field, v) for v in x]
 
 

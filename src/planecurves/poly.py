@@ -22,9 +22,10 @@ polynomial (same field, same terms).
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
-from functools import cache, partial
+from functools import partial
 from itertools import chain, islice
 from math import lcm
 
@@ -50,7 +51,7 @@ from .fields import (
     find_irreducible,
     join_fields,
 )
-from .linalg import echelon
+from .linalg import _cert_field, echelon
 
 AFFINE = ("x", "y")
 CHART = ("x", "t")
@@ -543,16 +544,6 @@ def _primitive(field, rows: list):
     return out, g
 
 
-# the prime of biv_gcd's coprimality certificate over Q
-CERT_PRIME = 2**31 - 1
-
-
-@cache
-def _cert_field() -> PrimeField:
-    # built once, on first use: every image mod p lives in this one field
-    return PrimeField(CERT_PRIME)
-
-
 def _image_mod_p(F: MultiPoly, Fp: PrimeField) -> MultiPoly | None:
     """F over Q with its denominators cleared, reduced modulo p; None when p
     divides the lex-leading (y, then x) coefficient of the cleared F."""
@@ -627,7 +618,7 @@ def biv_gcd(F: MultiPoly, G: MultiPoly) -> MultiPoly:
     0, with no randomness.
 
     Over Q the certificate runs on the inputs with their denominators
-    cleared, reduced modulo the fixed prime CERT_PRIME = 2^31 - 1, unless p
+    cleared, reduced modulo linalg.CERT_PRIME = 2^31 - 1, unless p
     divides the lex-leading (y, then x) integer coefficient of either.
     Why: by Gauss's lemma a common factor h of the inputs can be taken
     primitive in Z[x, y], and it then divides both cleared inputs over Z.
@@ -787,11 +778,11 @@ def _dneg(F, a: dict) -> dict:
 
 
 def _dmul(F, a: dict, b: dict) -> dict:
-    add, mul = F.add, F.mul
+    add, mul, plus = F.add, F.mul, operator.add
     out = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            e = tuple([i + j for i, j in zip(ea, eb)])
+            e = tuple(map(plus, ea, eb))
             c = mul(ca, cb)
             out[e] = add(out[e], c) if e in out else c
     return {e: c for e, c in out.items() if c}
@@ -982,17 +973,17 @@ def parse_poly(text: str, field: Field, space: str = "auto") -> MultiPoly:
     """
     tokens = _tokenize(text)
     gens = _generator_table(field)
-    names = [v for k, v in tokens if k == "name" and v not in gens]
+    # the distinct names, in the order they first occur
+    names = dict.fromkeys(v for k, v in tokens if k == "name" and v not in gens)
     for n in names:
         if n.lower() not in ("x", "y", "z"):
             raise ValueError(f"unknown variable {n!r}")
+    has_z = "z" in names or "Z" in names
     if space == "auto":
-        space = "homogeneous" if any(n.lower() == "z" for n in names) else "affine"
-    lowers = [n for n in names if n.islower()]
-    uppers = [n for n in names if n.isupper()]
-    if lowers and uppers:
+        space = "homogeneous" if has_z else "affine"
+    if any(map(str.islower, names)) and any(map(str.isupper, names)):
         raise ValueError("mixed upper and lower case variables")
     variables = PROJECTIVE if space == "homogeneous" else AFFINE
-    if space == "affine" and any(n.lower() == "z" for n in names):
+    if space == "affine" and has_z:
         raise ValueError("z is not an affine variable; affine input uses x, y")
     return _Parser(tokens, field, variables, gens).parse()

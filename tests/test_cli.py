@@ -438,6 +438,13 @@ WRONG_DIVISOR = (
     "echelon([[1, 2, 3], [4, 5, 6], [7, 8, 10]], 3, operator.mul, operator.sub,\n"
     "        lambda a, b: divmod(a, 2 * b))\n"
 )
+# x = 0 from the first row; the second row asks x = p, the same modulo p,
+# so only the exact check of every row finds that there is no solution
+CONSISTENT_MOD_P = (
+    "from planecurves.fields import RationalField\n"
+    "from planecurves.linalg import CERT_PRIME, solve_linear\n"
+    "print('solution:', solve_linear([[1], [1]], [0, CERT_PRIME], RationalField()))\n"
+)
 
 
 @pytest.mark.parametrize(
@@ -449,8 +456,9 @@ WRONG_DIVISOR = (
             0,
             "Solved: A = X^3-3/5*X*Z^2-Y^2*Z, B = -X^3+1/2*X^2*Z",
         ),
+        (["-c", CONSISTENT_MOD_P], 0, "solution: None"),
     ],
-    ids=["wrong-divisor", "free-columns-q"],
+    ids=["wrong-divisor", "free-columns-q", "exact-row-check"],
 )
 def test_elimination_under_python_O(argv, code, text):
     # every Bareiss division stays checked when -O strips asserts

@@ -1,7 +1,10 @@
 import copy
 import operator
 import random
+from fractions import Fraction
 from functools import partial
+from itertools import islice
+from math import lcm
 
 import pytest
 from hypothesis import given, seed, settings
@@ -418,14 +421,278 @@ def test_lazy_elimination_skips_most_rescaling_divisions(monkeypatch):
     systems = []
 
     def recording(M, ncols, *args, **kwargs):
-        systems.append((copy.deepcopy(M), ncols))
+        # the one elimination over Z, not the choice of rows modulo p
+        if kwargs.get("field") is None:
+            systems.append((copy.deepcopy(M), ncols))
         return echelon(M, ncols, *args, **kwargs)
 
     monkeypatch.setattr(linalg, "echelon", recording)
     assert solve_af_bg(F, G, H).status == "Solved"
     [(M, n)] = systems
+    assert len(M) == n
     lazy, eager = copy.deepcopy(M), copy.deepcopy(M)
     d_lazy, d_eager = counting(divmod), counting(divmod)
     got = echelon(lazy, n, operator.mul, operator.sub, d_lazy)
     assert got == echelon_eager(eager, n, operator.mul, operator.sub, d_eager)
     assert d_lazy.calls <= 0.6 * d_eager.calls, (d_lazy.calls, d_eager.calls)
+
+
+# ---- the sparse field update against the dense one it replaced ----
+
+
+def echelon_dense_field(M, ncols, field):
+    """The field path as it was before the sparse update: each pivot row is
+    made monic entry by entry, and each lower row with a nonzero entry in
+    the pivot column is rewritten right of it, entry by entry."""
+    m = len(M)
+    pivots, sign = [], 1
+    mul, sub, one = field.mul, field.sub, field.raw_one
+    p_int = field.p if isinstance(field, PrimeField) else None
+    for col in range(ncols):
+        rank = len(pivots)
+        pivot = next((i for i in range(rank, m) if M[i][col]), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            M[rank], M[pivot] = M[pivot], M[rank]
+            sign = -sign
+        pivots.append((rank, col))
+        top = M[rank]
+        if top[col] != one:
+            by_pivot = field.divider(top[col])
+            top[col:] = [one] + [by_pivot(b) for b in top[col + 1:]]
+        tail = top[col + 1:]
+        for i in range(rank + 1, m):
+            row = M[i]
+            c = row[col]
+            if not c:
+                continue
+            if p_int is None:
+                new = [sub(a, mul(c, b)) for a, b in zip(row[col + 1:], tail)]
+            else:
+                new = [(a - c * b) % p_int if b else a for a, b in zip(row[col + 1:], tail)]
+            row[col + 1:] = new
+    return pivots, sign
+
+
+F10007 = PrimeField(10007)
+SPARSE_FIELDS = {"F7": F7, "F9": LINALG_FIELDS["F9"], "F10007": F10007}
+
+
+def assert_same_as_dense(M, ncols, field):
+    sparse, dense = copy.deepcopy(M), copy.deepcopy(M)
+    got = echelon(sparse, ncols, field=field)
+    assert got == echelon_dense_field(dense, ncols, field)
+    assert sparse == dense
+    return got
+
+
+@pytest.mark.parametrize("name", sorted(SPARSE_FIELDS))
+def test_sparse_field_update_leaves_the_dense_matrix(name):
+    field = SPARSE_FIELDS[name]
+    seen = {"swap": 0, "rank deficient": 0, "full rank": 0}
+
+    @seed(1968)
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(data=st.data())
+    def check(data):
+        m, n = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 6))
+        width = n + data.draw(st.integers(0, 1))
+        # zero two thirds of the time, so that pivot rows are sparse
+        entry = st.one_of(st.just(field.zero()), st.just(field.zero()), elements(field))
+        M = [[v.value for v in data.draw(st.lists(entry, min_size=width, max_size=width))]
+             for _ in range(m)]
+        pivots, sign = assert_same_as_dense(M, n, field)
+        seen["swap"] += sign < 0
+        seen["full rank" if len(pivots) == min(m, n) else "rank deficient"] += 1
+
+    check()
+    assert all(seen.values()), seen
+
+
+def random_form(field, d, rng, top=True):
+    """A random form of degree d; without its Z^d term unless top."""
+    values = list(islice(field.elements(), 1, 40))
+    terms = {(i, j, d - i - j): rng.choice(values) for i in range(d + 1) for j in range(d + 1 - i)}
+    if not top:
+        terms.pop((0, 0, d))
+    return MultiPoly(field, PROJECTIVE, terms)
+
+
+def macaulay_systems(monkeypatch, field, degrees, rng):
+    """The matrices that solve_af_bg hands to echelon over the field, for
+    H = A F + B G and for that H plus Z^(deg F + deg G - 2)."""
+    systems = []
+
+    def recording(M, ncols, *args, **kwargs):
+        if kwargs.get("field") is field:
+            systems.append((copy.deepcopy(M), ncols))
+        return echelon(M, ncols, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "echelon", recording)
+    for dF, dG, dH in degrees:
+        F, G = random_form(field, dF, rng, top=False), random_form(field, dG, rng, top=False)
+        H = random_form(field, dH - dF, rng) * F + random_form(field, dH - dG, rng) * G
+        d = dF + dG - 2
+        H2 = random_form(field, d - dF, rng) * F + random_form(field, d - dG, rng) * G
+        H2 = H2 + MultiPoly(field, PROJECTIVE, {(0, 0, d): 1})
+        assert solve_af_bg(F, G, H).status == "Solved"
+        assert solve_af_bg(F, G, H2).status == "NoSolution"
+    monkeypatch.undo()
+    return systems
+
+
+@pytest.mark.parametrize("name", sorted(SPARSE_FIELDS))
+def test_sparse_field_update_on_macaulay_systems(monkeypatch, name):
+    field = SPARSE_FIELDS[name]
+    degrees = [(2, 3, 4), (3, 4, 6), (3, 3, 7)]
+    if field is F10007:
+        degrees.append((4, 5, 8))
+    systems = macaulay_systems(monkeypatch, field, degrees, random.Random(20261020))
+    assert len(systems) == 2 * len(degrees)
+    for M, n in systems:
+        assert_same_as_dense(M, n, field)
+
+
+# ---- over Q: the square system picked modulo p against full Bareiss ----
+
+
+def solve_full_bareiss(rows, rhs, free_values=None):
+    """The Q path before rows were picked modulo p: lazy Bareiss over Z on
+    every cleared row, then back-substitution in Fractions."""
+    n = len(rows[0]) if rows else 0
+    M = []
+    for row, b in zip(rows, rhs):
+        vals = [Fraction(c.value) for c in row] + [Fraction(b.value)]
+        scale = lcm(*[v.denominator for v in vals])
+        M.append([int(v * scale) for v in vals])
+    pivots, _ = echelon(M, n, operator.mul, operator.sub, divmod)
+    if any(M[i][n] for i in range(len(pivots), len(M))):
+        return None
+    pivot_cols = {col for _, col in pivots}
+    x = [Fraction(0)] * n
+    for j, v in (free_values or {}).items():
+        if j not in pivot_cols:
+            x[j] = Fraction(v.value)
+    for i, col in reversed(pivots):
+        acc = M[i][n] - sum(M[i][j] * x[j] for j in range(col + 1, n))
+        x[col] = Fraction(acc) / M[i][col]
+    return [QQ.scalar(v) for v in x]
+
+
+def spy_routes(monkeypatch):
+    """Count solve_linear's routes over Q: the square one and the fallback."""
+    routes = {"square": 0, "fallback": 0}
+    square, independent = linalg._solve_square, linalg._independent_rows
+
+    def spy_square(*args):
+        routes["square"] += 1
+        return square(*args)
+
+    def spy_independent(*args):
+        chosen = independent(*args)
+        routes["fallback"] += chosen is None
+        return chosen
+
+    monkeypatch.setattr(linalg, "_solve_square", spy_square)
+    monkeypatch.setattr(linalg, "_independent_rows", spy_independent)
+    return routes
+
+
+@st.composite
+def tall_rational_systems(draw):
+    """(rows, rhs, kind) over Q with more rows than columns: consistent,
+    inconsistent, or with a column that combines two others."""
+    n = draw(st.integers(1, 5))
+    m = n + draw(st.integers(0, 4))
+    big = draw(st.booleans())
+    nonzero = (st.integers(-10**12, 10**12) if big
+               else st.fractions(-6, 6, max_denominator=4))
+    entry = st.one_of(st.just(0), nonzero)
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)]
+    kind = draw(st.sampled_from(["consistent", "inconsistent", "rank deficient"]))
+    if kind == "rank deficient" and n >= 3:
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        for row in rows:
+            row[n - 1] = a * Fraction(row[0]) + b * Fraction(row[1])
+    x0 = draw(st.lists(nonzero, min_size=n, max_size=n))
+    rhs = [sum(Fraction(a) * v for a, v in zip(row, x0)) for row in rows]
+    if kind == "inconsistent":
+        i = draw(st.integers(0, m - 1))
+        rhs[i] += draw(st.sampled_from([1, Fraction(1, 3), linalg.CERT_PRIME]))
+    return [q(*row) for row in rows], q(*rhs)
+
+
+def test_square_route_agrees_with_full_bareiss(monkeypatch):
+    routes = spy_routes(monkeypatch)
+    seen = {"solved square": 0, "none square": 0, "solved fallback": 0, "none fallback": 0}
+
+    @seed(1968)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(case=tall_rational_systems())
+    def check(case):
+        rows, rhs = case
+        before = dict(routes)
+        got = solve_linear(rows, rhs, QQ)
+        want = solve_full_bareiss(rows, rhs)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got == want
+            assert [type(v.value) for v in got] == [type(v.value) for v in want]
+            assert [str(v) for v in got] == [str(v) for v in want]
+        route = "square" if routes["square"] > before["square"] else "fallback"
+        assert routes["square"] + routes["fallback"] == before["square"] + before["fallback"] + 1
+        seen[("none " if got is None else "solved ") + route] += 1
+
+    check()
+    assert all(seen.values()), seen
+
+
+def test_a_prime_dividing_every_minor_falls_back(monkeypatch):
+    # the second column holds only p, so it has no pivot modulo p
+    P = linalg.CERT_PRIME
+    routes = spy_routes(monkeypatch)
+    rows = [q(1, P), q(2, P), q(3, P)]
+    rhs = q(1 + 2 * P, 2 + 2 * P, 3 + 2 * P)
+    x = solve_linear(rows, rhs, QQ)
+    assert x == q(1, 2) == solve_full_bareiss(rows, rhs)
+    assert routes == {"square": 0, "fallback": 1}
+    rhs[2] = QQ.scalar(3)
+    assert solve_linear(rows, rhs, QQ) is None and solve_full_bareiss(rows, rhs) is None
+
+
+def test_rows_consistent_modulo_p_are_still_checked_exactly(monkeypatch):
+    # the second row differs from the first by p on the right: the same
+    # modulo p, so only the exact check of every row finds no solution
+    P = linalg.CERT_PRIME
+    routes = spy_routes(monkeypatch)
+    assert solve_linear([q(1), q(1)], q(0, P), QQ) is None
+    assert solve_linear([q(1), q(1)], q(P, P), QQ) == q(P)
+    assert routes == {"square": 2, "fallback": 0}
+
+
+def test_cofactor_systems_take_the_square_route(monkeypatch):
+    # cofactor-shaped triples over Q, solvable and not, have full column
+    # rank; X | Y | X*Y has the syzygy (Y, -X) in degree 2, so a free column
+    routes = spy_routes(monkeypatch)
+    rng = random.Random(20261020)
+
+    def form(d, top=True):
+        terms = {(i, j, d - i - j): rng.choice((-1, 1)) * rng.randrange(10**11, 10**12)
+                 for i in range(d + 1) for j in range(d + 1 - i)}
+        if not top:
+            terms.pop((0, 0, d))
+        return MultiPoly(QQ, PROJECTIVE, terms)
+
+    for dF, dG, dH in [(2, 2, 3), (3, 3, 5), (3, 4, 6)]:
+        F, G = form(dF, top=False), form(dG, top=False)
+        H = form(dH - dF) * F + form(dH - dG) * G
+        d = dF + dG - 2
+        H2 = form(d - dF) * F + form(d - dG) * G + MultiPoly(QQ, PROJECTIVE, {(0, 0, d): 1})
+        assert solve_af_bg(F, G, H).status == "Solved"
+        assert solve_af_bg(F, G, H2).status == "NoSolution"
+    assert routes == {"square": 6, "fallback": 0}
+    X, Y = MultiPoly(QQ, PROJECTIVE, {(1, 0, 0): 1}), MultiPoly(QQ, PROJECTIVE, {(0, 1, 0): 1})
+    cert = solve_af_bg(X, Y, X * Y)
+    assert cert.status == "Solved" and str(cert.A) == "Y" and str(cert.B) == "0"
+    assert routes == {"square": 6, "fallback": 1}

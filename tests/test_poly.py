@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from planecurves import poly
+from planecurves import linalg, poly
 from planecurves.cli import main
 from planecurves.errors import DivisionByZero, NotSuitable, ZeroPolynomial
 from planecurves.fields import Scalar, UniPoly, extend_field, find_irreducible, join_fields, uni_gcd
@@ -1131,7 +1131,7 @@ def test_coprime_pair_over_q_runs_no_exact_prs(monkeypatch):
     assert poly._biv_gcd(F, G) == g and any(K is QQ for K in fields_seen)
 
 
-P = poly.CERT_PRIME
+P = linalg.CERT_PRIME
 
 
 def lex_lead(F):
