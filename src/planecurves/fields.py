@@ -24,7 +24,10 @@ One Euclid loop on raw tuples, _pgcd, makes each remainder monic before it
 divides; it serves uni_gcd and the contents of poly.biv_gcd alike, and one
 square-and-multiply, _power, serves every power.  Factorization first
 takes the root at 0 off: f = t^k * g with g(0) != 0 gives the factor t to
-the k, read off the coefficients, and only g goes on to the gcds.  Yun's
+the k, read off the coefficients, and only g goes on.  A quadratic g over
+Q or a prime field of odd characteristic splits by the square root of its
+discriminant (integers._sqrt_rational, or Tonelli-Shanks in
+integers._sqrt_mod), with no gcd; any other g goes on to the gcds.  Yun's
 squarefree decomposition reads g = w^n off at once when its squarefree
 part w = g / gcd(g, g') is linear, in characteristic 0 and below the
 characteristic p, where no multiplicity is a multiple of p.  Over a finite
@@ -49,8 +52,10 @@ its d roots for free as the Frobenius images z^(q^i) of the new generator
 z, so only the other nonlinear factors are split again over the extension.
 Every equal-degree split, there and in uni_factor, reads the |K|-th power
 map of its field K off the Frobenius over the level below K (over K
-itself when K is a prime field), _frobenius, so no power runs with the
-order of an extension as exponent.
+itself when K is a prime field), so no power runs with the order of an
+extension as exponent.  That splitting, frobenius._equal_degree, and the
+Frobenius map itself live in frobenius.py, above this module, which
+imports the split where a block has to be split.
 """
 
 from __future__ import annotations
@@ -70,7 +75,7 @@ from .errors import (
     UnsupportedExtension,
     ZeroPolynomial,
 )
-from .integers import _coprime_ints, _int_eval, _is_prime
+from .integers import _coprime_ints, _int_eval, _is_prime, _sqrt_mod, _sqrt_rational
 
 DEFAULT_FACTOR_SEED = 0
 
@@ -931,56 +936,6 @@ def _distinct_degree(f: UniPoly):
     return out
 
 
-def _equal_degree(f: UniPoly, d: int, rng: Random):
-    """Cantor-Zassenhaus split of a monic f, a product of distinct degree-d
-    irreducibles over its field K (Cantor and Zassenhaus, Math. Comp. 36,
-    1981), in one loop.
-
-    Each round draws u and computes w once modulo f: u^((|K|^d - 1)/2),
-    which is 0 or +-1 modulo each factor, or in characteristic 2 the trace
-    of u to F_2, which is 0 or 1.  Every part P is refined by
-    gcd(w - 1 mod P, P) (gcd(w mod P, P) in characteristic 2).  w is read
-    off the Frobenius Phi(v) = v^q of K[t]/(f), with q = |k| for the level
-    k below K (k = K over a prime field), which _frobenius gives as a
-    linear map: the norm prod_{i<s} Phi^i(u), or the trace, over the
-    s = d*[K:k] steps of Phi that make up the |K|^d-th power, then its
-    ((q - 1)/2)-th power, or the trace over the log2 q squarings down to
-    F_2.  So no power runs with exponent |K| (von zur Gathen and Shoup,
-    Comput. Complexity 2, 1992).  Monic factorization is unique, so the
-    parts are the same whichever u split them.
-    """
-    F, n = f.field, len(f.values) - 1
-    if n == d:
-        return [f]
-    # K[t]/(f) as a ring: ExtensionField's arithmetic needs an irreducible
-    # modulus only for inv
-    R = ExtensionField(F, f, f.var)
-    k, s = (F.base, d * F.degree) if isinstance(F, ExtensionField) else (F, d)
-    q = k.order()
-    # with s = 1 no step of Phi is taken
-    phi = _frobenius(R, k) if s > 1 else None
-    char2 = F.characteristic() == 2
-    parts = [f.values]
-    while len(parts) < n // d:
-        w = cur = _trim([F.random_scalar(rng).value for _ in range(n)])
-        for _ in range(s - 1):
-            cur = phi(cur)
-            w = R.add(w, cur) if char2 else R.mul(w, cur)
-        if char2:
-            cur = w
-            for _ in range(q.bit_length() - 2):
-                cur = R.mul(cur, cur)
-                w = R.add(w, cur)
-        else:
-            w = R.sub(_power(R.mul, R.raw_one, w, (q - 1) // 2), R.raw_one)
-        split = []
-        for P in parts:
-            g = _pgcd(F, _pdivmod(F, w, P)[1], P) if len(P) > d + 1 else P
-            split += [g, _pdivmod(F, P, g)[0]] if 1 < len(g) < len(P) else [P]
-        parts = split
-    return [UniPoly._from_values(F, P, f.var) for P in parts]
-
-
 def _factor_key(fm):
     return (fm[0].degree, str(fm[0]))
 
@@ -994,7 +949,8 @@ def uni_factor(f: UniPoly, seed=None):
     is returned whole (its full factorization is out of scope here).  Those
     roots are found per squarefree part by _rational_roots_split: roots
     modulo a good prime, lifted p-adically and checked exactly; seed plays
-    no part over Q.
+    no part over Q.  What is left after t^k, when it is a quadratic over Q
+    or an odd F_p, is split by its discriminant (_quadratic_split) instead.
     """
     if f.is_zero():
         raise ZeroPolynomial("cannot factor 0")
@@ -1008,7 +964,9 @@ def uni_factor(f: UniPoly, seed=None):
     k = next(i for i, v in enumerate(f.values) if v)
     out = [(UniPoly.x(F, f.var), k)] if k else []
     f = UniPoly._from_values(F, _pmonic(F, f.values[k:]), f.var)
-    parts = _squarefree_decomposition(f) if f.degree >= 1 else []
+    split = _quadratic_split(f)
+    out += split
+    parts = [] if split or f.degree < 1 else _squarefree_decomposition(f)
     if isinstance(F, RationalField):
         for g, m in parts:
             roots, residual = _rational_roots_split(g)
@@ -1017,21 +975,47 @@ def uni_factor(f: UniPoly, seed=None):
             if residual.degree >= 1:
                 out.append((residual, m))
     else:
-        # a new Random costs about 6 us, so only a block to split makes one
+        # a block of degree d is irreducible; only a block to split imports
+        # the splitting (above this module) and makes a Random (about 6 us)
         rng = None
         for g, m in parts:
             for h, d in _distinct_degree(g):
-                if h.degree > d:
-                    rng = rng or Random(DEFAULT_FACTOR_SEED if seed is None else seed)
-                for irr in _equal_degree(h, d, rng):
-                    out.append((irr.monic(), m))
+                if h.degree == d:
+                    out.append((h, m))
+                    continue
+                from .frobenius import _equal_degree
+
+                rng = rng or Random(DEFAULT_FACTOR_SEED if seed is None else seed)
+                out += [(irr, m) for irr in _equal_degree(h, d, rng)]
     out.sort(key=_factor_key)
     return unit, out
 
 
+def _quadratic_split(f: UniPoly) -> list:
+    """[(monic factor, multiplicity)] of a monic quadratic f = t^2 + b*t + c
+    over Q or a prime field of odd characteristic, read off the square root
+    of its discriminant d = b^2 - 4c: (t + b/2, 2) when d = 0, the two
+    factors t + (b -+ sqrt d)/2 when d is a nonzero square, and (f, 1)
+    when d is no square; [] for any other f."""
+    F = f.field
+    p = F.characteristic()
+    if f.degree != 2 or p == 2 or isinstance(F, ExtensionField):
+        return []
+    c, b, _ = f.values
+    d = F.sub(F.mul(b, b), F.mul(F.raw(4), c))
+    s = _sqrt_mod(d, p) if p else _sqrt_rational(d)
+    if s is None:
+        return [(f, 1)]
+    half = F.divider(F.raw(2))
+    roots = {half(F.sub(b, s)), half(F.add(b, s))}
+    return [(UniPoly._from_values(F, (r, F.raw_one), f.var), 3 - len(roots)) for r in roots]
+
+
 def is_irreducible(f: UniPoly) -> bool:
     """Squarefree, and over a finite field one distinct-degree factor of
-    full degree; over Q, for degree <= 3, squarefree with no rational root."""
+    full degree; over Q, for degree <= 3, squarefree with no rational root.
+    A quadratic over Q or an odd F_p is irreducible when its discriminant
+    is no square."""
     if f.degree < 1:
         return False
     if f.degree == 1:
@@ -1039,14 +1023,18 @@ def is_irreducible(f: UniPoly) -> bool:
     if not f.values[0]:
         # t divides f, of degree >= 2
         return False
+    f = f.monic()
+    split = _quadratic_split(f)
+    if split:
+        return split[0][0].degree == 2
     rational = isinstance(f.field, RationalField)
     if rational and f.degree > 3:
         raise ValueError("irreducibility over Q is only certified up to degree 3")
     if uni_gcd(f, f.derivative()).degree >= 1:
         return False
     if rational:
-        return not _rational_roots_split(f.monic())[0]
-    return _distinct_degree(f.monic())[0][1] == f.degree
+        return not _rational_roots_split(f)[0]
+    return _distinct_degree(f)[0][1] == f.degree
 
 
 def extend_field(base: Field, minpoly: UniPoly) -> ExtensionField:
@@ -1126,6 +1114,8 @@ def _split_factors(field: Field, factors):
         if images[-1] ** q != z:
             raise InternalError(f"Frobenius orbit of {field.gen_name} does not close at {g.degree}")
         split = [(UniPoly(field, (-r, field.one()), g.var), m) for r in images]
+        from .frobenius import _equal_degree
+
         rng = Random(DEFAULT_FACTOR_SEED)
         for i, (h, mh) in enumerate(factors):
             if i != k:
@@ -1135,27 +1125,3 @@ def _split_factors(field: Field, factors):
     roots = [(-g.coeff(0), m) for g, m in factors]
     roots.sort(key=lambda rm: str(rm[0]))
     return field, roots
-
-
-def _frobenius(field, base):
-    """The raw map v -> v^q on field, q = |base|, as a linear map level by
-    level: it fixes base, and above it sends sum c_i z^i to
-    sum frob(c_i) w^i, with the powers of w = z^q computed once per level.
-    A top level may be a ring K[t]/(f), as in _equal_degree."""
-    if field == base:
-        return lambda v: v
-    below, B = _frobenius(field.base, base), field.base
-    w = _power(field.mul, field.raw_one, (B.raw_zero, B.raw_one), base.order())
-    powers = [field.raw_one]
-    while len(powers) < field.degree:
-        powers.append(field.mul(powers[-1], w))
-
-    def frob(v):
-        out = ()
-        for c, wi in zip(v, powers):
-            c = below(c)
-            if c:
-                out = _padd(B, out, [B.mul(c, x) for x in wi])
-        return out
-
-    return frob

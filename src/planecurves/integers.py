@@ -1,15 +1,18 @@
-"""Integer-only helpers below fields.py: primality, and the integer
-arithmetic of the rational root search.
+"""Number-theoretic helpers below fields.py: primality, the integer
+arithmetic of the rational root search, and square roots modulo a prime
+and in Q.
 
 Polynomials here are lists of ints, low degree first.  Nothing here knows
-a field: fields.py builds its prime fields on _is_prime, and its p-adic
+a field: fields.py builds its prime fields on _is_prime, its p-adic
 rational root candidates clear denominators with _coprime_ints and
-evaluate with _int_eval.
+evaluate with _int_eval, and it splits a quadratic over F_p or Q by the
+square root of its discriminant, _sqrt_mod or _sqrt_rational.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 # Miller-Rabin with the first 13 primes as bases decides primality exactly
 # below PSI_13 (Sorenson and Webster, Math. Comp. 86, 2017)
@@ -55,3 +58,54 @@ def _int_eval(a, r: int) -> int:
     for c in reversed(a):
         acc = acc * r + c
     return acc
+
+
+def _sqrt_mod(a: int, p: int):
+    """A square root of a modulo an odd prime p, or None when a is not a
+    square mod p, by Tonelli-Shanks (Shanks 1973; Cohen, A Course in
+    Computational Algebraic Number Theory, Alg. 1.5.1).
+
+    Euler's criterion decides whether a is a square.  With p - 1 = q*2^s, q
+    odd, the non-residue z is the first of 2, 3, ... that Euler's criterion
+    rejects, so the root returned depends on a and p alone.
+    """
+    a %= p
+    if not a:
+        return 0
+    half = (p - 1) // 2
+    if pow(a, half, p) != 1:
+        return None
+    s = ((p - 1) & -(p - 1)).bit_length() - 1
+    q = (p - 1) >> s
+    # r^2 = a*t, and t's order divides 2^(s-1)
+    r, t = pow(a, (q + 1) // 2, p), pow(a, q, p)
+    if t == 1:
+        return r
+    z = 2
+    while pow(z, half, p) == 1:
+        z += 1
+    m, c = s, pow(z, q, p)
+    while t != 1:
+        # the least i with t^(2^i) = 1; i < m
+        i, u = 0, t
+        while u != 1:
+            u = u * u % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c = i, b * b % p
+        r, t = r * b % p, t * c % p
+    return r
+
+
+def _sqrt_rational(a):
+    """The square root >= 0 of a rational a (an int or a Fraction), an int
+    when it is integral, or None when a is not the square of a rational:
+    a in lowest terms is a square exactly when its numerator and
+    denominator are the squares of ints."""
+    if a < 0:
+        return None
+    n, d = a.numerator, a.denominator
+    rn, rd = math.isqrt(n), math.isqrt(d)
+    if rn * rn != n or rd * rd != d:
+        return None
+    return rn if rd == 1 else Fraction(rn, rd)

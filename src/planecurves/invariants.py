@@ -36,12 +36,12 @@ from .fields import (
     RationalField,
     Scalar,
     UniPoly,
-    _frobenius,
     _join,
     _joined,
     is_irreducible,
     join_fields,
 )
+from .frobenius import _frobenius
 from .integers import _coprime_ints
 from .poly import (
     MultiPoly,

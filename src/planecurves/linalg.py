@@ -19,12 +19,13 @@ nonzero; over F_p that runs on bare ints, with one reduction modulo p per
 touched entry.
 
 `solve_linear` runs it on the field's raw values over F_q.  Over Q it
-clears each row to integers and first eliminates modulo CERT_PRIME, only
-to choose rows: when n independent rows turn up there, Bareiss runs on
-those n alone and every row is checked exactly against the solution;
-otherwise on all of them.  `poly.resultant_biv` runs it on raw coefficient
-tuples of F[x].  Solutions are canonical: free variables are zero unless
-the caller pins them.
+clears each row to integers; a tall system (more rows m than unknowns n)
+is first eliminated modulo CERT_PRIME, only to choose rows: when n
+independent rows turn up there, Bareiss runs on those n alone and every
+row is checked exactly against the solution; otherwise, and for every
+system with m <= n, it runs on all of them.  `poly.resultant_biv` runs
+it on raw coefficient tuples of F[x].  Solutions are canonical: free
+variables are zero unless the caller pins them.
 """
 
 from __future__ import annotations
@@ -139,13 +140,15 @@ def solve_linear(rows, rhs, field: Field, free_values=None):
     free_values maps column index -> Scalar for non-pivot columns (entries
     for pivot columns are ignored).  Default: all free variables zero.
 
-    Over Q the rows are cleared to integers and reduced modulo CERT_PRIME.
-    When elimination there finds a pivot in each of the n columns, the n
-    rows that gave them have a minor that is nonzero mod p, so nonzero over
-    Z: they are independent, and the solution is unique if there is one.
+    Over Q the rows are cleared to integers.  A tall system (m > n) is
+    reduced modulo CERT_PRIME; when elimination there finds a pivot in each
+    of the n columns, the n rows that gave them have a minor that is
+    nonzero mod p, so nonzero over Z: they are independent, and the
+    solution is unique if there is one.
     Bareiss solves those n rows alone, and the solution is returned only if
     every one of the m rows holds exactly, None otherwise.  With fewer
-    pivots mod p (rank below n, or p divides every n-minor) all m rows are
+    pivots mod p (rank below n, or p divides every n-minor), and for a
+    square or wide system, which has no row to drop, all m rows are
     eliminated over Z, and pinned free columns keep their meaning.
     """
     m = len(rows)
@@ -161,7 +164,8 @@ def solve_linear(rows, rhs, field: Field, free_values=None):
          + [scalar(b).value] for row, b in zip(rows, rhs)]
     if isinstance(field, RationalField):
         M = [_clear_denominators(row) for row in M]
-        chosen = _independent_rows(M, n)
+        # a square or wide system has no row to drop
+        chosen = _independent_rows(M, n) if m > n else None
         if chosen is not None:
             return _solve_square(M, chosen, n, field)
         pivots, _ = echelon(M, n, operator.mul, operator.sub, divmod)

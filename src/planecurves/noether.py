@@ -46,13 +46,13 @@ from .fields import (
     RationalField,
     Scalar,
     UniPoly,
-    _frobenius,
     _join,
     _joined,
     _trim,
     roots_with_extension,
     uni_gcd,
 )
+from .frobenius import _frobenius
 from .invariants import IntersectionReport, _intersection_multiplicity, _localize, _orbit_reps
 from .linalg import solve_linear
 from .poly import (

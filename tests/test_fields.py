@@ -13,6 +13,7 @@ from hypothesis import Phase, given, seed, settings
 from hypothesis import strategies as st
 
 import planecurves.fields as fields
+import planecurves.frobenius as frobenius
 import planecurves.integers as integers
 import planecurves.poly as poly
 from planecurves.errors import (
@@ -918,7 +919,7 @@ def uni_factor_gcd_first(f, seed=None):
         rng = random.Random(fields.DEFAULT_FACTOR_SEED if seed is None else seed)
         for g, m in squarefree_decomposition_gcd_first(f):
             for h, d in fields._distinct_degree(g):
-                for irr in fields._equal_degree(h, d, rng):
+                for irr in frobenius._equal_degree(h, d, rng):
                     out.append((irr.monic(), m))
     out.sort(key=fields._factor_key)
     return unit, out
@@ -994,7 +995,9 @@ BOUNDARY = {
     "(t+2)^4 over F5": (T(F5, 2, 1) ** 4, True),
     "3*(t-3)^6 over F7": (T(F7, 3) * T(F7, -3, 1) ** 6, True),
     "(t+1)^7 over F7": (T(F7, 1, 1) ** 7, False),
-    "2*t^2*(t+1)^2 over F3": (T(F3, 0, 0, 2) * T(F3, 1, 1) ** 2, True),
+    # deg f passes p, deg g does not; g is no quadratic, which the
+    # discriminant would split without a gcd
+    "2*t^3*(t+1)^3 over F5": (T(F5, 0, 0, 0, 2) * T(F5, 1, 1) ** 3, True),
     "(t+2)^5*(t+4) over F5": (T(F5, 2, 1) ** 5 * T(F5, 4, 1), False),
 }
 
@@ -1032,8 +1035,149 @@ def test_uni_factor_makes_the_random_stream_only_to_split(monkeypatch):
     for f in (T(F101, 0, 0, 0, 0, 7), T(F101, 5, 1) ** 9, T(F7, 3, 1) * T(F7, 1, 0, 1)):
         uni_factor(f)
     assert made == []
-    assert [str(g) for g, _m in uni_factor(T(F7, 1, 1) * T(F7, 2, 1))[1]] == ["t+1", "t+2"]
+    # a quadratic splits by its discriminant, so the block is a cubic
+    f = T(F7, 1, 1) * T(F7, 2, 1) * T(F7, 3, 1)
+    assert [str(g) for g, _m in uni_factor(f)[1]] == ["t+1", "t+2", "t+3"]
     assert len(made) == 1
+
+
+@st.composite
+def quadratics(draw, field):
+    """unit * t^k * q with q a monic quadratic, k from 0 to 2: the product of
+    two linear factors (a double root when they agree), or t^2 + b*t + c
+    with free b and c, most often irreducible."""
+    if field.is_finite:
+        coeff = st.sampled_from(list(field.elements()))
+    else:
+        # small, 13-digit and fractional coefficients
+        coeff = st.one_of(
+            st.integers(-9, 9),
+            st.integers(-10**13, 10**13),
+            st.fractions(-20, 20, max_denominator=12),
+        ).map(field.scalar)
+    # q(0) != 0, so that t^k is all that comes off before the split
+    nonzero = coeff.filter(bool)
+    kind = draw(st.sampled_from(["roots", "double", "free"]))
+    if kind == "free":
+        q = T(field, draw(nonzero), draw(coeff), 1)
+    else:
+        r = draw(nonzero)
+        q = T(field, -r, 1) * T(field, -(r if kind == "double" else draw(nonzero)), 1)
+    return T(field, draw(nonzero)) * T(field, 0, 1) ** draw(st.integers(0, 2)) * q
+
+
+def _yun_path(monkeypatch, call, *args):
+    """call(*args) with the discriminant split switched off, so that every
+    quadratic takes Yun's gcd and then the p-adic root search over Q or
+    distinct-degree and Cantor-Zassenhaus splitting over F_p: the path
+    before the split, kept as the reference."""
+    with monkeypatch.context() as m:
+        m.setattr(fields, "_quadratic_split", lambda f: [])
+        return _or_non_rational(call, *args)
+
+
+def _or_non_rational(call, *args):
+    try:
+        return call(*args)
+    except NonRationalPoint as e:
+        return ("NonRationalPoint", str(e))
+
+
+def _split_kind(f):
+    """How the quadratic that f has after t^k splits: "split", "double" or
+    "whole"."""
+    factors = [(g, m) for g, m in uni_factor(f)[1] if str(g) != "t"]
+    if len(factors) == 2:
+        return "split"
+    return "double" if factors[0][1] == 2 else "whole"
+
+
+QUADRATIC_FIELDS = {"Q": QQ, "F3": F3, "F5": F5, "F7": F7, "F101": PrimeField(101)}
+
+
+@pytest.mark.parametrize("name", sorted(QUADRATIC_FIELDS))
+def test_discriminant_split_agrees_with_the_yun_path(monkeypatch, name):
+    K = QUADRATIC_FIELDS[name]
+    seen = {"split": 0, "double": 0, "whole": 0}
+
+    @seed(2828)
+    @settings(max_examples=120, deadline=None, database=None)
+    @given(f=quadratics(K))
+    def check(f):
+        got, want = uni_factor(f), _yun_path(monkeypatch, uni_factor, f)
+        assert got[0] == want[0]
+        assert [(str(g), m) for g, m in got[1]] == [(str(g), m) for g, m in want[1]]
+        assert [(g.values, m) for g, m in got[1]] == [(g.values, m) for g, m in want[1]]
+        assert _or_non_rational(_roots_text, f) == _yun_path(monkeypatch, _roots_text, f)
+        q = f.monic()
+        q = UniPoly(K, q.coeffs[next(i for i, v in enumerate(q.values) if v):])
+        assert is_irreducible(q) is _yun_path(monkeypatch, is_irreducible, q)
+        seen[_split_kind(f)] += 1
+
+    check()
+    assert all(seen.values()), seen
+
+
+def test_the_discriminant_split_skips_characteristic_2_and_extensions(monkeypatch):
+    called = []
+    split = fields._quadratic_split
+    # extend_field's irreducibility check reads the split too, so the
+    # towers are built first
+    F4, F9_ = _tower(F2, (2,))[-1], F9()
+
+    def spy(f):
+        out = split(f)
+        called.append((f.field.describe(), bool(out)))
+        return out
+
+    monkeypatch.setattr(fields, "_quadratic_split", spy)
+    for f in (T(F2, 1, 1, 1), T(F4, 1, 1, 1), T(F9_, 1, 0, 1), T(F7, 1, 0, 1), T(QQ, -2, 0, 1)):
+        uni_factor(f)
+    assert [used for _field, used in called] == [False, False, False, True, True]
+
+
+def test_discriminant_split_over_q_reads_rational_roots():
+    cases = {
+        # d = 0: (t - 3/2)^2
+        (Fraction(9, 4), -3): [("t-3/2", 2)],
+        # d = 25/4: roots 1/2 and 3
+        (Fraction(3, 2), Fraction(-7, 2)): [("t-1/2", 1), ("t-3", 1)],
+        # d = 8, no square: the residual
+        (-1, 2): [("t^2+2*t-1", 1)],
+        # 13-digit roots
+        (1234567890123 * 9876543210987, 1234567890123 + 9876543210987):
+            [("t+1234567890123", 1), ("t+9876543210987", 1)],
+    }
+    for (c, b), want in cases.items():
+        got = uni_factor(T(QQ, c, b, 1))[1]
+        assert [(str(g), m) for g, m in got] == want
+        # integral coefficients are ints, as RationalField.raw makes them
+        assert all(type(v) is int or v.denominator > 1 for g, _m in got for v in g.values)
+
+
+def test_sqrt_mod_over_every_odd_prime_below_200():
+    primes = [p for p in range(3, 200) if integers._is_prime(p)]
+    # Tonelli-Shanks' loop runs for p = 1 mod 4, longest at p = 1 mod 8
+    assert {17, 41, 73, 89, 97, 113, 137, 193} <= {p for p in primes if p % 8 == 1}
+    for p in primes:
+        squares = {x * x % p for x in range(p)}
+        for a in range(p):
+            r = integers._sqrt_mod(a, p)
+            if a in squares:
+                assert r is not None and r * r % p == a, (a, p, r)
+            else:
+                assert r is None, (a, p, r)
+        # the argument is reduced first
+        assert integers._sqrt_mod(p + 4, p) in (2, p - 2)
+
+
+def test_sqrt_rational_needs_square_numerator_and_denominator():
+    assert integers._sqrt_rational(0) == 0
+    assert integers._sqrt_rational(10**26) == 10**13
+    assert type(integers._sqrt_rational(Fraction(16, 1))) is int
+    assert integers._sqrt_rational(Fraction(49, 36)) == Fraction(7, 6)
+    for a in (-4, 2, Fraction(1, 2), Fraction(2, 9), Fraction(-1, 4), 10**26 + 1):
+        assert integers._sqrt_rational(a) is None
 
 
 def test_good_prime_search_ends_on_non_squarefree_input():
@@ -1429,7 +1573,7 @@ def _roots_text(f):
 def test_roots_agree_with_plain_power_splitting(monkeypatch, name):
     field = SPLIT_FIELDS[name]()
     seen = {"from the level below": 0, "from its own field": 0, "d > 1": 0}
-    split = fields._equal_degree
+    split = frobenius._equal_degree
 
     def spy(f, d, rng):
         if f.degree > d:
@@ -1444,10 +1588,10 @@ def test_roots_agree_with_plain_power_splitting(monkeypatch, name):
     @given(f=factor_products(field))
     def check(f):
         with monkeypatch.context() as m:
-            m.setattr(fields, "_equal_degree", equal_degree_plain_power)
+            m.setattr(frobenius, "_equal_degree", equal_degree_plain_power)
             want = _roots_text(f)
         with monkeypatch.context() as m:
-            m.setattr(fields, "_equal_degree", spy)
+            m.setattr(frobenius, "_equal_degree", spy)
             assert _roots_text(f) == want
 
     check()
@@ -1473,7 +1617,7 @@ def test_roots_agree_with_plain_power_splitting(monkeypatch, name):
 )
 def test_fixed_splits_agree_with_plain_power(monkeypatch, field, factors, call):
     calls = []
-    split = fields._equal_degree
+    split = frobenius._equal_degree
 
     def spy(f, d, rng):
         calls.append((f.field.characteristic(), int(f.degree), d))
@@ -1481,8 +1625,8 @@ def test_fixed_splits_agree_with_plain_power(monkeypatch, field, factors, call):
 
     f = functools.reduce(operator.mul, [T(field, *c) for c in factors])
     with monkeypatch.context() as m:
-        m.setattr(fields, "_equal_degree", equal_degree_plain_power)
+        m.setattr(frobenius, "_equal_degree", equal_degree_plain_power)
         want = _roots_text(f)
-    monkeypatch.setattr(fields, "_equal_degree", spy)
+    monkeypatch.setattr(frobenius, "_equal_degree", spy)
     assert _roots_text(f) == want
     assert call in calls

@@ -581,21 +581,30 @@ def solve_full_bareiss(rows, rhs, free_values=None):
 
 
 def spy_routes(monkeypatch):
-    """Count solve_linear's routes over Q: the square one and the fallback."""
+    """Count solve_linear's routes over Q: the square one, and the fallback,
+    the full Bareiss elimination of every row, which a square or wide
+    system takes without a row choice modulo p."""
     routes = {"square": 0, "fallback": 0}
-    square, independent = linalg._solve_square, linalg._independent_rows
+    square, echelon = linalg._solve_square, linalg.echelon
+    inside_square = []
 
     def spy_square(*args):
         routes["square"] += 1
-        return square(*args)
+        inside_square.append(1)
+        try:
+            return square(*args)
+        finally:
+            inside_square.pop()
 
-    def spy_independent(*args):
-        chosen = independent(*args)
-        routes["fallback"] += chosen is None
-        return chosen
+    def spy_echelon(M, ncols, *args, field=None):
+        # the row choice modulo p passes a field; the square route's own
+        # Bareiss runs inside _solve_square
+        if field is None and not inside_square:
+            routes["fallback"] += 1
+        return echelon(M, ncols, *args, field=field)
 
     monkeypatch.setattr(linalg, "_solve_square", spy_square)
-    monkeypatch.setattr(linalg, "_independent_rows", spy_independent)
+    monkeypatch.setattr(linalg, "echelon", spy_echelon)
     return routes
 
 
@@ -659,6 +668,22 @@ def test_a_prime_dividing_every_minor_falls_back(monkeypatch):
     assert routes == {"square": 0, "fallback": 1}
     rhs[2] = QQ.scalar(3)
     assert solve_linear(rows, rhs, QQ) is None and solve_full_bareiss(rows, rhs) is None
+
+
+def test_only_tall_systems_choose_rows_modulo_p(monkeypatch):
+    chosen = []
+    independent = linalg._independent_rows
+
+    def spy(M, n):
+        chosen.append((len(M), n))
+        return independent(M, n)
+
+    monkeypatch.setattr(linalg, "_independent_rows", spy)
+    # square, wide and tall, each solvable
+    assert solve_linear([q(1, 2), q(3, 4)], q(5, 6), QQ) == q(-4, Fraction(9, 2))
+    assert solve_linear([q(1, 2, 3)], q(6), QQ) == q(6, 0, 0)
+    assert solve_linear([q(1), q(2), q(3)], q(2, 4, 6), QQ) == q(2)
+    assert chosen == [(3, 1)]
 
 
 def test_rows_consistent_modulo_p_are_still_checked_exactly(monkeypatch):

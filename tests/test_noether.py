@@ -32,7 +32,6 @@ from planecurves.fields import (
     PrimeField,
     Scalar,
     UniPoly,
-    _frobenius,
     _joined,
     _power,
     extend_field,
@@ -41,6 +40,7 @@ from planecurves.fields import (
     roots_with_extension,
     uni_gcd,
 )
+from planecurves.frobenius import _frobenius
 from planecurves.invariants import (
     _genus_and_deltas,
     _intersection_multiplicity,
