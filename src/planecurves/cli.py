@@ -47,7 +47,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache  # parse_args leaves the parser as it was, and errors raise
-def _build_parser() -> _Parser:
+def _build_parser():
+    """(the top-level parser, {command name: its subparser})."""
     # a literal, not __doc__: python -OO strips docstrings
     description = "Command line interface: parse curves, dispatch, render text or JSON."
     p = _Parser(prog="planecurves", description=description)
@@ -62,7 +63,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--json", action="store_true", dest="as_json")
         for arg, kwargs in extra.items():
             sp.add_argument(arg, **kwargs)
-    return p
+    return p, sub.choices
 
 
 def _field_of(flag: str):
@@ -232,10 +233,17 @@ _CROSS_CHECKS = {"intersect": "tree and resultant disagree",
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     seed_before = _fields.DEFAULT_FACTOR_SEED
     try:
-        args = parser.parse_args(argv)
+        # a known command goes straight to its subparser, which the top-level
+        # parser would hand it to; anything else goes to the top level
+        sub = commands.get(argv[0]) if argv else None
+        if sub is None:
+            args = parser.parse_args(argv)
+        else:
+            args = sub.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
         if args.command is None:
             raise UsageError("a command is required")
         field = _field_of(args.field)

@@ -25,14 +25,15 @@ divides; it serves uni_gcd and the contents of poly.biv_gcd alike, and one
 square-and-multiply, _power, serves every power.  Factorization first
 takes the root at 0 off: f = t^k * g with g(0) != 0 gives the factor t to
 the k, read off the coefficients, and only g goes on.  A quadratic g over
-Q or a prime field of odd characteristic splits by the square root of its
-discriminant (integers._sqrt_rational, or Tonelli-Shanks in
-integers._sqrt_mod), with no gcd; any other g goes on to the gcds.  Yun's
-squarefree decomposition reads g = w^n off at once when its squarefree
-part w = g / gcd(g, g') is linear, in characteristic 0 and below the
-characteristic p, where no multiplicity is a multiple of p.  Over a finite
-field factorization is complete: squarefree decomposition, then
-distinct-degree splitting, then equal-degree splitting in one
+Q, a prime field of odd characteristic or a quadratic level over one
+splits by the square root of its discriminant, the field's sqrt
+(integers._sqrt_rational, Tonelli-Shanks in integers._sqrt_mod, or
+integers._sqrt_quadratic through the norm), with no gcd; any other g goes
+on to the gcds.  Yun's squarefree decomposition reads g = w^n off at once
+when its squarefree part w = g / gcd(g, g') is linear, in characteristic 0
+and below the characteristic p, where no multiplicity is a multiple of p.
+Over a finite field factorization is complete: squarefree decomposition,
+then distinct-degree splitting, then equal-degree splitting in one
 Cantor-Zassenhaus loop with a seeded deterministic random stream, made only
 when a block has to be split; a squarefree f is irreducible when its first
 distinct-degree factor has degree deg f.  Over Q only rational roots are
@@ -49,7 +50,8 @@ roots_with_extension hands it the factorization of one polynomial, and a
 witness node in blowup the merged factors of its drivers' fibers.  Over a
 finite field, adjoining an irreducible factor g of degree d over F_q gives
 its d roots for free as the Frobenius images z^(q^i) of the new generator
-z, so only the other nonlinear factors are split again over the extension.
+z, so only the other nonlinear factors are split again over the extension,
+a quadratic over a quadratic level by its discriminant.
 Every equal-degree split, there and in uni_factor, reads the |K|-th power
 map of its field K off the Frobenius over the level below K (over K
 itself when K is a prime field), so no power runs with the order of an
@@ -75,7 +77,14 @@ from .errors import (
     UnsupportedExtension,
     ZeroPolynomial,
 )
-from .integers import _coprime_ints, _int_eval, _is_prime, _sqrt_mod, _sqrt_rational
+from .integers import (
+    _coprime_ints,
+    _int_eval,
+    _is_prime,
+    _quadratic_level,
+    _sqrt_mod,
+    _sqrt_rational,
+)
 
 DEFAULT_FACTOR_SEED = 0
 
@@ -189,12 +198,15 @@ class Field:
     field), describe() and, when finite, elements() in canonical order and
     random_scalar(rng).  On raw values it has add, sub, neg, mul, inv,
     divider, element_str and hash_value, the constants raw_zero and
-    raw_one, and raw(n) for an int or a Fraction n.  `bases`, set once at
+    raw_one, and raw(n) for an int or a Fraction n.  sqrt(a) is a square
+    root of a, or None when a is no square; sqrt itself is None where a
+    quadratic is not split by its discriminant.  `bases`, set once at
     construction, holds the fields strictly below it in its tower, nearest
     first.
     """
 
     bases = ()
+    sqrt = None
 
     def divider(self, b):
         """The function a -> a / b on raw values, for one nonzero raw b.
@@ -250,6 +262,7 @@ class RationalField(Field):
     neg = operator.neg
     mul = operator.mul
     inv = Fraction(1).__truediv__
+    sqrt = staticmethod(_sqrt_rational)
     element_str = str
     hash_value = hash
 
@@ -301,6 +314,8 @@ class PrimeField(Field):
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
+        if p > 2:
+            self.sqrt = partial(_sqrt_mod, p=p)
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -351,6 +366,8 @@ class ExtensionField(Field):
     """base[z]/(minpoly), with the generator named z1, z2, ... by tower level.
 
     Raw values are reduced modulo the minpoly's raw coefficients, `modulus`.
+    A level F_p[z]/(z^2 + b*z + c) binds the closed forms of
+    integers._quadratic_level on bare ints as its mul, inv and sqrt.
     """
 
     raw_zero = ()
@@ -365,6 +382,8 @@ class ExtensionField(Field):
         self.degree = len(self.modulus) - 1
         self.raw_one = (base.raw_one,)
         self._describe = f"{base.describe()}[{gen_name}]/({self.minpoly})"
+        if self.degree == 2 and isinstance(base, PrimeField) and self.modulus[2] == 1:
+            self.mul, self.inv, self.sqrt = _quadratic_level(base.p, self.modulus)
 
     def add(self, a, b):
         return _padd(self.base, a, b)
@@ -949,8 +968,9 @@ def uni_factor(f: UniPoly, seed=None):
     is returned whole (its full factorization is out of scope here).  Those
     roots are found per squarefree part by _rational_roots_split: roots
     modulo a good prime, lifted p-adically and checked exactly; seed plays
-    no part over Q.  What is left after t^k, when it is a quadratic over Q
-    or an odd F_p, is split by its discriminant (_quadratic_split) instead.
+    no part over Q.  What is left after t^k, when it is a quadratic over a
+    field with a sqrt, is split by its discriminant (_quadratic_split)
+    instead.
     """
     if f.is_zero():
         raise ZeroPolynomial("cannot factor 0")
@@ -993,17 +1013,16 @@ def uni_factor(f: UniPoly, seed=None):
 
 def _quadratic_split(f: UniPoly) -> list:
     """[(monic factor, multiplicity)] of a monic quadratic f = t^2 + b*t + c
-    over Q or a prime field of odd characteristic, read off the square root
-    of its discriminant d = b^2 - 4c: (t + b/2, 2) when d = 0, the two
-    factors t + (b -+ sqrt d)/2 when d is a nonzero square, and (f, 1)
-    when d is no square; [] for any other f."""
+    over a field with a sqrt (Q, an odd F_p, or a quadratic level over it),
+    read off the square root of its discriminant d = b^2 - 4c: (t + b/2, 2)
+    when d = 0, the two factors t + (b -+ sqrt d)/2 when d is a nonzero
+    square, and (f, 1) when d is no square; [] for any other f."""
     F = f.field
-    p = F.characteristic()
-    if f.degree != 2 or p == 2 or isinstance(F, ExtensionField):
+    if f.degree != 2 or F.sqrt is None:
         return []
     c, b, _ = f.values
     d = F.sub(F.mul(b, b), F.mul(F.raw(4), c))
-    s = _sqrt_mod(d, p) if p else _sqrt_rational(d)
+    s = F.sqrt(d)
     if s is None:
         return [(f, 1)]
     half = F.divider(F.raw(2))
@@ -1014,8 +1033,8 @@ def _quadratic_split(f: UniPoly) -> list:
 def is_irreducible(f: UniPoly) -> bool:
     """Squarefree, and over a finite field one distinct-degree factor of
     full degree; over Q, for degree <= 3, squarefree with no rational root.
-    A quadratic over Q or an odd F_p is irreducible when its discriminant
-    is no square."""
+    A quadratic over a field with a sqrt is irreducible when its
+    discriminant is no square."""
     if f.degree < 1:
         return False
     if f.degree == 1:
@@ -1091,9 +1110,12 @@ def _split_factors(field: Field, factors):
     Over Q a factor of degree >= 2 raises NonRationalPoint.  Over a finite
     field F_q the first nonlinear factor g is adjoined as K = F_q[z]/(g), and
     its roots in K are the Frobenius images z^(q^i), i < deg g, so g is never
-    factored again.  Every other factor h is irreducible over F_q, so over K
-    it splits into gcd(deg h, deg g) factors of degree deg h / gcd, found by
-    one equal-degree split; the loop repeats until every factor is linear.
+    factored again; g is irreducible as its factoring gave it, so K is built
+    without extend_field's check.  Every other factor h is irreducible over
+    F_q, so over K it splits into gcd(deg h, deg g) factors of degree
+    deg h / gcd, found by the discriminant split when K has a sqrt and h is
+    quadratic, else by one equal-degree split; the loop repeats until every
+    factor is linear.
     Monic factorization is unique, so each level sees the same factors as
     factoring their product over it, and the tower and the roots are the same.
     """
@@ -1106,7 +1128,7 @@ def _split_factors(field: Field, factors):
         if isinstance(field, RationalField):
             raise NonRationalPoint(str(g))
         q = field.order()
-        field = extend_field(field, g)
+        field = ExtensionField(field, g, f"z{len(field.bases) + 1}")
         z = field.generator()
         images = [z]
         while len(images) < g.degree:
@@ -1119,8 +1141,11 @@ def _split_factors(field: Field, factors):
         rng = Random(DEFAULT_FACTOR_SEED)
         for i, (h, mh) in enumerate(factors):
             if i != k:
+                h = h.map_field(field)
+                # h is squarefree, so each part of the split has multiplicity 1
+                parts = [part for part, _ in _quadratic_split(h)]
                 d = h.degree // math.gcd(h.degree, g.degree)
-                split.extend((part, mh) for part in _equal_degree(h.map_field(field), d, rng))
+                split.extend((part, mh) for part in parts or _equal_degree(h, d, rng))
         factors = split
     roots = [(-g.coeff(0), m) for g, m in factors]
     roots.sort(key=lambda rm: str(rm[0]))

@@ -1,12 +1,14 @@
 """Number-theoretic helpers below fields.py: primality, the integer
-arithmetic of the rational root search, and square roots modulo a prime
-and in Q.
+arithmetic of the rational root search, square roots modulo a prime and in
+Q, and the closed-form arithmetic of a quadratic extension of F_p.
 
 Polynomials here are lists of ints, low degree first.  Nothing here knows
 a field: fields.py builds its prime fields on _is_prime, its p-adic
 rational root candidates clear denominators with _coprime_ints and
 evaluate with _int_eval, and it splits a quadratic over F_p or Q by the
-square root of its discriminant, _sqrt_mod or _sqrt_rational.
+square root of its discriminant, _sqrt_mod or _sqrt_rational.  A level
+F_p[z]/(z^2 + b*z + c) takes its product, inverse and square root from
+_quadratic_level, on bare ints.
 """
 
 from __future__ import annotations
@@ -109,3 +111,89 @@ def _sqrt_rational(a):
     if rn * rn != n or rd * rd != d:
         return None
     return rn if rd == 1 else Fraction(rn, rd)
+
+
+def _quadratic_level(p: int, modulus):
+    """(mul, inv, sqrt) on the raw values of F_p[z]/(z^2 + b*z + c), the
+    modulus (c, b, 1) over a prime p: trimmed tuples of ints in [0, p), low
+    degree first, as fields.ExtensionField keeps them.  sqrt is None for
+    p = 2, where a quadratic is not split by its discriminant.
+
+    The product is (a0 + a1 z)(b0 + b1 z) = (a0 b0 - a1 b1 c) +
+    (a0 b1 + a1 b0 - a1 b1 b) z, with one reduction mod p per coefficient.
+    The inverse is conj(a) / N(a), with conj(a) = (a0 - a1 b) - a1 z and
+    the norm N(a) = a conj(a) = a0^2 - a0 a1 b + a1^2 c in F_p, one inverse
+    mod p.  mul holds for any monic modulus, as in a ring K[t]/(f); inv and
+    sqrt need an irreducible one.
+    """
+    c, b, _ = modulus
+
+    def mul(x, y):
+        # a nonzero constant is a unit, so scaling by it keeps the length
+        if len(x) == 2:
+            if len(y) == 2:
+                x0, x1 = x
+                y0, y1 = y
+                t = x1 * y1
+                r0, r1 = (x0 * y0 - t * c) % p, (x0 * y1 + x1 * y0 - t * b) % p
+                return (r0, r1) if r1 else (r0,) if r0 else ()
+            if y:
+                k = y[0]
+                return (x[0] * k % p, x[1] * k % p)
+            return ()
+        if x:
+            k = x[0]
+            if len(y) == 2:
+                return (y[0] * k % p, y[1] * k % p)
+            return (y[0] * k % p,) if y else ()
+        return ()
+
+    def inv(x):
+        if len(x) == 1:
+            return (pow(x[0], -1, p),)
+        x0, x1 = x
+        t = (x0 - x1 * b) % p
+        n = pow(x0 * t + x1 * x1 * c, -1, p)
+        return (t * n % p, -x1 * n % p)
+
+    def sqrt(x):
+        return _sqrt_quadratic(x, p, modulus)
+
+    return mul, inv, None if p == 2 else sqrt
+
+
+def _sqrt_quadratic(a, p: int, modulus):
+    """A square root of the raw value a of F_p[z]/(z^2 + b*z + c), p odd and
+    the modulus (c, b, 1) irreducible, or None when a is no square; every
+    root is taken by _sqrt_mod in F_p.
+
+    With w = 2z + b, w^2 = D = b^2 - 4c, which is no square mod p, and
+    a = u + v w, where v = a1/2 and u = a0 - v b.  a is a square exactly
+    when its norm N = u^2 - D v^2 is a square in F_p, since
+    a^((p^2 - 1)/2) = N^((p - 1)/2).  For v = 0 the root is sqrt(u), or
+    sqrt(u/D) w when u is no square.  Otherwise (x + y w)^2 = a gives
+    2xy = v and x^2 = (u +- sqrt N)/2; the two candidates multiply to
+    D v^2 / 4, no square, so exactly one of them is a square, and
+    y = v/(2x).
+    """
+    if not a:
+        return ()
+    c, b, _ = modulus
+    half = (p + 1) // 2
+    v = a[1] * half % p if len(a) == 2 else 0
+    u = (a[0] - v * b) % p
+    D = (b * b - 4 * c) % p
+    if not v:
+        x = _sqrt_mod(u, p)
+        if x is not None:
+            return (x,)
+        y = _sqrt_mod(u * pow(D, -1, p), p)
+        return (y * b % p, 2 * y % p)
+    s = _sqrt_mod(u * u - D * v * v, p)
+    if s is None:
+        return None
+    x = _sqrt_mod((u + s) * half, p)
+    if x is None:
+        x = _sqrt_mod((u - s) * half, p)
+    y = v * pow(2 * x, -1, p) % p
+    return ((x + y * b) % p, 2 * y % p)

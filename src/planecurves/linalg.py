@@ -20,12 +20,14 @@ touched entry.
 
 `solve_linear` runs it on the field's raw values over F_q.  Over Q it
 clears each row to integers; a tall system (more rows m than unknowns n)
-is first eliminated modulo CERT_PRIME, only to choose rows: when n
-independent rows turn up there, Bareiss runs on those n alone and every
-row is checked exactly against the solution; otherwise, and for every
-system with m <= n, it runs on all of them.  `poly.resultant_biv` runs
-it on raw coefficient tuples of F[x].  Solutions are canonical: free
-variables are zero unless the caller pins them.
+is first eliminated modulo CERT_PRIME, right-hand side included, to
+choose rows: when n independent rows turn up there, a row left over with
+a nonzero right-hand side proves that there is no solution, and
+otherwise Bareiss runs on those n alone and every row is checked exactly
+against the solution; with fewer than n, and for every system with
+m <= n, it runs on all of them.  `poly.resultant_biv` runs it on raw
+coefficient tuples of F[x].  Solutions are canonical: free variables are
+zero unless the caller pins them.
 """
 
 from __future__ import annotations
@@ -141,10 +143,15 @@ def solve_linear(rows, rhs, field: Field, free_values=None):
     for pivot columns are ignored).  Default: all free variables zero.
 
     Over Q the rows are cleared to integers.  A tall system (m > n) is
-    reduced modulo CERT_PRIME; when elimination there finds a pivot in each
-    of the n columns, the n rows that gave them have a minor that is
-    nonzero mod p, so nonzero over Z: they are independent, and the
-    solution is unique if there is one.
+    reduced modulo CERT_PRIME, right-hand side included; when elimination
+    there finds a pivot in each of the n columns, the n rows that gave them
+    have a minor that is nonzero mod p, so nonzero over Z: they are
+    independent, and the solution is unique if there is one.  If a row
+    below those n has a nonzero right-hand side mod p, there is none: a
+    rational solution would be the solution of the n rows, whose
+    denominators divide their minor, a unit mod p, so it would reduce mod
+    p and solve the system there, which elimination has just shown to be
+    inconsistent.  None is returned at once, with no Bareiss.  Otherwise
     Bareiss solves those n rows alone, and the solution is returned only if
     every one of the m rows holds exactly, None otherwise.  With fewer
     pivots mod p (rank below n, or p divides every n-minor), and for a
@@ -167,7 +174,7 @@ def solve_linear(rows, rhs, field: Field, free_values=None):
         # a square or wide system has no row to drop
         chosen = _independent_rows(M, n) if m > n else None
         if chosen is not None:
-            return _solve_square(M, chosen, n, field)
+            return _solve_square(M, *chosen, n, field)
         pivots, _ = echelon(M, n, operator.mul, operator.sub, divmod)
     else:
         pivots, _ = echelon(M, n, field=field)
@@ -200,23 +207,30 @@ def _back_substitute(M, pivots, x, field):
 
 
 def _independent_rows(M, n):
-    """The indices, in order, of n rows of the integer rows M (n columns
-    and a right hand side) that are independent modulo CERT_PRIME, or None
-    when elimination there finds fewer than n pivots."""
+    """(the indices, in order, of n rows of the integer rows M (n columns
+    and a right hand side) that are independent modulo CERT_PRIME, whether
+    the system is consistent there), or None when elimination there finds
+    fewer than n pivots."""
     Fp = _cert_field()
     p = Fp.p
-    R = [[v % p for v in row[:n]] for row in M]
+    R = [[v % p for v in row] for row in M]
     index = {id(row): i for i, row in enumerate(R)}
+    # only the n unknown columns are scanned; the right-hand side, right of
+    # every pivot, is kept up to date in every row
     pivots, _ = echelon(R, n, field=Fp)
     if len(pivots) < n:
         return None
-    return sorted(index[id(R[i])] for i, _ in pivots)
+    return sorted(index[id(R[i])] for i, _ in pivots), not any(row[n] for row in R[n:])
 
 
-def _solve_square(M, chosen, n, field):
+def _solve_square(M, chosen, consistent, n, field):
     """Bareiss on the chosen n independent rows of the integer rows M, then
     an exact check of every row; the solution as Scalars, or None when a
-    row fails, so that the system has no solution."""
+    row fails, so that the system has no solution.  None at once, with no
+    Bareiss, when the system is not consistent modulo p (see
+    solve_linear)."""
+    if not consistent:
+        return None
     S = [list(M[i]) for i in chosen]
     pivots, _ = echelon(S, n, operator.mul, operator.sub, divmod)
     if len(pivots) < n:

@@ -352,6 +352,59 @@ def test_parser_built_once_leaks_nothing_between_calls(capsys):
     assert run(capsys, *calls[1])[0] == 1
 
 
+# argvs that a subparser must treat as the top-level parser's hand-off
+# does: missing, extra and option-like positionals, unknown, abbreviated
+# and repeated flags, "--", bad values and unknown commands
+MALFORMED_ARGVS = [
+    [],
+    ["resolv", "y^2-x^3"],
+    ["DELTA", "y^2-x^3"],
+    ["--field", "p:5", "delta", "y^2-x^3"],
+    ["-h"],
+    ["bezout"],
+    ["bezout", "X"],
+    ["bezout", "-h"],
+    ["delta", "y^2-x^3", "extra"],
+    ["delta", "y^2-x^3", "--bogus"],
+    ["delta", "--", "y^2-x^3"],
+    ["delta", "y^2-x^3", "--"],
+    ["delta", "-y^2+x^3"],
+    ["delta", "--", "-y^2+x^3"],
+    ["delta", "-1"],
+    ["delta", "y^2-x^3", "--field=p:5"],
+    ["delta", "y^2-x^3", "--field"],
+    ["delta", "y^2-x^3", "--fi", "p:5"],
+    ["delta", "y^2-x^3", "--field", "p:5", "--field", "p:7"],
+    ["delta", "y^2-x^3", "--max-depth", "x"],
+    ["delta", "y^2-x^3", "--max-depth"],
+    ["delta", "y^2-x^3", "--seed", "1.5"],
+    ["delta", "y^2-x^3", "--seed=-3"],
+    ["delta", "y^2-x^3", "--he"],
+    ["delta", ""],
+    ["appendix", "y^2-x^3", "two"],
+    ["noether-solve", "X", "Y"],
+    ["resolve", "y^2-x^3", "--dot", "--json"],
+]
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as e:
+        code = ("exit", e.code)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("argv", MALFORMED_ARGVS, ids=" ".join)
+def test_commands_parse_as_through_the_top_level_parser(capsys, monkeypatch, argv):
+    got = _outcome(capsys, argv)
+    parser, _commands = cli._build_parser()
+    # with no command known by name, every argv goes to the top-level parser
+    monkeypatch.setattr(cli, "_build_parser", lambda: (parser, {}))
+    assert got == _outcome(capsys, argv)
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "planecurves", "delta", "y^2-x^3"],

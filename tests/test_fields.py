@@ -1118,12 +1118,13 @@ def test_discriminant_split_agrees_with_the_yun_path(monkeypatch, name):
     assert all(seen.values()), seen
 
 
-def test_the_discriminant_split_skips_characteristic_2_and_extensions(monkeypatch):
+def test_the_discriminant_split_skips_characteristic_2_and_higher_levels(monkeypatch):
     called = []
     split = fields._quadratic_split
     # extend_field's irreducibility check reads the split too, so the
     # towers are built first
     F4, F9_ = _tower(F2, (2,))[-1], F9()
+    F27, F81 = _tower(F3, (3,))[-1], _tower(F3, (2, 2))[-1]
 
     def spy(f):
         out = split(f)
@@ -1131,9 +1132,123 @@ def test_the_discriminant_split_skips_characteristic_2_and_extensions(monkeypatc
         return out
 
     monkeypatch.setattr(fields, "_quadratic_split", spy)
-    for f in (T(F2, 1, 1, 1), T(F4, 1, 1, 1), T(F9_, 1, 0, 1), T(F7, 1, 0, 1), T(QQ, -2, 0, 1)):
-        uni_factor(f)
-    assert [used for _field, used in called] == [False, False, False, True, True]
+    cases = {
+        # characteristic 2: no discriminant split, on any level
+        F2: False, F4: False,
+        # a quadratic level over an odd F_p splits by its norm
+        F9_: True,
+        # a cubic level, and a quadratic level over a quadratic level, do not
+        F27: False, F81: False,
+        F7: True, QQ: True,
+    }
+    for K in cases:
+        uni_factor(T(K, 1, 1, 1))
+    assert [used for _field, used in called] == list(cases.values())
+
+
+def _quadratic_moduli(p):
+    """Every monic quadratic modulus (c, b, 1) over F_p, with whether it is
+    irreducible: whether t^2 + b*t + c has no root."""
+    for b in range(p):
+        for c in range(p):
+            yield (c, b, 1), all((x * x + b * x + c) % p for x in range(p))
+
+
+def _raw_elements(p):
+    return [fields._trim([a0, a1]) for a1 in range(p) for a0 in range(p)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_closed_form_quadratic_levels_match_the_generic_arithmetic(p):
+    Fp = PrimeField(p)
+    elements = _raw_elements(p)
+    levels = 0
+    for modulus, irreducible in _quadratic_moduli(p):
+        if not irreducible and p > 5:
+            continue
+        K = ExtensionField(Fp, UniPoly(Fp, modulus), "z1")
+        # the level binds the closed forms; the generic product is the one
+        # every other level computes
+        assert vars(K).keys() >= {"mul", "inv", "sqrt"}
+        for a in elements:
+            for b in elements:
+                assert K.mul(a, b) == fields._pdivmod(Fp, fields._pmul(Fp, a, b), modulus)[1]
+        if not irreducible:
+            # K is only a ring, as in _equal_degree: inv and sqrt do not apply
+            continue
+        levels += 1
+        for a in elements[1:]:
+            assert K.mul(a, K.inv(a)) == (1,), (modulus, a)
+            assert K.inv(a) == ExtensionField.inv(K, a)
+        assert (K.sqrt is None) is (p == 2)
+        if K.sqrt is None:
+            continue
+        squares = {K.mul(x, x) for x in elements}
+        for a in elements:
+            r = integers._sqrt_quadratic(a, p, modulus)
+            assert r == K.sqrt(a)
+            if a in squares:
+                assert r is not None and K.mul(r, r) == a, (modulus, a, r)
+            else:
+                assert r is None, (modulus, a, r)
+    # (p^2 - p) / 2 monic irreducible quadratics over F_p
+    assert levels == (p * p - p) // 2
+
+
+def _generic_levels(monkeypatch):
+    """Switch the closed forms off: every level built from here on keeps
+    the generic product, the extended-Euclid inverse and no sqrt."""
+    init = ExtensionField.__init__
+
+    def generic_init(self, *args):
+        init(self, *args)
+        for name in ("mul", "inv", "sqrt"):
+            vars(self).pop(name, None)
+
+    monkeypatch.setattr(ExtensionField, "__init__", generic_init)
+
+
+@st.composite
+def quadratic_products(draw, field):
+    """A product of two to four monic factors over the prime field `field`,
+    mostly quadratics and linears with now and then a cubic, some repeated."""
+    coeff = st.integers(0, field.p - 1)
+    f = T(field, 1)
+    for _ in range(draw(st.integers(2, 4))):
+        degree = draw(st.sampled_from([1, 2, 2, 2, 2, 3]))
+        g = T(field, *draw(st.lists(coeff, min_size=degree, max_size=degree)), 1)
+        f = f * g ** draw(st.sampled_from([1, 1, 1, 2]))
+    return f
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 101, 10007])
+def test_roots_over_closed_form_levels_match_the_generic_levels(monkeypatch, p):
+    Fp = PrimeField(p)
+    seen = {"quadratic level": 0, "higher level": 0}
+
+    @seed(2929)
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(f=quadratic_products(Fp))
+    def check(f):
+        field, roots = roots_with_extension(f)
+        got = field.describe(), [(str(r), m) for r, m in roots]
+        with monkeypatch.context() as m:
+            _generic_levels(m)
+            assert _roots_text(f) == got
+        # _split_factors builds its levels without extend_field's check
+        levels = [K for K in (field, *field.bases) if isinstance(K, ExtensionField)]
+        for K in levels:
+            assert is_irreducible(K.minpoly)
+            closed = K.degree == 2 and K.base == Fp
+            assert ("mul" in vars(K)) is closed
+            seen["quadratic level" if closed else "higher level"] += 1
+        # every root is a root, with its multiplicity
+        for r, mult in roots:
+            assert f.eval(r).is_zero()
+            assert not f.derivative().eval(r).is_zero() or mult > 1
+
+    check()
+    assert all(seen.values()), seen
 
 
 def test_discriminant_split_over_q_reads_rational_roots():

@@ -721,3 +721,28 @@ def test_cofactor_systems_take_the_square_route(monkeypatch):
     cert = solve_af_bg(X, Y, X * Y)
     assert cert.status == "Solved" and str(cert.A) == "Y" and str(cert.B) == "0"
     assert routes == {"square": 6, "fallback": 1}
+
+
+def test_a_tall_system_inconsistent_modulo_p_needs_no_elimination_over_z(monkeypatch):
+    # rows 1 and 2 give x = 1, y = 2; the third, x + y = 4, contradicts them,
+    # and the contradiction holds modulo p as well
+    eliminations = []
+    echelon = linalg.echelon
+
+    def spy(M, ncols, *args, field=None):
+        eliminations.append("Z" if field is None else field.describe())
+        return echelon(M, ncols, *args, field=field)
+
+    monkeypatch.setattr(linalg, "echelon", spy)
+    rows = [q(1, 0), q(0, 1), q(1, 1)]
+    assert solve_linear(rows, q(1, 2, 4), QQ) is None
+    assert eliminations == [f"F{linalg.CERT_PRIME}"]
+    # a 13-digit tall system over Q with fractional entries, inconsistent
+    # in its last row by 1/3
+    rows = [q(10**12 + 39, Fraction(1, 7), 5), q(3, -2, 10**12), q(1, 1, 1), q(2, 0, -1)]
+    x = [Fraction(2, 3), 7, -10**12]
+    rhs = [sum(Fraction(a.value) * v for a, v in zip(row, x)) for row in rows]
+    rhs[-1] += Fraction(1, 3)
+    assert solve_linear(rows, q(*rhs), QQ) is None
+    assert solve_full_bareiss(rows, q(*rhs)) is None
+    assert eliminations == [f"F{linalg.CERT_PRIME}"] * 2
