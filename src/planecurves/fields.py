@@ -52,12 +52,12 @@ finite field, adjoining an irreducible factor g of degree d over F_q gives
 its d roots for free as the Frobenius images z^(q^i) of the new generator
 z, so only the other nonlinear factors are split again over the extension,
 a quadratic over a quadratic level by its discriminant.
-Every equal-degree split, there and in uni_factor, reads the |K|-th power
-map of its field K off the Frobenius over the level below K (over K
-itself when K is a prime field), so no power runs with the order of an
-extension as exponent.  That splitting, frobenius._equal_degree, and the
-Frobenius map itself live in frobenius.py, above this module, which
-imports the split where a block has to be split.
+Those images, and every equal-degree split, there and in uni_factor, read
+the Frobenius as a linear map (over the level below the split's field K,
+or over K itself when K is a prime field), so no power runs with the order
+of an extension as exponent.  That map, frobenius._frobenius, and the
+splitting, frobenius._equal_degree, live in frobenius.py, above this
+module, which imports them where a level is adjoined or a block split.
 """
 
 from __future__ import annotations
@@ -1060,7 +1060,7 @@ def extend_field(base: Field, minpoly: UniPoly) -> ExtensionField:
     """Adjoin a root of a monic irreducible polynomial (finite fields only)."""
     if isinstance(base, RationalField):
         raise UnsupportedExtension("extensions of Q are not supported")
-    minpoly = minpoly.map_field(base) if minpoly.field != base else minpoly
+    minpoly = minpoly.map_field(base)
     if minpoly.degree < 2:
         raise ValueError("minimal polynomial must have degree >= 2")
     if minpoly.lc() != base.one():
@@ -1109,10 +1109,10 @@ def _split_factors(field: Field, factors):
 
     Over Q a factor of degree >= 2 raises NonRationalPoint.  Over a finite
     field F_q the first nonlinear factor g is adjoined as K = F_q[z]/(g), and
-    its roots in K are the Frobenius images z^(q^i), i < deg g, so g is never
-    factored again; g is irreducible as its factoring gave it, so K is built
-    without extend_field's check.  Every other factor h is irreducible over
-    F_q, so over K it splits into gcd(deg h, deg g) factors of degree
+    its roots in K are the images of z under _frobenius, which close into
+    an orbit after exactly deg g steps (else InternalError), so g is never
+    factored again and K is built without extend_field's check.  Every
+    other factor h is irreducible over F_q, so over K it splits into gcd(deg h, deg g) factors of degree
     deg h / gcd, found by the discriminant split when K has a sqrt and h is
     quadratic, else by one equal-degree split; the loop repeats until every
     factor is linear.
@@ -1124,28 +1124,26 @@ def _split_factors(field: Field, factors):
         k = next((i for i, (g, _) in enumerate(factors) if g.degree >= 2), None)
         if k is None:
             break
-        g, m = factors[k]
+        g, m = factors.pop(k)
         if isinstance(field, RationalField):
             raise NonRationalPoint(str(g))
-        q = field.order()
-        field = ExtensionField(field, g, f"z{len(field.bases) + 1}")
-        z = field.generator()
-        images = [z]
-        while len(images) < g.degree:
-            images.append(images[-1] ** q)
-        if images[-1] ** q != z:
-            raise InternalError(f"Frobenius orbit of {field.gen_name} does not close at {g.degree}")
-        split = [(UniPoly(field, (-r, field.one()), g.var), m) for r in images]
-        from .frobenius import _equal_degree
+        from .frobenius import _equal_degree, _frobenius
 
+        field = ExtensionField(field, g, f"z{len(field.bases) + 1}")
+        phi = _frobenius(field, field.base)
+        images = [z := field.generator().value]
+        while len(images) < g.degree:
+            images.append(phi(images[-1]))
+        if phi(images[-1]) != z or z in images[1:]:
+            raise InternalError(f"Frobenius orbit of {field.gen_name} does not close at {g.degree}")
+        split = [(UniPoly(field, (-Scalar(field, r), 1), g.var), m) for r in images]
         rng = Random(DEFAULT_FACTOR_SEED)
-        for i, (h, mh) in enumerate(factors):
-            if i != k:
-                h = h.map_field(field)
-                # h is squarefree, so each part of the split has multiplicity 1
-                parts = [part for part, _ in _quadratic_split(h)]
-                d = h.degree // math.gcd(h.degree, g.degree)
-                split.extend((part, mh) for part in parts or _equal_degree(h, d, rng))
+        for h, mh in factors:
+            h = h.map_field(field)
+            # h is squarefree, so each part of the split has multiplicity 1
+            parts = [part for part, _ in _quadratic_split(h)]
+            d = h.degree // math.gcd(h.degree, g.degree)
+            split.extend((part, mh) for part in parts or _equal_degree(h, d, rng))
         factors = split
     roots = [(-g.coeff(0), m) for g, m in factors]
     roots.sort(key=lambda rm: str(rm[0]))

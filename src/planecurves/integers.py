@@ -8,7 +8,8 @@ rational root candidates clear denominators with _coprime_ints and
 evaluate with _int_eval, and it splits a quadratic over F_p or Q by the
 square root of its discriminant, _sqrt_mod or _sqrt_rational.  A level
 F_p[z]/(z^2 + b*z + c) takes its product, inverse and square root from
-_quadratic_level, on bare ints.
+_quadratic_level, on bare ints.  Over Q, linalg and poly clear
+denominators with _common_denominator.
 """
 
 from __future__ import annotations
@@ -46,11 +47,16 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _common_denominator(values):
+    """(the rationals in values times den, as ints; den), den their lcm denominator."""
+    den = math.lcm(*[c.denominator for c in values])
+    return [c.numerator * (den // c.denominator) for c in values], den
+
+
 def _coprime_ints(values) -> list:
     """The rationals in values times the one positive constant that makes
     them coprime ints."""
-    den = math.lcm(*[c.denominator for c in values])
-    a = [c.numerator * (den // c.denominator) for c in values]
+    a, _ = _common_denominator(values)
     content = math.gcd(*a)
     return [c // content for c in a]
 

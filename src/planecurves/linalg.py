@@ -34,10 +34,10 @@ from __future__ import annotations
 
 import operator
 from functools import cache
-from math import lcm
 
 from .errors import InternalError
 from .fields import Field, PrimeField, RationalField, Scalar
+from .integers import _common_denominator
 
 # the prime of every computation modulo p over Q: biv_gcd's coprimality
 # certificate and solve_linear's choice of rows
@@ -170,7 +170,7 @@ def solve_linear(rows, rhs, field: Field, free_values=None):
     M = [[c.value if type(c) is Scalar and c.field is field else scalar(c).value for c in row]
          + [scalar(b).value] for row, b in zip(rows, rhs)]
     if isinstance(field, RationalField):
-        M = [_clear_denominators(row) for row in M]
+        M = [_common_denominator(row)[0] for row in M]
         # a square or wide system has no row to drop
         chosen = _independent_rows(M, n) if m > n else None
         if chosen is not None:
@@ -237,14 +237,8 @@ def _solve_square(M, chosen, consistent, n, field):
         raise InternalError("rows independent modulo p must be independent over Q")
     x = [field.raw_zero] * n
     _back_substitute(S, pivots, x, field)
-    den = lcm(*[v.denominator for v in x])
-    X = [v.numerator * (den // v.denominator) for v in x]
+    X, den = _common_denominator(x)
     for row in M:
         if sum(map(operator.mul, row, X)) != row[n] * den:
             return None
     return [Scalar(field, v) for v in x]
-
-
-def _clear_denominators(row):
-    scale = lcm(*[f.denominator for f in row])
-    return [f.numerator * (scale // f.denominator) for f in row]

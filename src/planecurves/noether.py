@@ -21,12 +21,13 @@ both positive and negative instances is what the test suite leans on.
 
 Local results are invariants of a point: Frobenius over the base field
 fixes F, G and H, maps common points to common points and keeps every
-local number (Fulton, Algebraic Curves, section 3.3).  So bezout_check and
-check_condition compute once per Frobenius orbit, at its first listed
-point, and each later conjugate shares that report, rebuilt with its own
-point and field, whenever the report's rows show no sibling order (at most
-one distinct row per depth); sibling order follows the text of the roots,
-which Frobenius does not keep, so any other conjugate is computed afresh.
+local number (Fulton, Algebraic Curves, section 3.3).  So bezout_check
+computes once per Frobenius orbit, at its first listed point, and each
+later conjugate shares that report, rebuilt with its own point and field,
+whenever the report's rows show no sibling order (at most one distinct row
+per depth); sibling order follows the text of the roots, which Frobenius
+does not keep, so any other conjugate, and every check_condition point
+(_orderless), is computed afresh.
 """
 
 from __future__ import annotations
@@ -377,11 +378,9 @@ def check_condition(
     # find_common_points tests F and G for a common component, so the
     # local trees skip the gcd
     points = find_common_points(F, G)
-    for p, i in zip(points, _orbit_reps([p.coords for p in points], fld, complete=True)):
-        if i < len(report_points) and _orderless(report_points[i].entries):
-            r = report_points[i]
-            report_points.append(PointCondition(p, r.chart, r.ok, r.entries, r.failure_depth))
-            continue
+    # each Frobenius orbit must be listed whole
+    _orbit_reps([p.coords for p in points], fld, complete=True)
+    for p in points:
         fL, chart = _localize(F, p.coords)
         gL, _ = _localize(G, p.coords)
         hL, _ = _localize(H, p.coords)
@@ -403,7 +402,10 @@ def check_condition(
 
 def _orderless(rows):
     """True when rows of (depth, ...) show no sibling order: at most one
-    distinct row per depth, so every conjugate point lists the same rows."""
+    distinct row per depth, so every conjugate point lists the same rows.
+    Only bezout_check asks: a check_condition witness tree grows until no
+    node has both F and G passing, so the deepest node where both pass has
+    a child with r_G = 0 and another with r_F = 0, and it never passes."""
     return len({row[0] for row in rows}) == len(set(rows))
 
 

@@ -27,7 +27,6 @@ import re
 from fractions import Fraction
 from functools import partial
 from itertools import chain, islice
-from math import lcm
 
 from .errors import IncompatibleFields, InternalError, NotSuitable, ZeroPolynomial
 from .fields import (
@@ -51,6 +50,7 @@ from .fields import (
     find_irreducible,
     join_fields,
 )
+from .integers import _common_denominator
 from .linalg import _cert_field, echelon
 
 AFFINE = ("x", "y")
@@ -547,13 +547,8 @@ def _primitive(field, rows: list):
 def _image_mod_p(F: MultiPoly, Fp: PrimeField) -> MultiPoly | None:
     """F over Q with its denominators cleared, reduced modulo p; None when p
     divides the lex-leading (y, then x) coefficient of the cleared F."""
-    den = lcm(*[c.denominator for c in F.values.values()])
-    p = Fp.p
-    image = {}
-    for e, c in F.values.items():
-        v = c.numerator * (den // c.denominator) % p
-        if v:
-            image[e] = v
+    ints, _ = _common_denominator(F.values.values())
+    image = {e: r for e, v in zip(F.values, ints) if (r := v % Fp.p)}
     if max(F.values, key=lambda e: (e[1], e[0])) not in image:
         return None
     return MultiPoly._from_values(Fp, F.variables, image)
@@ -947,6 +942,8 @@ class _Parser:
                     sums = other if sums is None else _dmul(field, sums, other)
             elif kind == "name":
                 raise ValueError(f"unknown symbol {val!r} for variables {self.variables}")
+            elif kind == "end":
+                raise ValueError("polynomial ended early")
             else:
                 raise ValueError(f"unexpected token {val!r}")
             kind = tokens[pos][0]

@@ -407,6 +407,24 @@ class TestFrobeniusRoots:
         check()
         assert any(several)
 
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            # t^2 + 1 = (t - 2)(t - 3): z^5 = z, an orbit one step short
+            (1, 0, 1),
+            # t^2: z^5 = 0, and the orbit never returns to z
+            (0, 0, 1),
+            # t^3 + 2 = (t - 2)(t^2 + 2t + 4): the orbit of z closes after 2
+            (2, 0, 0, 1),
+        ],
+        ids=["t^2+1", "t^2", "t^3+2"],
+    )
+    def test_a_reducible_factor_is_an_internal_error(self, coeffs):
+        # the images of z close into an orbit of exactly deg g, or the
+        # factor was not irreducible
+        with pytest.raises(InternalError, match="does not close"):
+            fields._split_factors(F5, [(T(F5, *coeffs), 1)])
+
     @pytest.mark.parametrize("field", [QQ, F7, F9()], ids=["Q", "F7", "F9"])
     def test_linear_factor_is_its_own_monic(self, field):
         f = T(field, 3, 2)

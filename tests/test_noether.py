@@ -1,5 +1,7 @@
 """Common points, the residue condition, the AF+BG solver, Bezout totals."""
 
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -530,7 +532,59 @@ def test_orbit_reuse_matches_the_per_point_loop(monkeypatch, name):
         )
 
     check()
-    assert taken[True] and taken[False], taken
+    # check_condition asks no copy; bezout_check's recomputations have a
+    # test of their own below
+    assert taken[True], taken
+
+
+# C and D each hold a cusp at the conjugate pair [+-i : 0 : 1] over F_49,
+# tangent to the conic that is the other's second factor; C's conic factor
+# is squared, so at each conjugate one depth-1 point has r_C = 2 and the
+# other r_C = 1: two rows at one depth, in an order of their own
+TWO_ROWS_C = "((Y*Z-X^2-Z^2)^2*Z^2-(X^2+Z^2)^3)*(Y*Z+X^2+Z^2)^2"
+TWO_ROWS_D = "((Y*Z+X^2+Z^2)^2*Z^2-(X^2+Z^2)^3)*(Y*Z-X^2-Z^2)"
+
+
+def test_a_conjugate_with_two_rows_at_one_depth_is_computed_again(monkeypatch):
+    C, D = hom(TWO_ROWS_C, F7), hom(TWO_ROWS_D, F7)
+    taken = _spy_orderless(monkeypatch)
+    report = bezout_check(C, D)
+    assert report.to_json() == _bezout_per_point(C, D).to_json()
+    assert report.total == report.expected == 80
+    assert taken[False] >= 1, taken
+    # the recomputed conjugates list their depth-1 rows in the other order
+    rows = {str(p): [c for c in rep.contributions if c[0] == 1] for p, _, rep in report.entries}
+    assert rows["[1 : 0 : 5*z1]"] == rows["[1 : 0 : 2*z1]"][::-1] != rows["[1 : 0 : 2*z1]"]
+
+
+ORDERLESS_FIELDS = {"F2": F2, "F3": F3, "F5": F5, "F7": F7, "F11": F11}
+
+
+@pytest.mark.parametrize("name", sorted(ORDERLESS_FIELDS))
+def test_no_residue_condition_report_is_orderless(name):
+    # a witness tree always ends in a node whose children split F from G,
+    # so no conjugate of a check_condition point could share its rows
+    field, points = ORDERLESS_FIELDS[name], []
+
+    @seed(3030)
+    @settings(max_examples=15, deadline=None, database=None)
+    @given(data=st.data())
+    def check(data):
+        c, d = data.draw(st.integers(1, 3)), data.draw(st.integers(2, 3))
+        F, G = data.draw(_forms(field, c)), data.draw(_forms(field, d))
+        H = data.draw(_forms(field, data.draw(st.integers(1, c + d))))
+        try:
+            report = check_condition(F, G, H)
+        except InternalError:
+            raise
+        except CurveError:
+            return
+        for pc in report.points:
+            assert not noether._orderless(pc.entries), (F, G, H, pc.entries)
+        points.extend(report.points)
+
+    check()
+    assert points
 
 
 @pytest.mark.parametrize("p, degrees", [(2, (2, 3)), (3, (2, 2)), (5, (3,)), (7, (2,))])
@@ -570,7 +624,8 @@ def test_two_rows_at_one_depth_are_computed_again(monkeypatch):
     taken = _spy_orderless(monkeypatch)
     report = check_condition(F, G, H)
     assert report.to_json() == _condition_per_point(F, G, H).to_json()
-    assert taken == {True: 0, False: 1}
+    # check_condition computes every point and asks no copy
+    assert taken == {True: 0, False: 0}
     depth1 = [e for e in report.points[-1].entries if e[0] == 1]
     assert len(set(depth1)) == 2
 
@@ -586,6 +641,43 @@ def test_a_missing_conjugate_is_an_internal_error(monkeypatch):
         bezout_check(F, G)
     with pytest.raises(InternalError):
         check_condition(F, G, H)
+
+
+# a reducible factor in _split_factors, and a check_condition point list
+# with a conjugate missing
+ORBIT_CHECKS = (
+    "from planecurves import noether\n"
+    "from planecurves.errors import InternalError\n"
+    "from planecurves.fields import PrimeField, UniPoly, _split_factors\n"
+    "from planecurves.invariants import _orbit_reps\n"
+    "from planecurves.poly import parse_poly\n"
+    "F5, F7 = PrimeField(5), PrimeField(7)\n"
+    "try:\n"
+    "    _split_factors(F5, [(UniPoly(F5, (1, 0, 1)), 1)])\n"
+    "except InternalError as e:\n"
+    "    print('split:', e)\n"
+    "F, G, H = (parse_poly(t, F7, 'homogeneous') for t in ('Y*Z-X^2', 'X^2+Z^2', 'Y^2+X*Z'))\n"
+    "points = noether.find_common_points(F, G)\n"
+    "reps = _orbit_reps([p.coords for p in points], F7)\n"
+    "j = next(j for j, i in enumerate(reps) if i < j)\n"
+    "noether.find_common_points = lambda *a: points[:j] + points[j + 1:]\n"
+    "try:\n"
+    "    noether.check_condition(F, G, H)\n"
+    "except InternalError as e:\n"
+    "    print('orbit:', e)\n"
+)
+
+
+def test_orbit_checks_under_python_O():
+    # neither check may rest on an assert, which -O strips
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", ORBIT_CHECKS], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "split: Frobenius orbit of z1 does not close at 2",
+        "orbit: a conjugate of point 0 is missing from the point list",
+    ]
 
 
 def test_conjugate_singular_points_share_one_resolution(monkeypatch):

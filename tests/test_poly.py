@@ -79,7 +79,7 @@ class TestParsing:
 
 
 MESSAGES = [
-    ("x +", "unexpected token None"),
+    ("x +", "polynomial ended early"),
     ("(x+y", "unbalanced parenthesis"),
     ("x^y", "exponent must be a nonnegative integer"),
     ("x$y", "unexpected character '$' in polynomial"),
@@ -93,9 +93,9 @@ MESSAGES = [
     ("*x", "unexpected token '*'"),
     ("x**2", "unexpected token '*'"),
     ("--x", "unexpected token '-'"),
-    ("(", "unexpected token None"),
-    ("x(", "unexpected token None"),
-    ("x-", "unexpected token None"),
+    ("(", "polynomial ended early"),
+    ("x(", "polynomial ended early"),
+    ("x-", "polynomial ended early"),
     ("x^", "exponent must be a nonnegative integer"),
     ("(x+y)^", "exponent must be a nonnegative integer"),
     ("2/3/4", "trailing input near token '/'"),
@@ -270,6 +270,8 @@ class _ParserBefore(poly._Parser):
             if self.take()[0] != ")":
                 raise ValueError("unbalanced parenthesis")
             return inner
+        if kind == "end":
+            raise ValueError("polynomial ended early")
         raise ValueError(f"unexpected token {val!r}")
 
 
