@@ -1137,13 +1137,15 @@ def _split_factors(field: Field, factors):
         if phi(images[-1]) != z or z in images[1:]:
             raise InternalError(f"Frobenius orbit of {field.gen_name} does not close at {g.degree}")
         split = [(UniPoly(field, (-Scalar(field, r), 1), g.var), m) for r in images]
-        rng = Random(DEFAULT_FACTOR_SEED)
+        rng = None  # this level's Random, made at its first equal-degree split
         for h, mh in factors:
             h = h.map_field(field)
             # h is squarefree, so each part of the split has multiplicity 1
             parts = [part for part, _ in _quadratic_split(h)]
-            d = h.degree // math.gcd(h.degree, g.degree)
-            split.extend((part, mh) for part in parts or _equal_degree(h, d, rng))
+            if not parts:
+                rng = rng or Random(DEFAULT_FACTOR_SEED)
+                parts = _equal_degree(h, h.degree // math.gcd(h.degree, g.degree), rng)
+            split.extend((part, mh) for part in parts)
         factors = split
     roots = [(-g.coeff(0), m) for g, m in factors]
     roots.sort(key=lambda rm: str(rm[0]))

@@ -46,6 +46,7 @@ from .integers import _coprime_ints
 from .poly import (
     MultiPoly,
     PROJECTIVE,
+    _forms,
     _shear_candidates,
     biv_coeffs,
     biv_gcd,
@@ -284,19 +285,20 @@ def adjoint_check(
     return AdjointReport(ok, entries)
 
 
-def _localize(F: MultiPoly, coords):
-    """Affine equation of a projective curve with the given point at the origin.
+def _localize(curves, coords):
+    """Affine equations of projective curves with the given point at the origin.
 
     Picks the chart Z, Y or X, preferring the later coordinate when it is
-    nonzero so the choice is deterministic.  Returns (affine poly, chart).
+    nonzero so the choice is deterministic, and moves the point to the
+    origin once for all the curves.  Returns ([affine poly per curve], chart).
     """
-    # translate maps F into the join of its field and the point's
+    # translate maps each curve into the join of its field and the point's
     for chart, idx, others in (("Z", 2, (0, 1)), ("Y", 1, (0, 2)), ("X", 0, (1, 2))):
         if not coords[idx].is_zero():
             field = _join(*coords)
             div = field.divider(field.embed(coords[idx]).value)
             a, b = (Scalar(field, div(field.embed(coords[k]).value)) for k in others)
-            return translate(dehomogenize(F, chart), a, b), chart
+            return [translate(dehomogenize(F, chart), a, b) for F in curves], chart
     raise ValueError("projective point has no nonzero coordinate")
 
 
@@ -407,13 +409,8 @@ def genus(
 
 def _genus_and_deltas(F: MultiPoly, singular_points, assume_irreducible: bool, max_depth: int):
     """genus() together with the delta of each singular point, in order."""
-    if F.is_zero():
-        raise ZeroPolynomial("genus of the zero curve")
-    if F.variables != PROJECTIVE or not F.is_homogeneous():
-        raise ValueError("genus expects a homogeneous polynomial in X, Y, Z")
+    _forms("genus", F, least=1)
     n = F.total_degree()
-    if n < 1:
-        raise ValueError("genus needs degree at least 1")
     if not assume_irreducible:
         _certify_irreducible(F)
     points = [tuple(getattr(p, "coords", p)) for p in singular_points]
@@ -423,7 +420,7 @@ def _genus_and_deltas(F: MultiPoly, singular_points, assume_irreducible: bool, m
         if i < len(deltas):
             deltas.append(deltas[i])
             continue
-        local, _ = _localize(F, coords)
+        (local,), _ = _localize((F,), coords)
         if not local.constant_term().is_zero():
             raise ValueError(f"point {[str(c) for c in coords]} is not on the curve")
         report = delta_invariant(resolve_tree(local, max_depth=max_depth), point=coords)

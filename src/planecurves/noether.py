@@ -8,9 +8,13 @@ the resultant vanishes exactly when they share a component, and that is
 the coprimality test: no gcd runs.  Frobenius over the field of the shift
 maps directions, fibers and their common roots to conjugate ones, so only
 the first listed direction of each orbit intersects its fibers, and its
-conjugates take the Frobenius images of its roots.  Field extensions are
-threaded sequentially, so every point lives somewhere along a single tower
-and points can be compared.
+conjugates take the Frobenius images of its roots.  These points are
+distinct by construction; only the points of the line Z = 0, where Z
+divides one form, are compared with them.  Field extensions are threaded
+sequentially, so every point lives somewhere along a single tower and
+points can be compared.  Every public entry checks its forms with
+poly._forms, and each local computation moves its point to the origin
+once, in one chart for all the curves (invariants._localize).
 
 The AF+BG machinery has two independent halves: check_condition walks
 joint blow-up trees at every common point of F and G and verifies the
@@ -35,13 +39,7 @@ from __future__ import annotations
 from itertools import count
 
 from .blowup import DEFAULT_MAX_DEPTH, _joint_tree
-from .errors import (
-    CommonComponent,
-    IncompatibleFields,
-    InternalError,
-    Reducible,
-    ZeroPolynomial,
-)
+from .errors import CommonComponent, IncompatibleFields, InternalError, Reducible
 from .fields import (
     Field,
     RationalField,
@@ -60,6 +58,7 @@ from .poly import (
     MultiPoly,
     PROJECTIVE,
     _first_fit,
+    _forms,
     _shear_candidates,
     add_multiples,
     biv_coeffs,
@@ -114,21 +113,13 @@ def _strip_var(F: MultiPoly, idx: int):
     return MultiPoly._from_values(F.field, F.variables, values), k
 
 
-def _strip_z(F: MultiPoly, G: MultiPoly):
-    """(F', kF, G', kG) with F = Z^kF * F' and G = Z^kG * G', where Z
-    divides neither F' nor G'; CommonComponent when Z divides both."""
-    (Fh, kF), (Gh, kG) = _strip_var(F, 2), _strip_var(G, 2)
-    if kF >= 1 and kG >= 1:
-        raise CommonComponent("curves share the component Z")
-    return Fh, kF, Gh, kG
-
-
 def _assert_coprime_forms(F: MultiPoly, G: MultiPoly):
-    """Raise CommonComponent when two forms share a nonconstant factor."""
-    Fh, _, Gh, _ = _strip_z(F, G)
-    if Fh.total_degree() >= 1 and Gh.total_degree() >= 1:
-        if biv_gcd(dehomogenize(Fh, "Z"), dehomogenize(Gh, "Z")).total_degree() >= 1:
-            raise CommonComponent("curves share a component")
+    """Raise CommonComponent when two nonzero forms share a nonconstant factor."""
+    if all(e[2] for e in F.values) and all(e[2] for e in G.values):
+        raise CommonComponent("curves share the component Z")
+    # dehomogenize(Z^k * F', "Z") is dehomogenize(F', "Z"): the factor Z drops
+    if biv_gcd(dehomogenize(F, "Z"), dehomogenize(G, "Z")).total_degree() >= 1:
+        raise CommonComponent("curves share a component")
 
 
 def _pair_candidates(field: Field, curves):
@@ -189,27 +180,17 @@ def find_common_points(F: MultiPoly, G: MultiPoly):
     NonRationalPoint; over a finite field the coefficient tower grows as
     needed and each returned point carries the field it lives in.
     """
-    if F.is_zero() or G.is_zero():
-        raise ZeroPolynomial("common points with the zero curve")
-    if F.variables != PROJECTIVE or G.variables != PROJECTIVE:
-        raise ValueError("common points expect homogeneous polynomials in X, Y, Z")
-    if not (F.is_homogeneous() and G.is_homogeneous()):
-        raise ValueError("common points expect homogeneous polynomials in X, Y, Z")
-    if F.total_degree() < 1 or G.total_degree() < 1:
-        raise ValueError("curves must have degree at least 1")
+    _forms("find_common_points", F, G, least=1)
     fld, (F, G) = _joined(F, G)
-    # a component other than Z shared by the forms shows as a zero resultant
-    Fh, kF, Gh, kG = _strip_z(F, G)
+    (Fh, kF), (Gh, kG) = _strip_var(F, 2), _strip_var(G, 2)
+    if kF >= 1 and kG >= 1:
+        raise CommonComponent("curves share the component Z")
     points = []
-
-    def add(raw):
-        p = ProjPoint(raw)
-        if not any(p == q for q in points):
-            points.append(p)
-
-    # the component Z = 0 of one input meets the other in its directions
+    # a component other than Z shared by the forms shows as a zero resultant
     if Fh.total_degree() >= 1 and Gh.total_degree() >= 1:
-        fld = _common_points_core(Fh, Gh, fld, add)
+        fld, points = _common_points_core(Fh, Gh, fld)
+    # the component Z = 0 of one input meets the other in its directions,
+    # and only these points can repeat one the core found
     for k, P in ((kF, G), (kG, F)):
         if k >= 1:
             # P(1, t, 0): the zeros of P on the line Z = 0
@@ -217,12 +198,15 @@ def find_common_points(F: MultiPoly, G: MultiPoly):
             row = [P.values.get((deg - j, j, 0), zero) for j in range(deg + 1)]
             dirs, fld = _directions(UniPoly._from_values(P.field, _trim(row), "t"), deg, fld)
             for x0, y0 in dirs:
-                add((x0, y0, fld.zero()))
+                p = ProjPoint((x0, y0, fld.zero()))
+                if p not in points:
+                    points.append(p)
     return points
 
 
-def _common_points_core(F: MultiPoly, G: MultiPoly, fld: Field, add):
-    """Z-free forms: eliminate Z, factor directions, intersect fibers.
+def _common_points_core(F: MultiPoly, G: MultiPoly, fld: Field):
+    """Z-free forms: eliminate Z, factor directions, intersect fibers;
+    returns (field, the common points as ProjPoints).
 
     CommonComponent when the forms share a component.  Frobenius over the
     field of the shift (a, b) fixes the shifted forms, so it maps the fibers
@@ -230,7 +214,9 @@ def _common_points_core(F: MultiPoly, G: MultiPoly, fld: Field, add):
     to the common roots there: only the first listed direction of each
     orbit computes its fibers, their gcd and its roots, and each conjugate
     takes the images of those roots, in the text order of
-    roots_with_extension.
+    roots_with_extension.  The points come out distinct with no comparison:
+    the directions are distinct, so are the roots of each fiber gcd, and
+    (x0, y0, z0) -> (x0 + a*z0, y0 + b*z0, z0) is invertible.
     """
     n, m = F.total_degree(), G.total_degree()
 
@@ -258,7 +244,7 @@ def _common_points_core(F: MultiPoly, G: MultiPoly, fld: Field, add):
     directions, fld = _directions(R1, n * m, fld)
     frob = _frobenius(fld, base)
     # the roots over each conjugate direction still to come, by its t
-    images = {}
+    images, points = {}, []
     for x0, y0 in directions:
         roots = images.pop(y0.value, None)
         if roots is None:
@@ -275,10 +261,9 @@ def _common_points_core(F: MultiPoly, G: MultiPoly, fld: Field, add):
                     values = [sigma(v) for v in values]
                     images[t] = sorted([Scalar(fld, v) for v in values], key=str)
                     t = frob(t)
-        for z0 in roots:
-            z0 = fld.embed(z0)
-            add((x0 + a * z0, y0 + b * z0, z0))
-    return fld
+        for z0 in map(fld.embed, roots):
+            points.append(ProjPoint((x0 + a * z0, y0 + b * z0, z0)))
+    return fld, points
 
 
 def find_singular_points(F: MultiPoly):
@@ -289,12 +274,7 @@ def find_singular_points(F: MultiPoly):
     partial derivative vanishes identically the curve is a p-th power and
     Reducible is raised.
     """
-    if F.is_zero():
-        raise ZeroPolynomial("singular points of the zero curve")
-    if F.variables != PROJECTIVE or not F.is_homogeneous():
-        raise ValueError("singular points expect a homogeneous polynomial in X, Y, Z")
-    if F.total_degree() < 1:
-        raise ValueError("curves must have degree at least 1")
+    _forms("find_singular_points", F, least=1)
     if F.total_degree() == 1:
         return []
     parts = [F.derivative(v) for v in PROJECTIVE]
@@ -368,11 +348,7 @@ def check_condition(
     read off at every node.  A curve H passing the check at all points
     satisfies the local hypothesis of the AF+BG construction.
     """
-    for P in (F, G, H):
-        if P.is_zero():
-            raise ZeroPolynomial("check_condition needs nonzero curves")
-        if P.variables != PROJECTIVE or not P.is_homogeneous():
-            raise ValueError("check_condition expects homogeneous polynomials in X, Y, Z")
+    _forms("check_condition", F, G, H)
     fld, (F, G, H) = _joined(F, G, H)
     report_points = []
     # find_common_points tests F and G for a common component, so the
@@ -381,12 +357,8 @@ def check_condition(
     # each Frobenius orbit must be listed whole
     _orbit_reps([p.coords for p in points], fld, complete=True)
     for p in points:
-        fL, chart = _localize(F, p.coords)
-        gL, _ = _localize(G, p.coords)
-        hL, _ = _localize(H, p.coords)
-        jt = _joint_tree(
-            [fL, gL, hL], max_depth=max_depth, labels=("F", "G", "H"), witness=True
-        )
+        local, chart = _localize((F, G, H), p.coords)
+        jt = _joint_tree(local, max_depth=max_depth, labels=("F", "G", "H"), witness=True)
         entries = []
         failure_depth = None
         for node in jt.nodes():
@@ -457,11 +429,7 @@ def solve_af_bg(
     The returned residual is recomputed from A and B independently of the
     solver and must be zero on a Solved certificate.
     """
-    for P in (F, G, H):
-        if P.is_zero():
-            raise ZeroPolynomial("solve_af_bg needs nonzero curves")
-        if P.variables != PROJECTIVE or not P.is_homogeneous():
-            raise ValueError("solve_af_bg expects homogeneous polynomials in X, Y, Z")
+    _forms("solve_af_bg", F, G, H)
     fld, (F, G, H) = _joined(F, G, H)
     _assert_coprime_forms(F, G)
     c, d, e = F.total_degree(), G.total_degree(), H.total_degree()
@@ -527,8 +495,7 @@ def bezout_check(
     compared with deg F * deg G.  Any mismatch survives into the report
     rather than being patched over.
     """
-    if F.is_zero() or G.is_zero():
-        raise ZeroPolynomial("Bezout with the zero curve")
+    _forms("bezout_check", F, G, least=1)
     fld, (F, G) = _joined(F, G)
     entries = []
     # find_common_points tests F and G for a common component, so the
@@ -542,8 +509,7 @@ def bezout_check(
                 origin, p.field, rep.contributions, rep.noether_sum, rep.oracle_value
             )
         else:
-            fL, chart = _localize(F, p.coords)
-            gL, _ = _localize(G, p.coords)
+            (fL, gL), chart = _localize((F, G), p.coords)
             rep = _intersection_multiplicity(fL, gL, max_depth)
         entries.append((p, chart, rep))
     total = sum(rep.noether_sum for _, _, rep in entries)

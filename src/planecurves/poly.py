@@ -400,6 +400,19 @@ def dehomogenize(F: MultiPoly, chart: str = "Z") -> MultiPoly:
     return MultiPoly._from_values(F.field, AFFINE, {e: c for e, c in out.items() if c})
 
 
+def _forms(what: str, *polys: MultiPoly, least: int = 0):
+    """The input guard of every projective entry point, named by `what`:
+    each of polys in turn must be nonzero (else ZeroPolynomial) and a form
+    in X, Y, Z (else ValueError), and then every one of degree >= least."""
+    for P in polys:
+        if P.is_zero():
+            raise ZeroPolynomial(f"{what} needs nonzero curves")
+        if P.variables != PROJECTIVE or not P.is_homogeneous():
+            raise ValueError(f"{what} expects homogeneous polynomials in X, Y, Z")
+    if any(P.total_degree() < least for P in polys):
+        raise ValueError(f"curves must have degree at least {least}")
+
+
 def is_suitable(F: MultiPoly) -> bool:
     """True when the lowest form does not vanish at (x, y) = (0, 1): F has a y^r term."""
     return (0, F.mult_at_origin()) in F.values

@@ -1059,6 +1059,24 @@ def test_uni_factor_makes_the_random_stream_only_to_split(monkeypatch):
     assert len(made) == 1
 
 
+def test_split_factors_makes_a_random_only_to_split(monkeypatch):
+    made = []
+    original = fields.Random
+
+    def counting(*a):
+        made.append(a)
+        return original(*a)
+
+    monkeypatch.setattr(fields, "Random", counting)
+    # t^2 + 1 alone, and t^2 + 2 split by its discriminant over F_49
+    for factors in ([T(F7, 1, 0, 1)], [T(F7, 1, 0, 1), T(F7, 2, 0, 1)]):
+        fields._split_factors(F7, [(g, 1) for g in factors])
+    assert made == []
+    # t^3 + 3 over the cubic level of t^3 + 2 takes one equal-degree split
+    ext, roots = fields._split_factors(F7, [(T(F7, 2, 0, 0, 1), 1), (T(F7, 3, 0, 0, 1), 1)])
+    assert len(roots) == 6 and len(made) == 1
+
+
 @st.composite
 def quadratics(draw, field):
     """unit * t^k * q with q a monic quadratic, k from 0 to 2: the product of

@@ -343,7 +343,7 @@ def _corpus_triple_points():
         F, G, H = (hom(t[k], fld) for k in "FGH")
         for p in find_common_points(F, G):
             yield pytest.param(
-                [_localize(P, p.coords)[0] for P in (F, G, H)],
+                _localize((F, G, H), p.coords)[0],
                 id=f"{t['F']}~{t['G']}~{t['H']}~{t['field']} at {p}",
             )
 

@@ -454,8 +454,7 @@ def _bezout_per_point(F, G, max_depth=DEFAULT_MAX_DEPTH):
     entries = []
     total = 0
     for p in find_common_points(F, G):
-        fL, chart = _localize(F, p.coords)
-        gL, _ = _localize(G, p.coords)
+        (fL, gL), chart = _localize((F, G), p.coords)
         rep = _intersection_multiplicity(fL, gL, max_depth)
         entries.append((p, chart, rep))
         total += rep.noether_sum
@@ -470,10 +469,8 @@ def _condition_per_point(F, G, H, max_depth=DEFAULT_MAX_DEPTH):
     _, (F, G, H) = _joined(F, G, H)
     points = []
     for p in find_common_points(F, G):
-        fL, chart = _localize(F, p.coords)
-        gL, _ = _localize(G, p.coords)
-        hL, _ = _localize(H, p.coords)
-        jt = _joint_tree([fL, gL, hL], max_depth, ("F", "G", "H"), witness=True)
+        local, chart = _localize((F, G, H), p.coords)
+        jt = _joint_tree(local, max_depth, ("F", "G", "H"), witness=True)
         entries = []
         failure_depth = None
         for node in jt.nodes():
@@ -686,7 +683,7 @@ def test_conjugate_singular_points_share_one_resolution(monkeypatch):
     F = hom("Y^2*Z^3-X*(X^2+Z^2)^2", F7)
     points = find_singular_points(F)
     want = [
-        delta_invariant(resolve_tree(_localize(F, p.coords)[0])).delta for p in points
+        delta_invariant(resolve_tree(_localize((F,), p.coords)[0][0])).delta for p in points
     ]
     trees = []
 
@@ -716,7 +713,7 @@ def test_points_from_two_towers_are_each_computed():
     assert _genus_and_deltas(F, points, True, DEFAULT_MAX_DEPTH) == (4, [1, 1])
 
 
-def _core_per_direction(F, G, fld, add):
+def _core_per_direction(F, G, fld):
     """noether._common_points_core as it was before orbits of directions:
     every direction computes its own fibers, their gcd and its roots; kept
     as the reference."""
@@ -734,12 +731,12 @@ def _core_per_direction(F, G, fld, add):
     if R1.is_zero():
         raise CommonComponent("curves share a component")
     directions, fld = _directions(R1, n * m, fld)
+    points = []
     for x0, y0 in directions:
         h = uni_gcd(_z_fiber(Fp, x0, y0), _z_fiber(Gp, x0, y0))
         fld, roots = roots_with_extension(h.map_field(fld))
-        for z0, _ in roots:
-            add((x0 + a * z0, y0 + b * z0, z0))
-    return fld
+        points += [ProjPoint((x0 + a * z0, y0 + b * z0, z0)) for z0, _ in roots]
+    return fld, points
 
 
 def _points_json(F, G):
@@ -829,6 +826,51 @@ def test_one_fiber_per_orbit_matches_the_per_direction_loop(monkeypatch, name):
     check()
     # some direction was a conjugate, and took no fiber gcd
     assert totals[0] > totals[1] > 0, totals
+
+
+@pytest.mark.parametrize("name", [*COMMON_POINT_FIELDS, "Q"])
+def test_each_common_point_is_listed_once(name):
+    # _common_points_core lists distinct points with no comparison, so only
+    # a point of the line Z = 0 is compared with the list: a Z factor of one
+    # form meets the other there, at times in a point the core found too
+    field = QQ if name == "Q" else COMMON_POINT_FIELDS[name]
+    listed = []
+
+    def check(F, G):
+        try:
+            points = find_common_points(F, G)
+        except (CommonComponent, NonRationalPoint):
+            return
+        for i, p in enumerate(points):
+            assert p not in points[:i], (F, G, points)
+            coords = dict(zip(PROJECTIVE, p.coords))
+            assert F.evaluate(coords).is_zero() and G.evaluate(coords).is_zero()
+        listed.append(len(points))
+
+    # [1 : 0 : 0] is on Y + Z, Y + 2*Z and Z: the core and the line Z = 0 both find it
+    check(hom("Z*(Y+Z)", field), hom("Y+2*Z", field))
+    assert listed == [1]
+
+    def factor(data):
+        # over Q a product of lines keeps the points rational
+        return data.draw(_forms(field, 1 if field is QQ else data.draw(st.integers(1, 2))))
+
+    @seed(3131)
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(data=st.data())
+    def drawn(data):
+        F, G = (
+            factor(data) * factor(data) if data.draw(st.booleans()) else factor(data)
+            for _ in range(2)
+        )
+        F = F * hom("Z", field) ** data.draw(st.integers(0, 2))
+        if data.draw(st.booleans()):
+            F, G = G, F
+        assume(not F.is_zero() and not G.is_zero())
+        check(F, G)
+
+    drawn()
+    assert sum(listed) > 20, listed
 
 
 @pytest.mark.parametrize(

@@ -12,10 +12,15 @@ from hypothesis import strategies as st
 
 import planecurves
 from planecurves import blowup
-from planecurves.blowup import joint_tree
-from planecurves.errors import CommonComponent, NonRationalPoint
+from planecurves.blowup import joint_tree, resolve_tree
+from planecurves.errors import CommonComponent, NonRationalPoint, NotSquarefree
 from planecurves.fields import UniPoly, uni_gcd
-from planecurves.invariants import _fulton, intersection_multiplicity, intersection_oracle
+from planecurves.invariants import (
+    _fulton,
+    delta_invariant,
+    intersection_multiplicity,
+    intersection_oracle,
+)
 from planecurves.poly import AFFINE, MultiPoly, biv_gcd, parse_poly, resultant_biv
 
 from .helpers import F5, F9, QQ, corpus, field_by_name
@@ -249,3 +254,42 @@ def test_fulton_stops_on_a_shared_component_off_y(name):
         env=dict(os.environ, PYTHONPATH=src),
     )
     assert (proc.returncode, proc.stdout.strip()) == (0, "CommonComponent"), proc.stderr
+
+
+# ---- Milnor's formula: the tree's delta against Fulton's mu ----
+
+
+@st.composite
+def singular_at_origin(draw, field, coeffs, degree=5):
+    # every term of degree >= 2, so the origin is a singular point
+    exps = [(i, j) for i in range(degree + 1) for j in range(degree + 1 - i) if i + j >= 2]
+    chosen = draw(st.lists(st.sampled_from(exps), min_size=2, max_size=5, unique=True))
+    return MultiPoly(field, AFFINE, {e: draw(st.sampled_from(coeffs)) for e in chosen})
+
+
+def test_milnor_formula_over_q():
+    # 2 delta = mu + b - 1 at a reduced singular point in characteristic 0
+    # (Milnor, Singular Points of Complex Hypersurfaces, section 10), with
+    # mu = I_0(F_x, F_y) from Fulton's oracle, which shares no blow-up code,
+    # and delta and the branch count b (the r = 1 nodes) from the resolution
+    # tree; in small characteristic the formula fails, so it runs over Q alone
+    field, coeffs = FIELDS["Q"]
+    checked = []
+
+    @seed(1968)
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(singular_at_origin(field, coeffs))
+    def check(F):
+        Fx, Fy = F.derivative("x"), F.derivative("y")
+        if biv_gcd(Fx, Fy).total_degree() >= 1:
+            reject()
+        try:
+            tree = resolve_tree(F)
+        except (NonRationalPoint, NotSquarefree):
+            reject()
+        branches = sum(node.r == 1 for node in tree.nodes())
+        assert 2 * delta_invariant(tree).delta == _fulton(Fx, Fy) + branches - 1
+        checked.append((tree.root.r, branches))
+
+    check()
+    assert len(checked) >= 40 and len(set(checked)) >= 5, checked

@@ -46,16 +46,19 @@ def test_a_changed_output_is_reported(tmp_path, capsys):
 
 
 def test_calls_from_a_file_are_compared_once_each(tmp_path, capsys):
-    calls = tmp_path / "calls.json"
+    # a call listed twice, once more in a second file, runs once
+    calls, more = tmp_path / "calls.json", tmp_path / "more.json"
     delta, bezout = ["delta", "y^2-x^3"], ["bezout", "YZ-X^2", "XZ-Y^2", "--field", "p:7"]
     calls.write_text(json.dumps([delta, bezout, delta]))
-    assert _tool().main([str(ROOT), "--workloads", "--calls", str(calls)]) == 0
+    more.write_text(json.dumps([bezout]))
+    files = [str(calls), str(more)]
+    assert _tool().main([str(ROOT), "--workloads", "--calls", *files]) == 0
     assert capsys.readouterr().out.startswith("0 of 2 distinct calls differ")
     other = _delta_prints_one_more_line(tmp_path / "other")
-    assert _tool().main([str(other), "--workloads", "--calls", str(calls)]) == 1
+    assert _tool().main([str(other), "--workloads", "--calls", *files]) == 1
     assert capsys.readouterr().out.splitlines() == [
         "differs in stdout: delta y^2-x^3",
-        f"1 of 2 distinct calls differ (seeds 1 2 3; {calls})",
+        f"1 of 2 distinct calls differ (seeds 1 2 3; {calls} {more})",
     ]
 
 
