@@ -4,6 +4,10 @@ The single chart y = x*t suffices once coordinates are suitable: every
 point of the proper transform over the origin has a finite t-coordinate.
 A tree node records the recentered, re-suitabilized local equations of
 every tracked curve, so the blow-up step is always the same substitution.
+Each child is built from its parent's terms in one pass per curve: the
+rows of the chart transform are shifted to the child's root by
+poly._taylor_shift, and the curves are sheared only when a tangent cone
+lacks its y^r term.  The fibers are read off each node's lowest form.
 
 One grower builds every tree, one depth level at a time; the kinds differ
 only in which points are blown up and which exceptional points become
@@ -42,18 +46,26 @@ from .errors import (
     NotSuitable,
     ZeroPolynomial,
 )
-from .fields import RationalField, UniPoly, _split_factors, roots_with_extension, uni_factor
-from .fields import uni_gcd
+from .fields import (
+    RationalField,
+    UniPoly,
+    _levels_above,
+    _lift,
+    _split_factors,
+    roots_with_extension,
+    uni_factor,
+    uni_gcd,
+)
 from .poly import (
     AFFINE,
     CHART,
     MultiPoly,
+    _taylor_shift,
     add_multiples,
     biv_gcd,
     is_suitable,
     make_suitable_many,
     squarefree_defect,
-    translate,
 )
 
 DEFAULT_MAX_DEPTH = 48
@@ -84,9 +96,14 @@ def blow_up_chart(F: MultiPoly) -> MultiPoly:
 def fiber_poly(Fprime: MultiPoly) -> UniPoly:
     """F'(0, t) as a univariate polynomial: the exceptional fiber."""
     terms = {j: c for (i, j), c in Fprime.values.items() if not i}
-    zero = Fprime.field.raw_zero
+    return _uni(terms, Fprime.field, Fprime.variables[1])
+
+
+def _uni(terms: dict, field, var: str = "t") -> UniPoly:
+    """The UniPoly in var with the raw coefficients {degree: c}, none zero."""
+    zero = field.raw_zero
     values = tuple([terms.get(j, zero) for j in range(max(terms, default=-1) + 1)])
-    return UniPoly._from_values(Fprime.field, values, Fprime.variables[1])
+    return UniPoly._from_values(field, values, var)
 
 
 def exceptional_points(Fprime: MultiPoly):
@@ -368,19 +385,15 @@ def _grow(curves, kind, max_depth, capped=None) -> JointNode:
                     )
                 capped.append(node)
                 continue
-            transforms = [_chart_transform(e, r) for e, r in zip(node.eqs, node.rs)]
-            points = _child_points(transforms[:n_drivers], drivers, witness, rational)
-            if points and node.depth >= max_depth:
-                raise DepthCapExceeded(
-                    f"joint tree exceeded max depth {max_depth}; transforms still meet"
-                )
-            for alpha in points:
-                eqs = [
-                    translate(t.rename(AFFINE).map_field(alpha.field), 0, alpha)
-                    for t in transforms
-                ]
-                node.children.append(_node(eqs, node.depth + 1, alpha))
-            below.extend(node.children)
+            points = _child_points(node.eqs[:n_drivers], drivers, witness, rational)
+            if points:
+                if node.depth >= max_depth:
+                    raise DepthCapExceeded(
+                        f"joint tree exceeded max depth {max_depth}; transforms still meet"
+                    )
+                rows = [_chart_rows(e, r) for e, r in zip(node.eqs, node.rs)]
+                node.children = [_child(node, rows, alpha) for alpha in points]
+                below.extend(node.children)
         level = below
     ids = count()
     stack = [root]
@@ -398,7 +411,58 @@ def _node(eqs, depth, shift) -> JointNode:
     return JointNode(depth, field, tuple(suited), rs, shift, lam)
 
 
-def _child_points(driver_transforms, driver_rs, witness, rational):
+def _chart_rows(F: MultiPoly, r: int):
+    """The chart transform F(x, x*t) / x^r as rows (k, q): q holds the raw
+    coefficients of t^0, t^1, ... in the part of x-degree k."""
+    rows = {}
+    for (i, j), c in F.values.items():
+        rows.setdefault(i + j - r, {})[j] = c
+    zero = F.field.raw_zero
+    return [(k, [row.get(j, zero) for j in range(max(row) + 1)]) for k, row in rows.items()]
+
+
+def _child(node: JointNode, rows, alpha) -> JointNode:
+    """The child of `node` at the point t = alpha of its exceptional line.
+
+    Each curve's chart rows are lifted into alpha's field and shifted to
+    t + alpha by poly._taylor_shift, in one pass; each multiplicity and
+    each y^r test are read off the shifted rows.  The curves are sheared
+    only when some tangent cone lacks its y^r term, and a shear keeps
+    every multiplicity.
+    """
+    field, s = alpha.field, alpha.value
+    k = _levels_above(field, node.field)
+    eqs, rs, suitable = [], [], True
+    for curve in rows:
+        out, r = {}, None
+        for i, q in curve:
+            if k:
+                q = [_lift(c, k) for c in q]
+            elif s:
+                q = list(q)  # the rows are shared by the node's children
+            if s:
+                _taylor_shift(field, q, s)
+            for j, c in enumerate(q):
+                if c:
+                    out[i, j] = c
+                    if r is None or i + j < r:
+                        r = i + j
+        eqs.append(MultiPoly._from_values(field, AFFINE, out))
+        rs.append(r)
+        suitable = suitable and (0, r) in out
+    lam = field.zero()
+    if not suitable:
+        eqs, lam, field = make_suitable_many(eqs)
+    return JointNode(node.depth + 1, field, tuple(eqs), tuple(rs), alpha, lam)
+
+
+def _fiber(F: MultiPoly, r: int) -> UniPoly:
+    """The exceptional fiber of F's blow-up, F'(0, t), read off the lowest
+    form of F, whose term c*x^(r-j)*y^j gives c*t^j."""
+    return _uni({j: c for (i, j), c in F.values.items() if i + j == r}, F.field)
+
+
+def _child_points(driver_eqs, driver_rs, witness, rational):
     """Candidate exceptional t-values for the next level, deterministic order.
 
     Without witness these are the roots of the gcd of the driver fibers,
@@ -407,9 +471,9 @@ def _child_points(driver_transforms, driver_rs, witness, rational):
     merged without repeats: over F_q the merged list is the factorization
     of the fibers' product, as monic factorization is unique.  Over Q only
     the linear factors are kept, once _assert_no_singular_residual has
-    cleared the others.
+    cleared the others on the driver's chart transform.
     """
-    fibers = [fiber_poly(t) for t in driver_transforms]
+    fibers = [_fiber(e, r) for e, r in zip(driver_eqs, driver_rs)]
     if not witness or (rational and min(driver_rs) >= 1):
         # over Q this also guards a witness node where both drivers pass:
         # splitting their gcd raises NonRationalPoint on a conjugate pair of
@@ -419,12 +483,14 @@ def _child_points(driver_transforms, driver_rs, witness, rational):
         if not witness:
             return [alpha for alpha, _m in roots]
     merged = []
-    for Fp, fib, r in zip(driver_transforms, fibers, driver_rs):
+    for e, fib, r in zip(driver_eqs, fibers, driver_rs):
         if r < 1:
             continue
         factors = uni_factor(fib)[1]
         if rational:
-            _assert_no_singular_residual(Fp, [g for g, _m in factors if g.degree >= 2])
+            residuals = [g for g, _m in factors if g.degree >= 2]
+            if residuals:
+                _assert_no_singular_residual(_chart_transform(e, r), residuals)
             factors = [gm for gm in factors if gm[0].degree == 1]
         merged.extend(gm for gm in factors if all(gm[0] != h for h, _m in merged))
     return [alpha for alpha, _m in _split_factors(fibers[0].field, merged)[1]]

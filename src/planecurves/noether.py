@@ -57,6 +57,7 @@ from .linalg import solve_linear
 from .poly import (
     MultiPoly,
     PROJECTIVE,
+    _degrees_at_least,
     _first_fit,
     _forms,
     _shear_candidates,
@@ -182,6 +183,12 @@ def find_common_points(F: MultiPoly, G: MultiPoly):
     """
     _forms("find_common_points", F, G, least=1)
     fld, (F, G) = _joined(F, G)
+    return _find_common_points(F, G, fld)
+
+
+def _find_common_points(F: MultiPoly, G: MultiPoly, fld: Field):
+    """find_common_points without its guard, for forms of degree >= 1 that
+    are already checked and mapped into their join fld."""
     (Fh, kF), (Gh, kG) = _strip_var(F, 2), _strip_var(G, 2)
     if kF >= 1 and kG >= 1:
         raise CommonComponent("curves share the component Z")
@@ -350,10 +357,12 @@ def check_condition(
     """
     _forms("check_condition", F, G, H)
     fld, (F, G, H) = _joined(F, G, H)
+    # H may be a constant; F and G must not
+    _degrees_at_least(1, F, G)
     report_points = []
-    # find_common_points tests F and G for a common component, so the
-    # local trees skip the gcd
-    points = find_common_points(F, G)
+    # the common points test F and G for a common component, so the local
+    # trees skip the gcd
+    points = _find_common_points(F, G, fld)
     # each Frobenius orbit must be listed whole
     _orbit_reps([p.coords for p in points], fld, complete=True)
     for p in points:
@@ -498,9 +507,9 @@ def bezout_check(
     _forms("bezout_check", F, G, least=1)
     fld, (F, G) = _joined(F, G)
     entries = []
-    # find_common_points tests F and G for a common component, so the
-    # local numbers skip the gcd
-    points = find_common_points(F, G)
+    # the common points test F and G for a common component, so the local
+    # numbers skip the gcd
+    points = _find_common_points(F, G, fld)
     for p, i in zip(points, _orbit_reps([p.coords for p in points], fld, complete=True)):
         if i < len(entries) and _orderless(entries[i][2].contributions):
             _, chart, rep = entries[i]

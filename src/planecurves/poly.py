@@ -13,8 +13,10 @@ The only coordinate changes an infinitely near point needs are a
 translation to the origin and one shear x -> x + lam*y making the tangent
 cone suitable.  Both add a multiple of a constant or of another variable to
 one variable, and add_multiples does each such change by _dshift: Horner's
-rule on the rows of terms it mixes, with no polynomial products.  The
-general `substitute` stays as the reference.
+rule on the rows of terms it mixes, with no polynomial products.  That
+rule is one loop, _taylor_shift, which the blow-up grower also runs on the
+rows of its chart transforms.  The general `substitute` stays as the
+reference.
 
 The text format round-trips: str() output reparses to an identical
 polynomial (same field, same terms).
@@ -409,6 +411,11 @@ def _forms(what: str, *polys: MultiPoly, least: int = 0):
             raise ZeroPolynomial(f"{what} needs nonzero curves")
         if P.variables != PROJECTIVE or not P.is_homogeneous():
             raise ValueError(f"{what} expects homogeneous polynomials in X, Y, Z")
+    _degrees_at_least(least, *polys)
+
+
+def _degrees_at_least(least: int, *polys: MultiPoly):
+    """ValueError unless every one of the nonzero polys has degree >= least."""
     if any(P.total_degree() < least for P in polys):
         raise ValueError(f"curves must have degree at least {least}")
 
@@ -800,11 +807,10 @@ def _dshift(F, a: dict, i: int, s, j=None) -> dict:
     """a with variable i replaced by var_i + s, or by var_i + s*var_j; s raw.
 
     Terms that agree off i (and, when j is given, in e_i + e_j) form one
-    row, a polynomial q(u) in u = var_i (or var_i / var_j).  Horner's rule
-    turns q(u) into q(u + s) in d(d+1)/2 multiply-adds, d the row's degree
-    (von zur Gathen and Gerhard, ISSAC 1997), and the row maps back.
+    row, a polynomial q(u) in u = var_i (or var_i / var_j); _taylor_shift
+    turns q(u) into q(u + s) and the row maps back.
     """
-    add, mul, zero = F.add, F.mul, F.raw_zero
+    zero = F.raw_zero
     rows = {}
     for e, c in a.items():
         key = list(e)
@@ -814,12 +820,8 @@ def _dshift(F, a: dict, i: int, s, j=None) -> dict:
         rows.setdefault(tuple(key), {})[e[i]] = c
     out = {}
     for key, row in rows.items():
-        d = max(row)
-        q = [row.get(k, zero) for k in range(d + 1)]
-        for k in range(d):
-            for m in range(d - 1, k - 1, -1):
-                if q[m + 1]:
-                    q[m] = add(q[m], mul(s, q[m + 1]))
+        q = [row.get(k, zero) for k in range(max(row) + 1)]
+        _taylor_shift(F, q, s)
         for m, c in enumerate(q):
             if c:
                 e = list(key)
@@ -828,6 +830,33 @@ def _dshift(F, a: dict, i: int, s, j=None) -> dict:
                     e[j] -= m
                 out[tuple(e)] = c
     return out
+
+
+def _taylor_shift(F, q: list, s) -> None:
+    """q(u) -> q(u + s) in place, for the raw coefficients q of q(u),
+    constant first, and a raw s.
+
+    Horner's rule in d(d+1)/2 multiply-adds, d the degree (von zur Gathen
+    and Gerhard, ISSAC 1997), with no polynomial products.  Over Q and F_p
+    the values are bare numbers: over F_p each multiply-add is reduced
+    modulo p once, as in linalg.echelon.  _dshift and the blow-up grower
+    shift every row through this one loop.
+    """
+    add, mul = F.add, F.mul
+    # the prime over F_p, 0 over Q, None over a tower level (tuple values)
+    p = F.p if isinstance(F, PrimeField) else 0 if isinstance(F, RationalField) else None
+    d = len(q) - 1
+    for k in range(d):
+        for m in range(d - 1, k - 1, -1):
+            b = q[m + 1]
+            if not b:
+                continue
+            if p is None:
+                q[m] = add(q[m], mul(s, b))
+            elif p:
+                q[m] = (q[m] + s * b) % p
+            else:
+                q[m] += s * b
 
 
 def _dpow(F, a: dict, e: int, unit: tuple) -> dict:

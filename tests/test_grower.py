@@ -388,11 +388,15 @@ def test_witness_children_factor_each_driver_fiber_alone(monkeypatch):
     current, factored = [], []  # the passing drivers' fibers at the node expanded
     child_points, original = blowup._child_points, uni_factor
 
-    def spy_child_points(transforms, rs, witness, rational):
+    def spy_child_points(eqs, rs, witness, rational):
+        # the node equations of the drivers; their fibers are those of the
+        # chart transforms, built here on the reference's path
         if witness:
-            current[:] = [(fiber_poly(t), r) for t, r in zip(transforms, rs) if r >= 1]
+            current[:] = [
+                (fiber_poly(_chart_transform(e, r)), r) for e, r in zip(eqs, rs) if r >= 1
+            ]
         try:
-            return child_points(transforms, rs, witness, rational)
+            return child_points(eqs, rs, witness, rational)
         finally:
             current.clear()
 

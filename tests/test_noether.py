@@ -633,7 +633,8 @@ def test_a_missing_conjugate_is_an_internal_error(monkeypatch):
     reps = _orbit_reps([p.coords for p in points], F7, complete=True)
     conjugate = next(j for j, i in enumerate(reps) if i < j)
     partial = points[:conjugate] + points[conjugate + 1:]
-    monkeypatch.setattr(noether, "find_common_points", lambda *a: partial)
+    # both callers take their point list from the guard-free core
+    monkeypatch.setattr(noether, "_find_common_points", lambda *a: partial)
     with pytest.raises(InternalError):
         bezout_check(F, G)
     with pytest.raises(InternalError):
@@ -657,7 +658,7 @@ ORBIT_CHECKS = (
     "points = noether.find_common_points(F, G)\n"
     "reps = _orbit_reps([p.coords for p in points], F7)\n"
     "j = next(j for j, i in enumerate(reps) if i < j)\n"
-    "noether.find_common_points = lambda *a: points[:j] + points[j + 1:]\n"
+    "noether._find_common_points = lambda *a: points[:j] + points[j + 1:]\n"
     "try:\n"
     "    noether.check_condition(F, G, H)\n"
     "except InternalError as e:\n"

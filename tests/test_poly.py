@@ -12,7 +12,15 @@ from hypothesis import strategies as st
 from planecurves import linalg, poly
 from planecurves.cli import main
 from planecurves.errors import DivisionByZero, NotSuitable, ZeroPolynomial
-from planecurves.fields import Scalar, UniPoly, extend_field, find_irreducible, join_fields, uni_gcd
+from planecurves.fields import (
+    PrimeField,
+    Scalar,
+    UniPoly,
+    extend_field,
+    find_irreducible,
+    join_fields,
+    uni_gcd,
+)
 from planecurves.poly import (
     AFFINE,
     PROJECTIVE,
@@ -1049,6 +1057,43 @@ def test_taylor_shift_agrees_with_substitute(name):
             if all(s.is_zero() for _, s, *_ in moves):
                 assert got == G.map_field(field)
                 assert got is G or got.field != G.field
+
+    check()
+
+
+# the one Taylor-shift loop on each of its paths: bare ints and Fractions
+# over Q, bare ints reduced modulo p over F_2 and F_101, raw tuples over F_9
+_F101, _F9_CORE = PrimeField(101), F9()
+CORE_FIELDS = {
+    "Q int": (QQ, st.integers(-9, 9)),
+    "Q Fraction": (QQ, st.tuples(st.integers(-9, 9), st.integers(1, 6)).map(lambda nd: Fraction(*nd))),
+    "F_2": (F2, st.sampled_from(list(F2.elements()))),
+    "F_101": (_F101, st.integers(0, 100).map(_F101.scalar)),
+    "F_9": (_F9_CORE, st.sampled_from(list(_F9_CORE.elements()))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORE_FIELDS))
+def test_dshift_agrees_with_substitute_on_every_path(name):
+    # substitute runs on _dmul alone, so it shares no code with the Horner loop
+    K, coeffs = CORE_FIELDS[name]
+    xy = [MultiPoly.var(K, v, AFFINE) for v in AFFINE]
+    exps = st.tuples(st.integers(0, 7), st.integers(0, 7))
+
+    @seed(1997)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(terms=st.dictionaries(exps, coeffs, max_size=12), s=coeffs,
+           i=st.sampled_from([0, 1]), sheared=st.booleans())
+    def check(terms, s, i, sheared):
+        F = MultiPoly(K, AFFINE, terms)
+        s = K.scalar(s)
+        j = 1 - i if sheared else None
+        image = xy[i] + (xy[j] * s if sheared else s)
+        want = F.substitute({AFFINE[i]: image})
+        got = poly._dshift(K, F.values, i, s.value, j)
+        assert got == want.values
+        if name == "Q int":
+            assert all(type(c) is int for c in got.values())
 
     check()
 
